@@ -4,13 +4,18 @@ Each auditor evaluates a divergence (or a metric-scaled divergence) over
 every supplied pair, in both directions, and reports the supremum. An
 infinite observed level is a legal outcome and is reported, never raised;
 exceptions are reserved for malformed inputs.
+
+All auditors and the coupling-mechanism theorem check share one core,
+``_audit``: callers gather the output rows of every pair, and the blocked
+row kernel of ``divergences`` evaluates them all at once. DP and XDP are
+the point-mass cases of DistP and XDistP.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -19,7 +24,9 @@ from .divergences import (
     STANDARD_KINDS,
     Divergence,
     MaxDivergence,
-    divergence_value,
+    _divergence_rows,
+    _per_distance,
+    _relation_indices,
     max_divergence,
 )
 from .errors import (
@@ -37,9 +44,9 @@ from .finite_prob import (
     lift,
     pair_label,
 )
-from .mechanisms import AuxIndexedKernel, CouplingMechanismSpec, aux_kernel
+from .mechanisms import AuxIndexedKernel, CouplingMechanismSpec, _cp_rows, aux_kernel
 from .tolerances import TAU_NUM, TAU_ZERO
-from .transport import _cost_block, wasserstein_inf, wasserstein_p
+from .transport import _cost_block, _wasserstein_cost
 
 NOTION_DP = "dp"
 NOTION_XDP = "xdp"
@@ -62,18 +69,22 @@ class PairAudit:
 
     @property
     def passed(self) -> bool | None:
+        return self._passed(TAU_NUM)
+
+    def _passed(self, tau_num: float) -> bool | None:
         if self.bound is None:
             return None
-        return self.value <= self.bound + TAU_NUM
+        return self.value <= self.bound + tau_num
 
-    def to_dict(self) -> dict:
+    def to_dict(self, tau_num: float = TAU_NUM) -> dict:
+        """Plain form, with the verdict taken at tolerance ``tau_num``."""
         return {
             "pair": self.pair,
             "forward": self.forward,
             "backward": self.backward,
             "value": self.value,
             "bound": self.bound,
-            "pass": self.passed,
+            "pass": self._passed(tau_num),
         }
 
 
@@ -94,39 +105,53 @@ class AuditReport:
 
     @property
     def passed(self) -> bool:
+        return self._passed(TAU_NUM)
+
+    def _passed(self, tau_num: float) -> bool:
         if self.claimed_eps is None:
             return True
-        return self.observed_eps <= self.claimed_eps + TAU_NUM
+        return self.observed_eps <= self.claimed_eps + tau_num
 
-    def to_dict(self) -> dict:
+    def to_dict(self, tau_num: float = TAU_NUM) -> dict:
+        """Plain form, with every verdict taken at tolerance ``tau_num``."""
         return {
             "notion": self.notion,
             "divergence": self.divergence,
             "claimed_eps": self.claimed_eps,
             "observed_eps": self.observed_eps,
             "worst_pair": self.worst_pair,
-            "verdict": "pass" if self.passed else "fail",
-            "pairs": [p.to_dict() for p in self.pairs],
+            "verdict": "pass" if self._passed(tau_num) else "fail",
+            "pairs": [p.to_dict(tau_num) for p in self.pairs],
         }
 
 
-def _assemble(
+def _audit(
     notion: str,
-    divergence_name: str,
-    entries: list[tuple[str, float, float]],
+    divergence: Divergence,
+    labels: list[str],
+    table: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
     claimed: float | None,
+    *,
+    distances: np.ndarray | None = None,
+    exact_subsets: bool,
 ) -> AuditReport:
+    """Audit output rows ``table[left[i]]`` against ``table[right[i]]``, in
+    both directions, per unit of ``distances[i]`` if given."""
+    forward = _divergence_rows(divergence, table, left, right, exact_subsets)
+    backward = _divergence_rows(divergence, table, right, left, exact_subsets)
+    if distances is not None:
+        forward = _per_distance(forward, distances)
+        backward = _per_distance(backward, distances)
     pairs = tuple(
-        PairAudit(label, fwd, bwd, claimed) for label, fwd, bwd in entries
+        PairAudit(label, fwd, bwd, claimed)
+        for label, fwd, bwd in zip(labels, forward.tolist(), backward.tolist())
     )
-    observed = max(p.value for p in pairs)
-    worst = next(p.pair for p in pairs if p.value == observed)
-    return AuditReport(notion, divergence_name, claimed, observed, worst, pairs)
-
-
-def _check_nonempty(relation) -> None:
-    if len(relation) == 0:
-        raise EmptyRelationError("relation has no pairs")
+    worst = int(np.argmax(np.maximum(forward, backward)))
+    return AuditReport(
+        notion, divergence.name, claimed, pairs[worst].value, labels[worst], pairs
+    )
 
 
 def audit_div_dp(
@@ -138,23 +163,12 @@ def audit_div_dp(
     exact_subsets: bool = False,
 ) -> AuditReport:
     """Worst divergence between output rows over all related input pairs."""
-    _check_nonempty(phi)
-    entries = []
-    for a, b in phi:
-        row_a = kernel.row(a)
-        row_b = kernel.row(b)
-        fwd = divergence_value(divergence, row_a, row_b, exact_subsets)
-        bwd = divergence_value(divergence, row_b, row_a, exact_subsets)
-        entries.append((pair_label(a, b), fwd, bwd))
-    return _assemble(NOTION_DP, divergence.name, entries, claimed_eps)
-
-
-def _scaled(value: float, distance: float) -> float:
-    """Divergence per unit distance; zero-distance pairs must have zero
-    divergence and otherwise blow up to +inf."""
-    if distance <= TAU_ZERO:
-        return 0.0 if value <= TAU_NUM else math.inf
-    return value / distance
+    left, right = _relation_indices(kernel, phi)
+    labels = [pair_label(a, b) for a, b in phi]
+    return _audit(
+        NOTION_DP, divergence, labels, kernel.matrix, left, right, claimed_eps,
+        exact_subsets=exact_subsets,
+    )
 
 
 def audit_div_xdp(
@@ -167,54 +181,45 @@ def audit_div_xdp(
     exact_subsets: bool = False,
 ) -> AuditReport:
     """Worst divergence per unit input distance over all related pairs."""
-    _check_nonempty(phi)
-    entries = []
-    for a, b in phi:
-        row_a = kernel.row(a)
-        row_b = kernel.row(b)
-        d = metric.distance(a, b)
-        fwd = _scaled(divergence_value(divergence, row_a, row_b, exact_subsets), d)
-        bwd = _scaled(divergence_value(divergence, row_b, row_a, exact_subsets), d)
-        entries.append((pair_label(a, b), fwd, bwd))
-    return _assemble(NOTION_XDP, divergence.name, entries, claimed_eps)
+    left, right = _relation_indices(kernel, phi)
+    labels = [pair_label(a, b) for a, b in phi]
+    distances = np.array([metric.distance(a, b) for a, b in phi])
+    return _audit(
+        NOTION_XDP, divergence, labels, kernel.matrix, left, right, claimed_eps,
+        distances=distances, exact_subsets=exact_subsets,
+    )
 
 
 Mechanism = StochasticKernel | AuxIndexedKernel | CouplingMechanismSpec
 
 
-def _kernel_family(mechanism: Mechanism):
-    if isinstance(mechanism, CouplingMechanismSpec):
-        return aux_kernel(mechanism)
-    return mechanism
-
-
-def _pair_evaluations(mechanism, psi: DistributionPairRelation):
-    """Yield (index, label, lifted_left, lifted_right) per audited instance.
+def _lifted_pairs(mechanism: Mechanism, psi: DistributionPairRelation):
+    """Pair index and label of every audited instance, a table of the lifted
+    outputs, and the table rows of each instance's two outputs.
 
     Aux-tagged pairs select the named kernels; untagged pairs against a
     kernel family are audited once per auxiliary value.
     """
-    family = _kernel_family(mechanism)
+    if len(psi) == 0:
+        raise EmptyRelationError("relation has no pairs")
+    if isinstance(mechanism, CouplingMechanismSpec):
+        mechanism = aux_kernel(mechanism)
+    index, labels, left, right = [], [], [], []
     for i, pair in enumerate(psi):
-        if isinstance(family, StochasticKernel):
-            tag = f"{i}:{pair_label(*pair.aux)}" if pair.aux else str(i)
-            yield i, tag, lift(family, pair.left), lift(family, pair.right)
+        if isinstance(mechanism, StochasticKernel):
+            sides = [(pair.aux, mechanism, mechanism)]
         elif pair.aux is not None:
-            s0, s1 = pair.aux
-            yield (
-                i,
-                f"{i}:{pair_label(s0, s1)}",
-                lift(family.kernel_for(s0), pair.left),
-                lift(family.kernel_for(s1), pair.right),
-            )
+            sides = [(pair.aux, *map(mechanism.kernel_for, pair.aux))]
         else:
-            for s, kernel in family.kernels.items():
-                yield (
-                    i,
-                    f"{i}:{pair_label(s, s)}",
-                    lift(kernel, pair.left),
-                    lift(kernel, pair.right),
-                )
+            sides = [((s, s), k, k) for s, k in mechanism.kernels.items()]
+        for aux, k0, k1 in sides:
+            index.append(i)
+            labels.append(f"{i}:{pair_label(*aux)}" if aux else str(i))
+            left.append(lift(k0, pair.left).probs)
+            right.append(lift(k1, pair.right).probs)
+    k = len(labels)
+    table = np.stack(left + right)
+    return np.array(index), labels, table, np.arange(k), k + np.arange(k)
 
 
 def audit_distp(
@@ -228,24 +233,14 @@ def audit_distp(
     """Worst divergence between lifted outputs over related distribution
     pairs. Accepts a single kernel, a family indexed by auxiliary values,
     or a coupling mechanism."""
-    _check_nonempty(psi)
-    entries = []
-    for _, label, out0, out1 in _pair_evaluations(mechanism, psi):
-        fwd = divergence_value(divergence, out0, out1, exact_subsets)
-        bwd = divergence_value(divergence, out1, out0, exact_subsets)
-        entries.append((label, fwd, bwd))
-    return _assemble(NOTION_DISTP, divergence.name, entries, claimed_eps)
+    _, labels, table, left, right = _lifted_pairs(mechanism, psi)
+    return _audit(
+        NOTION_DISTP, divergence, labels, table, left, right, claimed_eps,
+        exact_subsets=exact_subsets,
+    )
 
 
 WASSERSTEIN_ONE = "1"
-WASSERSTEIN_INF = "inf"
-
-
-def _input_distance(pair, metric: GroundMetric, wasserstein) -> float:
-    if wasserstein in (WASSERSTEIN_INF, math.inf):
-        return wasserstein_inf(pair.left, pair.right, metric).cost
-    p = 1.0 if wasserstein == WASSERSTEIN_ONE else float(wasserstein)
-    return wasserstein_p(pair.left, pair.right, metric, p=p).cost
 
 
 def audit_xdistp(
@@ -263,16 +258,15 @@ def audit_xdistp(
     ``wasserstein`` picks the denominator: "1" (default), "inf", or a
     numeric order p >= 1.
     """
-    _check_nonempty(psi)
-    family = _kernel_family(mechanism)
-    distances = [_input_distance(pair, metric, wasserstein) for pair in psi]
-    entries = []
-    for i, label, out0, out1 in _pair_evaluations(family, psi):
-        d = distances[i]
-        fwd = _scaled(divergence_value(divergence, out0, out1, exact_subsets), d)
-        bwd = _scaled(divergence_value(divergence, out1, out0, exact_subsets), d)
-        entries.append((label, fwd, bwd))
-    return _assemble(NOTION_XDISTP, divergence.name, entries, claimed_eps)
+    index, labels, table, left, right = _lifted_pairs(mechanism, psi)
+    distances = np.array([
+        _wasserstein_cost(pair.left, pair.right, metric, wasserstein)
+        for pair in psi
+    ])
+    return _audit(
+        NOTION_XDISTP, divergence, labels, table, left, right, claimed_eps,
+        distances=distances[index], exact_subsets=exact_subsets,
+    )
 
 
 def expected_utility_loss(
@@ -299,28 +293,6 @@ def worst_case_loss(
     if not np.any(active):
         return 0.0
     return float(np.max(cost[active]))
-
-
-def _cp_lift(
-    spec: CouplingMechanismSpec, s: str, lam: FiniteDistribution
-) -> FiniteDistribution:
-    """Output distribution of the coupling mechanism for aux ``s`` on the
-    true input ``lam``.
-
-    Computed from the coupling directly so that inputs the estimate rules
-    out (which carry zero true mass once the estimation level is finite)
-    never consult the fallback policy.
-    """
-    entry = spec.entry_for(s)
-    hat = entry.approx_input
-    if lam.ground != hat.ground:
-        raise GroundMismatchError("true input ground does not match the estimate")
-    on = hat.probs > TAU_ZERO
-    denom = np.where(on, hat.probs, 1.0)
-    rows = np.where(
-        on[:, None], entry.coupling.mass / denom[:, None], spec.target.probs
-    )
-    return FiniteDistribution(spec.target.ground, lam.probs @ rows)
 
 
 @dataclass(frozen=True)
@@ -387,6 +359,7 @@ def check_cp_theorem(
         raise ValidationError(f"actual inputs missing auxiliary values {missing}")
 
     eps = 0.0
+    outputs = []
     for entry in spec.entries:
         lam = actual_inputs[entry.s]
         level = max(
@@ -399,28 +372,26 @@ def check_cp_theorem(
                 "true input"
             )
         eps = max(eps, level)
+        # Inputs the estimate rules out carry no true mass once the level is
+        # finite, so their rows never consult the fallback policy.
+        rows, _ = _cp_rows(spec.target, entry)
+        outputs.append(lam.probs @ rows)
 
     aux = spec.aux
-    instances = []
-    outputs = {s: _cp_lift(spec, s, actual_inputs[s]) for s in aux}
-    for i, s0 in enumerate(aux):
-        for s1 in aux[i:]:
-            instances.append((pair_label(s0, s1), outputs[s0], outputs[s1]))
-
-    def audit_with(divergence: Divergence, bound: float) -> AuditReport:
-        entries = []
-        for label, out0, out1 in instances:
-            fwd = divergence_value(divergence, out0, out1, exact_subsets)
-            bwd = divergence_value(divergence, out1, out0, exact_subsets)
-            entries.append((label, fwd, bwd))
-        return _assemble(NOTION_DISTP, divergence.name, entries, bound)
+    first, second = np.triu_indices(len(aux))
+    labels = [pair_label(aux[i], aux[j]) for i, j in zip(first, second)]
+    table = np.stack(outputs)
 
     growth = math.exp(eps)
-    checks = [
-        BoundCheck("max", 2.0 * eps, audit_with(MaxDivergence(), 2.0 * eps)),
-        BoundCheck("kl", 2.0 * eps * growth, audit_with(KL, 2.0 * eps * growth)),
-    ]
+    bounds = [("max", MaxDivergence(), 2.0 * eps), ("kl", KL, 2.0 * eps * growth)]
     for kind in STANDARD_KINDS:
         bound = growth * float(kind(math.exp(2.0 * eps)))
-        checks.append(BoundCheck(f"f:{kind.name}", bound, audit_with(kind, bound)))
-    return CPTheoremReport(eps, tuple(checks))
+        bounds.append((f"f:{kind.name}", kind, bound))
+    checks = tuple(
+        BoundCheck(name, bound, _audit(
+            NOTION_DISTP, divergence, labels, table, first, second, bound,
+            exact_subsets=exact_subsets,
+        ))
+        for name, divergence, bound in bounds
+    )
+    return CPTheoremReport(eps, checks)

@@ -43,7 +43,7 @@ from .fileio import (
     metric_from_csv,
     relation_from_obj,
 )
-from .finite_prob import DistributionPairRelation, PointRelation, StochasticKernel
+from .finite_prob import DistributionPairRelation, PointRelation
 from .mechanisms import (
     AdaptiveKernel,
     CouplingMechanismSpec,
@@ -230,19 +230,6 @@ def cmd_obfuscate(args) -> int:
     return 0
 
 
-def _report_with_tau(report, tau_num: float) -> dict:
-    """Report dict with verdicts recomputed at the configured tolerance."""
-    payload = report.to_dict()
-    claimed = report.claimed_eps
-    if claimed is not None:
-        payload["verdict"] = (
-            "pass" if report.observed_eps <= claimed + tau_num else "fail"
-        )
-        for entry in payload["pairs"]:
-            entry["pass"] = entry["value"] <= claimed + tau_num
-    return payload
-
-
 def _audit_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -273,38 +260,25 @@ def cmd_audit(args) -> int:
             raise ValidationError(
                 "--wasserstein needs a relation over distributions"
             )
-        if isinstance(mechanism, StochasticKernel):
-            if metric is None:
-                report = audit_div_dp(
-                    mechanism, relation, divergence, args.claimed_eps,
-                    exact_subsets=cfg.exact_subsets,
-                )
-            else:
-                report = audit_div_xdp(
-                    mechanism, relation, metric, divergence, args.claimed_eps,
-                    exact_subsets=cfg.exact_subsets,
-                )
-        else:
+        if isinstance(mechanism, CouplingMechanismSpec):
+            # a spec picks its kernel per auxiliary value, so its label
+            # pairs are audited as pairs of point masses, without a metric
             ground = mechanism.entries[0].approx_input.ground
-            lifted = DistributionPairRelation.from_point_relation(relation, ground)
-            report = audit_distp(
-                mechanism, lifted, divergence, args.claimed_eps,
-                exact_subsets=cfg.exact_subsets,
-            )
+            relation = DistributionPairRelation.from_point_relation(relation, ground)
+            metric = None
+    options = {"claimed_eps": args.claimed_eps, "exact_subsets": cfg.exact_subsets}
+    if metric is not None:
+        options["metric"] = metric
+    if isinstance(relation, PointRelation):
+        auditor = audit_div_dp if metric is None else audit_div_xdp
+    elif metric is None:
+        auditor = audit_distp
     else:
-        if metric is None:
-            report = audit_distp(
-                mechanism, relation, divergence, args.claimed_eps,
-                exact_subsets=cfg.exact_subsets,
-            )
-        else:
-            order = args.wasserstein or "1"
-            report = audit_xdistp(
-                mechanism, relation, metric, divergence, args.claimed_eps,
-                wasserstein=order, exact_subsets=cfg.exact_subsets,
-            )
+        auditor = audit_xdistp
+        options["wasserstein"] = args.wasserstein or "1"
+    report = auditor(mechanism, relation, divergence=divergence, **options)
 
-    payload = _report_with_tau(report, cfg.tau_num)
+    payload = report.to_dict(tau_num=cfg.tau_num)
     if cfg.format == "csv":
         sys.stdout.write(_audit_csv(payload))
     else:

@@ -10,13 +10,17 @@ Two families are provided:
   over events R inside supp(mu) with mu[R] >= delta.
 
 Natural logarithms throughout. +inf is a legal value, never an exception.
+
+Each divergence has one implementation: a row kernel that evaluates stacked
+pairs of distributions block by block. The auditors call it on all their
+pairs at once; the scalar functions here are its one-row case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .finite_prob import FiniteDistribution, PointRelation, StochasticKernel
-from .tolerances import TAU_ZERO
+from .tolerances import TAU_NUM, TAU_ZERO
 
 INF = math.inf
 
@@ -151,6 +155,96 @@ def _require_shared_ground(mu: FiniteDistribution, nu: FiniteDistribution) -> No
         raise GroundMismatchError("divergence requires a shared ground set")
 
 
+# The row kernel works through (pairs x |Y|) inputs this many cells at a
+# time, which bounds every temporary it allocates whatever the pair count.
+_BLOCK_CELLS = 1 << 14
+
+
+def _row_blocks(rows: int, cols: int):
+    """Row slices covering ``rows`` rows of ``cols`` cells, block by block."""
+    step = max(1, _BLOCK_CELLS // cols)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
+def _row_function(divergence: Divergence, exact_subsets: bool):
+    """The function evaluating ``divergence`` on a block of row pairs."""
+    if isinstance(divergence, FDivergenceKind):
+        return lambda P, Q: _f_rows(divergence, P, Q)
+    if isinstance(divergence, MaxDivergence):
+        if divergence.delta == 0.0:
+            return _max_rows
+        return lambda P, Q: _prefix_rows(P, Q, divergence.delta, exact_subsets)
+    raise ValidationError(f"unknown divergence descriptor {divergence!r}")
+
+
+def _divergence_rows(divergence, table, left, right, exact_subsets) -> np.ndarray:
+    """Divergence of row ``left[i]`` of ``table`` from row ``right[i]``, for
+    every i, equal bit for bit to the one-row call on that pair. Rows are
+    gathered block by block, so no temporary grows with the pair count."""
+    rows = _row_function(divergence, exact_subsets)
+    out = np.empty(len(left))
+    for block in _row_blocks(len(left), table.shape[1]):
+        out[block] = rows(table[left[block]], table[right[block]])
+    return out
+
+
+def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    on = Q > TAU_ZERO
+    inf = np.any((P > TAU_ZERO) & ~on, axis=1)
+    use = on & ~inf[:, None]
+    values = np.asarray(kind(P[use] / Q[use]), dtype=float)
+    if np.any(np.isnan(values)):
+        raise InvalidGeneratorError(
+            f"generator {kind.name!r} produced NaN on valid ratios"
+        )
+    # Pairwise summation groups terms by position: packing each row's terms
+    # to the front and summing rows of equal count together groups every
+    # sum as ``np.sum`` groups the 1-D array of that row's terms.
+    counts = use.sum(axis=1)
+    packed = np.zeros(P.shape)
+    packed[np.arange(P.shape[1]) < counts[:, None]] = Q[use] * values
+    totals = np.empty(len(P))
+    for k in np.flatnonzero(np.bincount(counts)):
+        rows = counts == k
+        totals[rows] = packed[rows, :k].sum(axis=1)
+    if np.any(np.isnan(totals)):
+        raise InvalidGeneratorError(
+            f"generator {kind.name!r} produced values summing to NaN"
+        )
+    totals[inf] = INF
+    return totals
+
+
+def _max_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    on = P > TAU_ZERO
+    use = on & (Q > TAU_ZERO)
+    logs = np.full(P.shape, -INF)
+    logs[use] = np.log(P[use] / Q[use])
+    return np.where(np.any(on & ~use, axis=1), INF, logs.max(axis=1))
+
+
+def _prefix_rows(P, Q, delta: float, exact_subsets: bool) -> np.ndarray:
+    on = P > TAU_ZERO
+    if exact_subsets:
+        return np.array([
+            _exact_event_max(p[m], q[m], delta) for p, q, m in zip(P, Q, on)
+        ])
+    # Support entries sorted by decreasing likelihood ratio (stable, so ties
+    # keep ground order), then the entries outside the support.
+    ratios = np.divide(P, Q, out=np.full(P.shape, INF), where=Q > TAU_ZERO)
+    order = np.argsort(np.where(on, -ratios, INF), axis=1, kind="stable")
+    cp = np.cumsum(np.take_along_axis(P, order, axis=1), axis=1)
+    cq = np.cumsum(np.take_along_axis(Q, order, axis=1), axis=1)
+    inside = np.arange(P.shape[1]) < on.sum(axis=1)[:, None]
+    valid = inside & (cp >= delta) & (cp - delta > 0.0)
+    best = np.zeros(P.shape)
+    np.divide(cp - delta, cq, out=best, where=valid & (cq > TAU_ZERO))
+    # The log of the best ratio is the best log (log is monotone); math.log,
+    # as in the per-event definition, since np.log can differ in the last bit.
+    logs = [math.log(t) if t > 0.0 else -INF for t in best.max(axis=1)]
+    return np.where(np.any(valid & (cq <= TAU_ZERO), axis=1), INF, logs)
+
+
 def f_divergence(
     kind: FDivergenceKind, mu: FiniteDistribution, nu: FiniteDistribution
 ) -> float:
@@ -161,35 +255,12 @@ def f_divergence(
     0 * f(0/0) = 0 is built in because y outside supp(nu) contributes
     nothing.
     """
-    _require_shared_ground(mu, nu)
-    p = mu.probs
-    q = nu.probs
-    on = q > TAU_ZERO
-    if np.any(p[~on] > TAU_ZERO):
-        return INF
-    ratios = p[on] / q[on]
-    values = np.asarray(kind(ratios), dtype=float)
-    if np.any(np.isnan(values)):
-        raise InvalidGeneratorError(
-            f"generator {kind.name!r} produced NaN on valid ratios"
-        )
-    total = float(np.sum(q[on] * values))
-    if math.isnan(total):
-        raise InvalidGeneratorError(
-            f"generator {kind.name!r} produced values summing to NaN"
-        )
-    return total
+    return divergence_value(kind, mu, nu)
 
 
 def max_divergence(mu: FiniteDistribution, nu: FiniteDistribution) -> float:
     """Largest log likelihood ratio ``ln(mu[y]/nu[y])`` over supp(mu)."""
-    _require_shared_ground(mu, nu)
-    p = mu.probs
-    q = nu.probs
-    on = p > TAU_ZERO
-    if np.any(q[on] <= TAU_ZERO):
-        return INF
-    return float(np.max(np.log(p[on] / q[on])))
+    return divergence_value(MaxDivergence(), mu, nu)
 
 
 def approx_max_divergence(
@@ -213,31 +284,8 @@ def approx_max_divergence(
     _require_shared_ground(mu, nu)
     if not (0.0 <= delta <= 1.0):
         raise ValidationError(f"delta {delta:g} outside [0, 1]")
-    p = mu.probs
-    q = nu.probs
-    on = np.flatnonzero(p > TAU_ZERO)
-    if on.size == 0:
-        return -INF
-    if exact_subsets:
-        return _exact_event_max(p[on], q[on], delta)
-
-    ps = p[on]
-    qs = q[on]
-    ratios = np.where(qs > TAU_ZERO, ps / np.where(qs > TAU_ZERO, qs, 1.0), INF)
-    order = np.argsort(-ratios, kind="stable")
-    cp = np.cumsum(ps[order])
-    cq = np.cumsum(qs[order])
-    best = -INF
-    for k in range(on.size):
-        if cp[k] < delta:
-            continue
-        num = cp[k] - delta
-        if num <= 0.0:
-            continue
-        if cq[k] <= TAU_ZERO:
-            return INF
-        best = max(best, math.log(num / cq[k]))
-    return best
+    rows = _prefix_rows(mu.probs[None, :], nu.probs[None, :], delta, exact_subsets)
+    return float(rows[0])
 
 
 def _exact_event_max(ps: np.ndarray, qs: np.ndarray, delta: float) -> float:
@@ -270,6 +318,23 @@ def _exact_event_max(ps: np.ndarray, qs: np.ndarray, delta: float) -> float:
     return best
 
 
+def _relation_indices(kernel: StochasticKernel, phi: PointRelation):
+    """Kernel row indices of the left and right members of every pair."""
+    if len(phi) == 0:
+        raise EmptyRelationError("relation has no pairs")
+    index = kernel.input_index
+    left = np.array([index(a) for a, _ in phi], dtype=np.intp)
+    return left, np.array([index(b) for _, b in phi], dtype=np.intp)
+
+
+def _per_distance(values: np.ndarray, distances: np.ndarray) -> np.ndarray:
+    """Divergences per unit distance; zero-distance pairs must have zero
+    divergence and otherwise blow up to +inf."""
+    zero = distances <= TAU_ZERO
+    scaled = values / np.where(zero, 1.0, distances)
+    return np.where(zero, np.where(values <= TAU_NUM, 0.0, INF), scaled)
+
+
 def delta_required(
     kernel: StochasticKernel, phi: PointRelation, epsilon: float
 ) -> float:
@@ -279,18 +344,17 @@ def delta_required(
     ``sum over y of max(0, P[y] - e^epsilon * Q[y])`` and returns the worst
     value. Zero means the multiplicative bound alone already holds.
     """
-    if len(phi) == 0:
-        raise EmptyRelationError("relation has no pairs")
+    left, right = _relation_indices(kernel, phi)
     if epsilon < 0.0:
         raise ValidationError(f"epsilon {epsilon:g} must be nonnegative")
     scale = math.exp(epsilon)
+    m = kernel.matrix
     worst = 0.0
-    for a, b in phi:
-        pa = kernel.matrix[kernel.input_index(a)]
-        pb = kernel.matrix[kernel.input_index(b)]
-        fwd = float(np.sum(np.maximum(0.0, pa - scale * pb)))
-        bwd = float(np.sum(np.maximum(0.0, pb - scale * pa)))
-        worst = max(worst, fwd, bwd)
+    for block in _row_blocks(len(left), m.shape[1]):
+        pa, pb = m[left[block]], m[right[block]]
+        fwd = np.maximum(0.0, pa - scale * pb).sum(axis=1)
+        bwd = np.maximum(0.0, pb - scale * pa).sum(axis=1)
+        worst = max(worst, float(fwd.max()), float(bwd.max()))
     return worst
 
 
@@ -301,12 +365,6 @@ def divergence_value(
     exact_subsets: bool = False,
 ) -> float:
     """Evaluate an f-divergence or (slack) max divergence descriptor."""
-    if isinstance(divergence, FDivergenceKind):
-        return f_divergence(divergence, mu, nu)
-    if isinstance(divergence, MaxDivergence):
-        if divergence.delta == 0.0:
-            return max_divergence(mu, nu)
-        return approx_max_divergence(
-            mu, nu, divergence.delta, exact_subsets=exact_subsets
-        )
-    raise ValidationError(f"unknown divergence descriptor {divergence!r}")
+    rows = _row_function(divergence, exact_subsets)
+    _require_shared_ground(mu, nu)
+    return float(rows(mu.probs[None, :], nu.probs[None, :])[0])

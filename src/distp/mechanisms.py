@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .divergences import max_divergence
+from .divergences import MaxDivergence, _divergence_rows, _per_distance
 from .errors import (
     GroundMismatchError,
     InvalidCouplingError,
@@ -37,11 +37,10 @@ from .finite_prob import (
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
 from .transport import (
     Coupling,
+    _wasserstein_cost,
     emd,
     northwest_corner,
     validate_coupling,
-    wasserstein_inf,
-    wasserstein_p,
 )
 
 FALLBACK_ERROR = "error"
@@ -98,19 +97,10 @@ def geometric_mechanism(
     matrix = weights / weights.sum(axis=1, keepdims=True)
     kernel = StochasticKernel(ground, ground, matrix)
 
-    worst = 0.0
-    rows = [kernel.row_by_index(i) for i in range(len(ground))]
-    for a in range(len(ground)):
-        for b in range(len(ground)):
-            if a == b:
-                continue
-            level = max_divergence(rows[a], rows[b])
-            d = cost[a, b]
-            if d <= TAU_ZERO:
-                if level > TAU_NUM:
-                    worst = math.inf
-                continue
-            worst = max(worst, level / d)
+    first, second = np.nonzero(~np.eye(len(ground), dtype=bool))
+    levels = _divergence_rows(MaxDivergence(), kernel.matrix, first, second, False)
+    scaled = _per_distance(levels, cost[first, second])
+    worst = float(np.max(scaled, initial=0.0))
     return GeometricMechanism(kernel, worst)
 
 
@@ -212,6 +202,18 @@ def build_coupling_mechanism(
     return CouplingMechanismSpec(target, tuple(entries), fallback)
 
 
+def _cp_rows(target: FiniteDistribution, entry: CouplingEntry):
+    """Each input's coupling row conditioned on that input, or the target
+    row where the estimate rules the input out; also the ruled-out mask."""
+    hat = entry.approx_input.probs
+    ruled_out = hat <= TAU_ZERO
+    denom = np.where(ruled_out, 1.0, hat)
+    rows = np.where(
+        ruled_out[:, None], target.probs, entry.coupling.mass / denom[:, None]
+    )
+    return rows, ruled_out
+
+
 def cp_kernel(spec: CouplingMechanismSpec, s: str) -> StochasticKernel:
     """The mechanism's kernel for auxiliary value ``s``.
 
@@ -219,22 +221,14 @@ def cp_kernel(spec: CouplingMechanismSpec, s: str) -> StochasticKernel:
     declares impossible are served by the fallback policy.
     """
     entry = spec.entry_for(s)
-    lam_hat = entry.approx_input
-    mass = entry.coupling.mass
-    k = len(lam_hat.ground)
-    matrix = np.zeros((k, len(spec.target.ground)))
-    for i in range(k):
-        p = lam_hat.probs[i]
-        if p > TAU_ZERO:
-            matrix[i] = mass[i] / p
-        elif spec.fallback == FALLBACK_SAMPLE_TARGET:
-            matrix[i] = spec.target.probs
-        else:
-            raise UnsupportedInputError(
-                f"input {lam_hat.ground[i]!r} has zero estimated mass and "
-                "fallback is 'error'"
-            )
-    return StochasticKernel(lam_hat.ground, spec.target.ground, matrix)
+    ground = entry.approx_input.ground
+    rows, ruled_out = _cp_rows(spec.target, entry)
+    if spec.fallback == FALLBACK_ERROR and ruled_out.any():
+        raise UnsupportedInputError(
+            f"input {ground[int(np.argmax(ruled_out))]!r} has zero estimated "
+            "mass and fallback is 'error'"
+        )
+    return StochasticKernel(ground, spec.target.ground, rows)
 
 
 @dataclass(frozen=True)
@@ -381,12 +375,6 @@ def post_process(
     return StochasticKernel(first.inputs, second.outputs, first.matrix @ second.matrix)
 
 
-def _wass(lam, mu, metric, order):
-    if order == "inf" or (isinstance(order, float) and math.isinf(order)):
-        return wasserstein_inf(lam, mu, metric).cost
-    return wasserstein_p(lam, mu, metric, p=float(order)).cost
-
-
 def stability_check(
     kernel: StochasticKernel,
     c: float,
@@ -415,8 +403,8 @@ def stability_check(
             raise ValidationError("expansion factor c must be nonnegative")
         for pair in pairs:
             a, b = (pair.left, pair.right) if hasattr(pair, "left") else pair
-            before = _wass(a, b, metric, order)
-            after = _wass(lift(kernel, a), lift(kernel, b), metric, order)
+            before = _wasserstein_cost(a, b, metric, order)
+            after = _wasserstein_cost(lift(kernel, a), lift(kernel, b), metric, order)
             if after > c * before + TAU_NUM:
                 return False
         return True

@@ -379,6 +379,13 @@ def wasserstein_inf(
     return TransportResult(Coupling(lam.ground, mu.ground, mass), value, frozenset(basis))
 
 
+def _wasserstein_cost(lam, mu, metric, order: float | str) -> float:
+    """Wasserstein distance at order "1", "inf", math.inf or a number p >= 1."""
+    if order == "inf" or order == math.inf:
+        return wasserstein_inf(lam, mu, metric).cost
+    return wasserstein_p(lam, mu, metric, p=float(order)).cost
+
+
 def diameter(
     lam: FiniteDistribution, mu: FiniteDistribution, metric: GroundMetric
 ) -> float:

@@ -1,0 +1,107 @@
+"""Byte-for-byte CLI reports against recorded golden files.
+
+Each case runs ``distp`` in-process on the fixed inputs under
+``tests/golden/inputs`` and compares standard output and the exit code with
+``tests/golden/<case>.out``. Any change in a report, down to the last digit
+of a float, fails here; regenerate a golden file only for a change that is
+meant to alter that report.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from distp.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+KERNEL = ("--mech", "kernel.json")
+PHI = ("--relation", "phi.json")
+PSI = ("--relation", "psi.json")
+METRIC = ("--metric", "metric.csv")
+SPEC = ("--mech", "spec.json")
+
+# case name -> (arguments, with input files named relative to INPUTS; exit code)
+CASES = {
+    "audit_dp_max": (("audit", *KERNEL, *PHI, "--divergence", "max",
+                      "--claimed-eps", "2.0"), 2),
+    "audit_dp_max_delta": (("audit", *KERNEL, *PHI, "--divergence",
+                            "max-delta", "--delta", "0.1"), 0),
+    "audit_dp_kl": (("audit", *KERNEL, *PHI, "--divergence", "kl"), 0),
+    "audit_dp_max_csv": (("audit", *KERNEL, *PHI, "--divergence", "max",
+                          "--claimed-eps", "2.0", "--format", "csv"), 2),
+    "audit_dp_max_delta_csv": (("audit", *KERNEL, *PHI, "--divergence",
+                                "max-delta", "--delta", "0.1", "--format",
+                                "csv"), 0),
+    "audit_dp_kl_csv": (("audit", *KERNEL, *PHI, "--divergence", "kl",
+                         "--format", "csv"), 0),
+    "audit_dp_max_delta_exact": (("audit", *KERNEL, *PHI, "--divergence",
+                                  "max-delta", "--delta", "0.1",
+                                  "--exact-subsets"), 0),
+    "audit_xdp_max": (("audit", *KERNEL, *PHI, *METRIC, "--divergence",
+                       "max", "--claimed-eps", "1.0"), 2),
+    "audit_xdp_hellinger_csv": (("audit", *KERNEL, *PHI, *METRIC,
+                                 "--divergence", "hellinger", "--format",
+                                 "csv"), 0),
+    "audit_distp_tv": (("audit", *KERNEL, *PSI, "--divergence", "tv"), 0),
+    "audit_xdistp_w1_kl": (("audit", *KERNEL, *PSI, *METRIC, "--divergence",
+                            "kl", "--wasserstein", "1"), 0),
+    "audit_xdistp_winf_max": (("audit", *KERNEL, *PSI, *METRIC,
+                               "--divergence", "max", "--wasserstein", "inf",
+                               "--claimed-eps", "0.6"), 2),
+    "audit_xdistp_w1_chi2_csv": (("audit", *KERNEL, *PSI, *METRIC,
+                                  "--divergence", "chi2", "--format", "csv"),
+                                 0),
+    "audit_spec_point_max": (("audit", *SPEC, "--relation", "spec_phi.json",
+                              "--divergence", "max"), 0),
+    "audit_spec_point_rkl_csv": (("audit", *SPEC, "--relation",
+                                  "spec_phi.json", "--divergence", "rkl",
+                                  "--format", "csv"), 0),
+    "audit_spec_psi_xdistp_kl": (("audit", *SPEC, "--relation",
+                                  "spec_psi.json", "--metric",
+                                  "spec_metric.csv", "--divergence", "kl"), 0),
+    "audit_tau_num_default": (("audit", *KERNEL, *PSI, "--divergence", "tv",
+                               "--claimed-eps", "0.417"), 2),
+    "audit_tau_num_override": (("audit", *KERNEL, *PSI, "--divergence", "tv",
+                                "--claimed-eps", "0.417", "--tau-num", "0.01"),
+                               0),
+    "audit_tau_num_override_csv": (("audit", *KERNEL, *PSI, "--divergence",
+                                    "tv", "--claimed-eps", "0.417",
+                                    "--tau-num", "0.01", "--format", "csv"),
+                                   0),
+    **{
+        f"divergence_{kind}": (("divergence", "--lhs", "mu.json", "--rhs",
+                                "full.json", "--divergence", kind), 0)
+        for kind in ("kl", "rkl", "tv", "chi2", "hellinger", "max")
+    },
+    **{
+        f"divergence_{kind}_noncontinuous": (("divergence", "--lhs",
+                                              "mu.json", "--rhs", "nu.json",
+                                              "--divergence", kind), 0)
+        for kind in ("kl", "rkl", "tv", "chi2", "hellinger", "max")
+    },
+    "divergence_max_delta": (("divergence", "--lhs", "mu.json", "--rhs",
+                              "full.json", "--divergence", "max-delta",
+                              "--delta", "0.2"), 0),
+    "divergence_max_delta_noncontinuous": (("divergence", "--lhs", "mu.json",
+                                            "--rhs", "nu.json", "--divergence",
+                                            "max-delta", "--delta", "0.2"), 0),
+    "divergence_max_delta_exact": (("divergence", "--lhs", "mu.json", "--rhs",
+                                    "full.json", "--divergence", "max-delta",
+                                    "--delta", "0.05", "--exact-subsets"), 0),
+}
+
+
+def run_case(name: str, monkeypatch, capsys) -> tuple[int, str]:
+    args, _ = CASES[name]
+    monkeypatch.chdir(INPUTS)
+    code = main(list(args))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_report_matches_golden(name, monkeypatch, capsys):
+    code, out = run_case(name, monkeypatch, capsys)
+    assert code == CASES[name][1]
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()

@@ -1,0 +1,195 @@
+"""The blocked row kernel against the one-pair-at-a-time definitions.
+
+The reference functions below are the scalar bodies the divergences had
+before they were evaluated on stacked rows. The kernel must reproduce them
+exactly (``==``, not approximately), over inputs long enough to span more
+than one block.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from distp import (
+    STANDARD_KINDS,
+    GroundMetric,
+    MaxDivergence,
+    PointRelation,
+    StochasticKernel,
+    delta_required,
+    geometric_mechanism,
+)
+from distp.divergences import _BLOCK_CELLS, _divergence_rows, _exact_event_max
+from distp.tolerances import TAU_NUM, TAU_ZERO
+from conftest import labels
+
+INF = math.inf
+
+
+def ref_f(kind, p, q):
+    on = q > TAU_ZERO
+    if np.any(p[~on] > TAU_ZERO):
+        return INF
+    values = np.asarray(kind(p[on] / q[on]), dtype=float)
+    return float(np.sum(q[on] * values))
+
+
+def ref_max(p, q):
+    on = p > TAU_ZERO
+    if np.any(q[on] <= TAU_ZERO):
+        return INF
+    return float(np.max(np.log(p[on] / q[on])))
+
+
+def ref_prefix(p, q, delta, exact_subsets=False):
+    on = np.flatnonzero(p > TAU_ZERO)
+    if on.size == 0:
+        return -INF
+    if exact_subsets:
+        return _exact_event_max(p[on], q[on], delta)
+    ps = p[on]
+    qs = q[on]
+    ratios = np.where(qs > TAU_ZERO, ps / np.where(qs > TAU_ZERO, qs, 1.0), INF)
+    order = np.argsort(-ratios, kind="stable")
+    cp = np.cumsum(ps[order])
+    cq = np.cumsum(qs[order])
+    best = -INF
+    for k in range(on.size):
+        if cp[k] < delta:
+            continue
+        num = cp[k] - delta
+        if num <= 0.0:
+            continue
+        if cq[k] <= TAU_ZERO:
+            return INF
+        best = max(best, math.log(num / cq[k]))
+    return best
+
+
+def ref_value(divergence, p, q, exact_subsets=False):
+    if isinstance(divergence, MaxDivergence):
+        if divergence.delta == 0.0:
+            return ref_max(p, q)
+        return ref_prefix(p, q, divergence.delta, exact_subsets)
+    return ref_f(divergence, p, q)
+
+
+def random_row(rng, width):
+    """A probability row with exact zeros and, often, tied entries."""
+    row = rng.dirichlet(np.full(width, rng.choice([0.3, 1.0, 5.0])))
+    row[rng.random(width) < rng.choice([0.0, 0.3, 0.6])] = 0.0
+    if rng.random() < 0.5:
+        row = np.round(row * 8.0)
+    if row.sum() == 0.0:
+        row[rng.integers(width)] = 1.0
+    return row / row.sum()
+
+
+DIVERGENCES = [
+    *STANDARD_KINDS,
+    MaxDivergence(),
+    MaxDivergence(0.05),
+    MaxDivergence(0.5),
+    MaxDivergence(1.0),
+]
+
+
+@given(st.integers(1, 24), st.integers(0, 10**6))
+def test_rows_equal_scalar_definitions_across_blocks(width, seed):
+    rng = np.random.default_rng(seed)
+    distinct = np.array([random_row(rng, width) for _ in range(8)])
+    distinct[1] = distinct[0]  # identical pair: every divergence is 0
+    # Pair i compares distinct[a[i]] with distinct[b[i]]; there are more
+    # pairs than fit in one block.
+    n = _BLOCK_CELLS // width + 37
+    a = rng.integers(0, 8, n)
+    b = rng.integers(0, 8, n)
+    a[:2], b[:2] = (0, 2), (1, 2)
+    for divergence in DIVERGENCES:
+        want = {
+            (i, j): ref_value(divergence, distinct[i], distinct[j])
+            for i in range(8)
+            for j in range(8)
+        }
+        got = _divergence_rows(divergence, distinct, a, b, False)
+        assert got.tolist() == [want[i, j] for i, j in zip(a, b)]
+    values = _divergence_rows(MaxDivergence(), distinct, a, b, False).tolist()
+    assert values[0] == 0.0 and values[1] == 0.0
+
+
+@given(st.integers(1, 8), st.integers(0, 10**6))
+def test_exact_subset_rows_equal_scalar_definition(width, seed):
+    rng = np.random.default_rng(seed)
+    table = np.array([random_row(rng, width) for _ in range(12)])
+    a = rng.integers(0, 12, 20)
+    b = rng.integers(0, 12, 20)
+    for delta in (0.05, 0.5, 1.0):
+        got = _divergence_rows(MaxDivergence(delta), table, a, b, True)
+        want = [
+            ref_prefix(table[i], table[j], delta, exact_subsets=True)
+            for i, j in zip(a, b)
+        ]
+        assert got.tolist() == want
+
+
+def test_rows_cover_inf_and_sentinel_values():
+    table = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    left, right = np.array([0, 1, 0]), np.array([1, 0, 0])
+    assert _divergence_rows(MaxDivergence(), table, left, right, False).tolist() == [
+        INF, math.log(2.0), 0.0,
+    ]
+    assert _divergence_rows(MaxDivergence(1.0), table, left, right, False).tolist() == [
+        -INF, -INF, -INF,
+    ]
+
+
+def ref_effective_epsilon(matrix, cost):
+    worst = 0.0
+    n = len(matrix)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            level = ref_max(matrix[a], matrix[b])
+            d = cost[a, b]
+            if d <= TAU_ZERO:
+                if level > TAU_NUM:
+                    worst = math.inf
+                continue
+            worst = max(worst, level / d)
+    return worst
+
+
+def ref_delta_required(kernel, phi, epsilon):
+    scale = math.exp(epsilon)
+    worst = 0.0
+    for a, b in phi:
+        pa = kernel.matrix[kernel.input_index(a)]
+        pb = kernel.matrix[kernel.input_index(b)]
+        fwd = float(np.sum(np.maximum(0.0, pa - scale * pb)))
+        bwd = float(np.sum(np.maximum(0.0, pb - scale * pa)))
+        worst = max(worst, fwd, bwd)
+    return worst
+
+
+def test_geometric_and_delta_required_span_blocks(rng):
+    n = 30
+    ground = labels(n)
+    assert n * (n - 1) * n > _BLOCK_CELLS
+    points = rng.random((n, 2))
+    points[7] = points[3]  # a zero-distance twin
+    cost = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+    metric = GroundMetric(ground, cost)
+    for epsilon in (0.5, 3.0, 900.0):  # the last underflows rows to zeros
+        mech = geometric_mechanism(ground, epsilon, metric)
+        want = ref_effective_epsilon(mech.kernel.matrix, cost)
+        assert mech.effective_epsilon == want
+    phi = PointRelation.full(ground)
+    kernel = StochasticKernel(ground, labels(n, "y"),
+                              rng.dirichlet(np.ones(n), size=n))
+    for epsilon in (0.0, 0.3, 2.0):
+        assert delta_required(kernel, phi, epsilon) == ref_delta_required(
+            kernel, phi, epsilon
+        )
