@@ -262,10 +262,10 @@ def cmd_audit(args) -> int:
             )
         if isinstance(mechanism, CouplingMechanismSpec):
             # a spec picks its kernel per auxiliary value, so its label
-            # pairs are audited as pairs of point masses, without a metric
+            # pairs are audited as pairs of point masses, whose W1 under
+            # a metric is the label distance
             ground = mechanism.entries[0].approx_input.ground
             relation = DistributionPairRelation.from_point_relation(relation, ground)
-            metric = None
     options = {"claimed_eps": args.claimed_eps, "exact_subsets": cfg.exact_subsets}
     if metric is not None:
         options["metric"] = metric

@@ -157,7 +157,13 @@ def _require_shared_ground(mu: FiniteDistribution, nu: FiniteDistribution) -> No
 
 # The row kernel works through (pairs x |Y|) inputs this many cells at a
 # time, which bounds every temporary it allocates whatever the pair count.
-_BLOCK_CELLS = 1 << 14
+# A float block is 32 KiB. glibc hands the top of the heap back to the
+# system once more than 128 KiB of it is free (its default trim threshold,
+# unless an earlier large allocation raised it); with larger blocks the
+# freed temporaries of one block crossed that line, and the next block
+# faulted the memory in again (about 12,000 minor faults per 60-point
+# audit job at 8,192-cell blocks, about 1 at 4,096).
+_BLOCK_CELLS = 1 << 12
 
 
 def _row_blocks(rows: int, cols: int):

@@ -396,9 +396,12 @@ class GroundMetric:
 
     def satisfies_triangle(self, tol: float = TAU_NUM) -> bool:
         c = self.cost
-        # via[i, j, k] = c[i, j] + c[j, k]; require c[i, k] <= via for all j
-        via = c[:, :, None] + c[None, :, :]
-        return bool(np.all(c[:, None, :] <= via + tol))
+        # require c[i, k] <= c[i, j] + c[j, k] + tol, one middle j at a time
+        # so memory stays at n^2 floats
+        for j in range(c.shape[0]):
+            if not np.all(c <= c[:, [j]] + c[[j], :] + tol):
+                return False
+        return True
 
     @classmethod
     def line(

@@ -1,18 +1,28 @@
 """Discrete optimal transport over finite grounds.
 
-The solver is a transportation simplex: the north-west corner rule builds
-the initial basis, potentials (MODI) price the nonbasic cells, and Bland's
-rule picks pivots so degenerate instances cannot cycle. Degenerate basic
-cells carry an explicit zero mass. A bounded-variable variant fixes a set
-of forbidden arcs at zero, which gives feasibility tests and restricted
-optima for relation-constrained couplings without big-M costs.
+The solver is a transportation simplex in network form. The north-west
+corner rule builds the initial basis, a spanning tree over the row and
+column nodes; degenerate basic cells carry an explicit zero mass.
+Potentials (MODI) price the nonbasic cells, and the most negative reduced
+cost enters (Dantzig). A run of more than m + n degenerate pivots switches
+to Bland's rule until mass moves again, so degenerate instances cannot
+cycle. The tree keeps parent and depth arrays: the pivot cycle is the two
+paths up to a common ancestor, and only the subtree that a pivot cuts off
+is hung again and re-priced.
+
+A bounded-variable variant fixes a set of forbidden arcs at zero, which
+gives feasibility tests and restricted optima for relation-constrained
+couplings without big-M costs. Solves that differ only in costs or
+forbidden arcs continue from an earlier basis: the bottleneck search
+across thresholds, and the restricted then unrestricted optimum of a
+lifted-relation membership test.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,11 +94,19 @@ class Coupling:
 @dataclass(frozen=True)
 class TransportResult:
     """An optimal plan: the coupling, its objective value, and the final
-    simplex basis (cell indices, for diagnostics and dual certificates)."""
+    simplex basis (cell indices, for diagnostics and dual certificates).
+
+    The counters are deterministic: ``pivots`` and ``degenerate_pivots``
+    (pivots that moved no mass) count simplex steps, summed over the
+    ``search_steps`` phase-1 solves of a bottleneck search.
+    """
 
     coupling: Coupling
     cost: float
     basis: frozenset[tuple[int, int]]
+    pivots: int = 0
+    degenerate_pivots: int = 0
+    search_steps: int = 0
 
 
 def validate_coupling(
@@ -143,150 +161,181 @@ def _northwest(supply: np.ndarray, demand: np.ndarray):
     return mass, basis
 
 
-def _adjacency(basis, m, n):
-    rows_adj: list[list[int]] = [[] for _ in range(m)]
-    cols_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    return rows_adj, cols_adj
+def _tree(basis, cl, m: int, n: int):
+    """Root the basis tree at row 0: adjacency, parents, depths and the
+    potentials u[i] + v[j] = cost[i, j] on basic cells, anchored at u[0] = 0.
 
-
-def _potentials(rows_adj, cols_adj, cost):
-    """Solve u[i] + v[j] = cost[i, j] on the basis tree, anchored at u[0]=0."""
-    m, n = cost.shape
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack: list[tuple[bool, int]] = [(True, 0)]
-    while stack:
-        is_row, k = stack.pop()
-        if is_row:
-            for j in rows_adj[k]:
-                if np.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append((False, j))
-        else:
-            for i in cols_adj[k]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append((True, i))
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
+    Nodes 0..m-1 are rows and m..m+n-1 columns; ``cl`` is the cost matrix
+    as nested lists. Potentials come back as one list, rows first.
+    """
+    if len(basis) != m + n - 1:
         raise SolverNonconvergenceError("simplex basis is not a spanning tree")
-    return u, v
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot = [0.0] * (m + n)
+    reached = 1
+    for child in adj[0]:
+        reached += _hang(adj, parent, depth, pot, cl, m, child, 0)
+    if reached != m + n:
+        raise SolverNonconvergenceError("simplex basis is not a spanning tree")
+    return adj, parent, depth, pot
 
 
-def _cycle_edges(rows_adj, cols_adj, ei: int, ej: int):
-    """Path of basic cells from row node ``ei`` to column node ``ej``."""
-    start = (True, ei)
-    goal = (False, ej)
-    parent: dict = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        is_row, k = node
-        if is_row:
-            nxt_nodes = ((False, j) for j in rows_adj[k])
-        else:
-            nxt_nodes = ((True, i) for i in cols_adj[k])
-        for nxt in nxt_nodes:
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = node
-                queue.append(nxt)
-    if goal not in parent:
-        raise SolverNonconvergenceError("entering cell closes no basis cycle")
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    edges = []
-    for a, b in zip(path, path[1:]):
-        i = a[1] if a[0] else b[1]
-        j = b[1] if a[0] else a[1]
-        edges.append((i, j))
-    return edges
+def _hang(adj, parent, depth, pot, cl, m: int, top: int, above: int) -> int:
+    """Hang the subtree at ``top`` below node ``above``; return its size.
+
+    Each node's potential is computed from its parent's along the tree
+    edge, so an updated subtree carries the same values as a rebuild.
+    More nodes than the tree holds means the edges close a cycle.
+    """
+    size = 0
+    stack = [(top, above)]
+    while stack:
+        a, pa = stack.pop()
+        size += 1
+        if size > len(parent):
+            raise SolverNonconvergenceError("simplex basis has a cycle")
+        parent[a] = pa
+        depth[a] = depth[pa] + 1
+        pot[a] = (cl[a][pa - m] if a < m else cl[pa][a - m]) - pot[pa]
+        for b in adj[a]:
+            if b != pa:
+                stack.append((b, a))
+    return size
 
 
-def _simplex(supply, demand, cost, allowed=None, warm=None):
+class _Plan(NamedTuple):
+    """A basic optimal plan and the pivots that reached it."""
+
+    mass: np.ndarray
+    basis: set[tuple[int, int]]
+    pivots: int
+    degenerate_pivots: int
+
+
+def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
     """Minimize sum(cost * mass) over couplings of (supply, demand).
 
     ``allowed`` (a boolean mask) fixes the complementary arcs at zero:
     they can never enter the basis and any basic one is capped at zero
     mass, so pivots treat it as a leaving candidate whenever it sits on
     the gaining side of the cycle. ``warm`` restarts from a previous
-    (mass, basis) pair, which phase-2 solves use.
+    (mass, basis) pair; any basis stays primal-feasible when only the
+    costs or the mask change, so phase-2 solves and W-inf thresholds
+    continue from an earlier plan.
+
+    The most negative reduced cost enters (Dantzig), the first minimum in
+    row-major order. After more than m + n degenerate pivots in a row the
+    first negative cell in row-major order enters instead (Bland) until a
+    pivot moves mass again: every non-degenerate pivot lowers the
+    objective and Bland's rule cannot cycle, so the loop terminates.
     """
     m, n = cost.shape
-    if warm is None:
-        mass, basis_list = _northwest(supply, demand)
-        basis = set(basis_list)
-    else:
-        mass, basis = warm
-        basis = set(basis)
-    basic = np.zeros((m, n), dtype=bool)
+    mass, basis = _northwest(supply, demand) if warm is None else warm
+    flow = mass.tolist()
+    basis = set(basis)
+    cl = cost.tolist()
+    adj, parent, depth, pot = _tree(basis, cl, m, n)
+    # the cost with +inf on the cells that may not enter: basic or forbidden
+    priced = cost.copy() if allowed is None else np.where(allowed, cost, np.inf)
     for c in basis:
-        basic[c] = True
+        priced[c] = np.inf
 
+    pivots = degenerate = run = 0
     max_pivots = 1000 + 50 * (m + n) ** 2
-    for _ in range(max_pivots):
-        rows_adj, cols_adj = _adjacency(basis, m, n)
-        u, v = _potentials(rows_adj, cols_adj, cost)
-        reduced = cost - u[:, None] - v[None, :]
-        candidates = (reduced < -REDUCED_COST_TOL) & ~basic
-        if allowed is not None:
-            candidates &= allowed
-        spots = np.argwhere(candidates)
-        if spots.size == 0:
-            return mass, basis, u, v
-        ei, ej = int(spots[0][0]), int(spots[0][1])  # Bland: first cell row-major
+    while pivots < max_pivots:
+        reduced = priced - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
+        if run > m + n:
+            k = int(np.argmax(reduced < -REDUCED_COST_TOL))
+        else:
+            k = int(reduced.argmin())
+        if not reduced.item(k) < -REDUCED_COST_TOL:
+            return _Plan(np.array(flow), basis, pivots, degenerate)
+        ei, ej = divmod(k, n)
 
-        edges = _cycle_edges(rows_adj, cols_adj, ei, ej)
-        plus = [(ei, ej)] + [edges[t] for t in range(1, len(edges), 2)]
-        minus = [edges[t] for t in range(0, len(edges), 2)]
+        # The cycle closes through the tree paths from row ei and column ej
+        # up to their common ancestor. A tree edge is named by its lower
+        # node; edges at even steps from either end lose mass.
+        a, b = ei, m + ej
+        side_a: list[int] = []
+        side_b: list[int] = []
+        while depth[a] > depth[b]:
+            side_a.append(a)
+            a = parent[a]
+        while depth[b] > depth[a]:
+            side_b.append(b)
+            b = parent[b]
+        while a != b:
+            side_a.append(a)
+            a = parent[a]
+            side_b.append(b)
+            b = parent[b]
+        minus = []
+        plus = [((ei, ej), -1)]
+        for side in (side_a, side_b):
+            for t, x in enumerate(side):
+                cell = (x, parent[x] - m) if x < m else (parent[x], x - m)
+                (plus if t & 1 else minus).append((cell, x))
 
         blocked = []
         if allowed is not None:
-            blocked = [c for c in plus[1:] if not allowed[c]]
-        theta = 0.0 if blocked else min(mass[c] for c in minus)
-        pool = [c for c in minus if mass[c] <= theta]
-        if blocked:
-            pool.extend(blocked)
-        leaving = min(pool)  # Bland: least index among bound-hitting cells
+            blocked = [(c, x) for c, x in plus[1:] if not allowed[c]]
+        theta = 0.0 if blocked else min(flow[i][j] for (i, j), _ in minus)
+        pool = [(c, x) for c, x in minus if flow[c[0]][c[1]] <= theta]
+        pool.extend(blocked)
+        # the least cell index among those that hit their bound leaves
+        (li, lj), low = min(pool)
 
         if theta != 0.0:
-            for c in plus:
-                mass[c] += theta
-            for c in minus:
-                mass[c] = max(mass[c] - theta, 0.0)
-        mass[leaving] = 0.0
-        basis.discard(leaving)
-        basic[leaving] = False
+            for (i, j), _ in plus:
+                flow[i][j] += theta
+            for (i, j), _ in minus:
+                flow[i][j] = max(flow[i][j] - theta, 0.0)
+            run = 0
+        else:
+            degenerate += 1
+            run += 1
+        flow[li][lj] = 0.0
+        pivots += 1
+
+        basis.discard((li, lj))
         basis.add((ei, ej))
-        basic[ei, ej] = True
+        priced[li, lj] = cost[li, lj] if allowed is None or allowed[li, lj] else np.inf
+        priced[ei, ej] = np.inf
+        high = parent[low]
+        adj[low].remove(high)
+        adj[high].remove(low)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        # Removing the leaving edge cuts off the subtree below it; the
+        # entering edge hangs it again from whichever end lies outside.
+        if low in side_a:
+            _hang(adj, parent, depth, pot, cl, m, ei, m + ej)
+        else:
+            _hang(adj, parent, depth, pot, cl, m, m + ej, ei)
     raise SolverNonconvergenceError(
         f"pivot budget exhausted on a {m}x{n} instance"
     )
 
 
-def _feasible_on(supply, demand, allowed):
+def _feasible_on(supply, demand, allowed, warm=None):
     """Phase 1: minimal mass outside ``allowed`` under 0/1 costs.
 
-    Feasible iff that minimum is at most TAU_MASS (full unit of flow fits
-    inside the allowed arcs); the returned plan has the stray dust clamped
-    off the forbidden arcs.
+    Feasible iff that minimum is at most TAU_MASS (a full unit of flow
+    fits inside the allowed arcs). Returns the verdict and the phase-1
+    plan, whose stray dust on forbidden arcs ``_clamped`` removes.
     """
-    cost01 = np.where(allowed, 0.0, 1.0)
-    mass, basis, _, _ = _simplex(supply, demand, cost01)
-    violation = float(mass[~allowed].sum())
-    if violation > TAU_MASS:
-        return False, None, None
-    if violation != 0.0:
-        mass[~allowed] = 0.0
-    return True, mass, basis
+    plan = _simplex(supply, demand, np.where(allowed, 0.0, 1.0), warm=warm)
+    return float(plan.mass[~allowed].sum()) <= TAU_MASS, plan
+
+
+def _clamped(mass: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """The plan with the dust on forbidden arcs set to zero."""
+    return np.where(allowed, mass, 0.0)
 
 
 def _cost_block(metric: GroundMetric, rows, cols) -> np.ndarray:
@@ -328,9 +377,8 @@ def emd(
 ) -> TransportResult:
     """Minimal expected cost over couplings (1-Wasserstein distance)."""
     cost = _cost_block(metric, lam.ground, mu.ground)
-    mass, basis, _, _ = _simplex(lam.probs, mu.probs, cost)
-    value = float(np.sum(cost * mass))
-    return TransportResult(Coupling(lam.ground, mu.ground, mass), value, frozenset(basis))
+    plan = _simplex(lam.probs, mu.probs, cost)
+    return _result(lam, mu, plan, float(np.sum(cost * plan.mass)))
 
 
 def wasserstein_p(
@@ -344,10 +392,9 @@ def wasserstein_p(
         raise ValidationError(f"order p must be finite and >= 1, got {p!r}")
     cost = _cost_block(metric, lam.ground, mu.ground)
     powered = cost if p == 1.0 else cost**p
-    mass, basis, _, _ = _simplex(lam.probs, mu.probs, powered)
-    raw = float(np.sum(powered * mass))
-    value = raw if p == 1.0 else raw ** (1.0 / p)
-    return TransportResult(Coupling(lam.ground, mu.ground, mass), value, frozenset(basis))
+    plan = _simplex(lam.probs, mu.probs, powered)
+    raw = float(np.sum(powered * plan.mass))
+    return _result(lam, mu, plan, raw if p == 1.0 else raw ** (1.0 / p))
 
 
 def wasserstein_inf(
@@ -356,27 +403,44 @@ def wasserstein_inf(
     """Bottleneck distance: minimal worst cost on the support of a coupling.
 
     Binary search over the distinct cost values, with a feasibility test
-    restricted to arcs at or below the candidate threshold.
+    restricted to arcs at or below the candidate threshold. Each test
+    continues from the last feasible plan, taken before its dust clamp so
+    that clamps do not add up across steps.
     """
     cost = _cost_block(metric, lam.ground, mu.ground)
     values = np.unique(cost)
     lo, hi = 0, values.size - 1
-    ok, mass, basis = _feasible_on(lam.probs, mu.probs, cost <= values[hi])
+    ok, plan = _feasible_on(lam.probs, mu.probs, cost <= values[hi])
     if not ok:
         raise SolverNonconvergenceError("transport polytope is empty")
+    pivots, degenerate, steps = plan.pivots, plan.degenerate_pivots, 1
     while lo < hi:
         mid = (lo + hi) // 2
-        ok_mid, mass_mid, basis_mid = _feasible_on(
-            lam.probs, mu.probs, cost <= values[mid]
+        ok_mid, trial = _feasible_on(
+            lam.probs, mu.probs, cost <= values[mid], warm=(plan.mass, plan.basis)
         )
+        pivots += trial.pivots
+        degenerate += trial.degenerate_pivots
+        steps += 1
         if ok_mid:
             hi = mid
-            mass, basis = mass_mid, basis_mid
+            plan = trial
         else:
             lo = mid + 1
+    mass = _clamped(plan.mass, cost <= values[hi])
     support = mass > TAU_ZERO
     value = float(cost[support].max()) if np.any(support) else 0.0
-    return TransportResult(Coupling(lam.ground, mu.ground, mass), value, frozenset(basis))
+    return TransportResult(
+        Coupling(lam.ground, mu.ground, mass), value, frozenset(plan.basis),
+        pivots, degenerate, steps,
+    )
+
+
+def _result(lam, mu, plan: _Plan, value: float) -> TransportResult:
+    return TransportResult(
+        Coupling(lam.ground, mu.ground, plan.mass), value, frozenset(plan.basis),
+        plan.pivots, plan.degenerate_pivots,
+    )
 
 
 def _wasserstein_cost(lam, mu, metric, order: float | str) -> float:
@@ -419,8 +483,7 @@ def lifted_member(
 ) -> bool:
     """True iff some coupling of the pair is supported inside ``phi``."""
     mask = _relation_mask(phi, lam0, lam1)
-    ok, _, _ = _feasible_on(lam0.probs, lam1.probs, mask)
-    return ok
+    return _feasible_on(lam0.probs, lam1.probs, mask)[0]
 
 
 def lifted_w1_member(
@@ -432,19 +495,21 @@ def lifted_w1_member(
     """True iff some cost-minimal coupling of the pair lives inside ``phi``.
 
     Equivalent test: the phi-restricted transport problem is feasible and
-    its optimum matches the unrestricted one within TAU_NUM.
+    its optimum matches the unrestricted one within TAU_NUM. The restricted
+    optimum continues from the phase-1 plan, and the unrestricted one from
+    the restricted optimum.
     """
     mask = _relation_mask(phi, lam0, lam1)
-    ok, mass, basis = _feasible_on(lam0.probs, lam1.probs, mask)
+    ok, plan = _feasible_on(lam0.probs, lam1.probs, mask)
     if not ok:
         return False
     cost = _cost_block(metric, lam0.ground, lam1.ground)
-    mass2, _, _, _ = _simplex(
-        lam0.probs, lam1.probs, cost, allowed=mask, warm=(mass, basis)
+    inside = _simplex(
+        lam0.probs, lam1.probs, cost, allowed=mask,
+        warm=(_clamped(plan.mass, mask), plan.basis),
     )
-    restricted = float(np.sum(cost * mass2))
-    unrestricted = emd(lam0, lam1, metric).cost
-    return restricted <= unrestricted + TAU_NUM
+    free = _simplex(lam0.probs, lam1.probs, cost, warm=(inside.mass, inside.basis))
+    return float(np.sum(cost * inside.mass)) <= float(np.sum(cost * free.mass)) + TAU_NUM
 
 
 def dual_potentials(
@@ -456,8 +521,8 @@ def dual_potentials(
     with equality on basic cells, the optimality certificate for emd.
     """
     m, n = cost.shape
-    rows_adj, cols_adj = _adjacency(basis, m, n)
-    return _potentials(rows_adj, cols_adj, cost)
+    pot = _tree(basis, cost.tolist(), m, n)[3]
+    return np.array(pot[:m]), np.array(pot[m:])
 
 
 def coupling_cost(coupling: Coupling, metric: GroundMetric) -> float:

@@ -336,6 +336,38 @@ def test_audit_spec_mechanism_with_point_relation(files, tmp_path):
     assert payload["observed_eps"] == "inf"
 
 
+def test_audit_spec_mechanism_with_point_relation_and_metric(files, tmp_path):
+    # with --metric the point-mass pairs are audited as XDistP: W1 between
+    # the point masses of a and b is d(a, b), so each value is the DistP
+    # divergence divided by the label distance
+    target = files("mu.json", dist_obj(MU))
+    inputs = files("lams.json", {"s": dist_obj(LAM)})
+    spec_path = str(tmp_path / "spec.json")
+    run(
+        "couple-mech", "build", "--target", target, "--inputs", inputs,
+        "--mode", "northwest", "--out", spec_path,
+    )
+    rel = files("phi.json", [["1", "2"], ["1", "3"], ["3", "2"]])
+    metric = files("line.csv", LINE3_CSV)
+    common = ("audit", "--mech", spec_path, "--relation", rel,
+              "--divergence", "tv")
+    plain = json.loads(run(*common).stdout)
+    scaled = json.loads(run(*common, "--metric", metric).stdout)
+    assert plain["notion"] == "distp"
+    assert scaled["notion"] == "xdistp"
+    distances = (1.0, 2.0, 1.0)
+    finite = 0
+    for before, after, d in zip(plain["pairs"], scaled["pairs"], distances,
+                                strict=True):
+        for key in ("forward", "backward", "value"):
+            if before[key] == "inf":
+                assert after[key] == "inf"
+            else:
+                assert after[key] == before[key] / d
+                finite += before[key] > 0.0
+    assert finite >= 2
+
+
 # ---------------------------------------------------------------------------
 # mechanism building and sampling
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,7 +24,7 @@ from distp import (
     split_pair_label,
     uniform_distribution,
 )
-from conftest import labels, rand_dist, rand_kernel
+from conftest import euclidean_metric, labels, rand_dist, rand_kernel
 
 
 class TestFiniteDistribution:
@@ -255,6 +257,40 @@ class TestGroundMetric:
         ])
         d = GroundMetric(("a", "b", "c"), cost)
         assert not d.satisfies_triangle()
+
+    def test_triangle_matches_cube_form(self, rng):
+        def cube(c, tol=1e-9):
+            via = c[:, :, None] + c[None, :, :]
+            return bool(np.all(c[:, None, :] <= via + tol))
+
+        verdicts = []
+        for trial in range(40):
+            k = int(rng.integers(2, 12))
+            cost = euclidean_metric(rng, labels(k)).cost.copy()
+            if trial % 2:
+                # stretch one pair past the route through a third point
+                i, j = rng.choice(k, size=2, replace=False)
+                cost[i, j] = cost[j, i] = cost[i, j] * rng.uniform(1.0, 3.0)
+            elif trial % 4 == 2:
+                cost = rng.random((k, k))
+                cost = cost + cost.T
+                np.fill_diagonal(cost, 0.0)
+            d = GroundMetric(labels(k), cost)
+            got = d.satisfies_triangle()
+            assert got == cube(d.cost)
+            verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    def test_triangle_memory_is_quadratic(self, rng):
+        # the n^3 form needs about 0.6 GB at n = 300
+        d = euclidean_metric(rng, labels(300))
+        tracemalloc.start()
+        try:
+            assert d.satisfies_triangle()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_submatrix(self):
         d = GroundMetric.line(("a", "b", "c"))

@@ -44,8 +44,9 @@ MU = FiniteDistribution(GROUND3, np.array([0.3, 0.2, 0.5]))
 LINE3 = GroundMetric.line(GROUND3)
 
 
-def linprog_cost(supply, demand, cost):
-    """Independent optimal transport value via scipy's LP solver."""
+def linprog_cost(supply, demand, cost, mask=None):
+    """Independent optimal transport value via scipy's LP solver, with the
+    arcs outside ``mask`` (when given) fixed at zero."""
     m, n = cost.shape
     rows = np.zeros((m, m * n))
     for i in range(m):
@@ -57,7 +58,9 @@ def linprog_cost(supply, demand, cost):
         cost.ravel(),
         A_eq=np.vstack([rows, cols]),
         b_eq=np.concatenate([supply, demand]),
-        bounds=(0.0, None),
+        bounds=(0.0, None) if mask is None else [
+            (0.0, None) if ok else (0.0, 0.0) for ok in mask.ravel()
+        ],
         method="highs",
     )
     assert res.status == 0, res.message
@@ -420,3 +423,131 @@ def test_lifted_w1_member_rejects_detours():
 def test_coupling_cost_matches_result():
     got = emd(LAM, MU, LINE3)
     assert coupling_cost(got.coupling, LINE3) == pytest.approx(got.cost)
+
+
+# ---------------------------------------------------------------------------
+# solver counters
+
+
+def test_counters_repeat_exactly(rng):
+    ground = labels(12)
+    lam = rand_dist(rng, ground)
+    mu = rand_dist(rng, ground)
+    metric = euclidean_metric(rng, ground)
+    for solve in (emd, wasserstein_inf):
+        first = solve(lam, mu, metric)
+        second = solve(lam, mu, metric)
+        counts = (first.pivots, first.degenerate_pivots, first.search_steps)
+        assert counts == (second.pivots, second.degenerate_pivots,
+                          second.search_steps)
+        assert first.pivots > 0
+    assert first.search_steps >= 1
+
+
+def test_bland_fallback_on_tie_heavy_instance():
+    # discrete metric, uniform marginals, the right ground shuffled: an
+    # assignment problem whose pivots are almost all degenerate; on these
+    # seeds a run of degenerate pivots exceeds m + n, so Bland's rule
+    # takes over until mass moves again
+    n = 30
+    ground = labels(n)
+    metric = GroundMetric.discrete(ground)
+    lam = uniform_distribution(ground)
+    for seed in (0, 1):
+        order = np.random.default_rng(seed).permutation(n)
+        mu = uniform_distribution(tuple(ground[i] for i in order))
+        got = emd(lam, mu, metric)
+        assert got.degenerate_pivots > 0
+        assert got.pivots > got.degenerate_pivots
+        cost = metric.submatrix(lam.ground, mu.ground)
+        assert got.cost == pytest.approx(
+            linprog_cost(lam.probs, mu.probs, cost), abs=1e-12
+        )
+        assert validate_coupling(got.coupling, lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# oracle checks at realistic sizes
+
+
+@pytest.mark.parametrize("n", [16, 40, 60])
+def test_emd_matches_lp_euclidean_ladder(n):
+    rng = np.random.default_rng(n)
+    ground = labels(n)
+    lam = rand_dist(rng, ground)
+    mu = rand_dist(rng, ground)
+    metric = euclidean_metric(rng, ground)
+    got = emd(lam, mu, metric)
+    assert abs(got.cost - linprog_cost(lam.probs, mu.probs, metric.cost)) <= 1e-12
+    assert validate_coupling(got.coupling, lam, mu)
+
+
+def test_emd_matches_lp_rectangular_and_zero_rows(rng):
+    for m, n, zeros in ((25, 40, 0), (40, 25, 0), (30, 30, 8), (20, 35, 6)):
+        probs = rng.dirichlet(np.ones(m))
+        probs[rng.choice(m, size=zeros, replace=False)] = 0.0
+        lam = FiniteDistribution(labels(m, "a"), probs / probs.sum())
+        mu = rand_dist(rng, labels(n, "b"))
+        cost = rng.random((m, n)) * 3.0
+        union = GroundMetric(
+            lam.ground + mu.ground,
+            np.block([[np.zeros((m, m)), cost], [cost.T, np.zeros((n, n))]]),
+        )
+        got = emd(lam, mu, union)
+        assert abs(got.cost - linprog_cost(lam.probs, mu.probs, cost)) <= 1e-12
+        assert validate_coupling(got.coupling, lam, mu)
+        assert np.all(got.coupling.mass[lam.probs == 0.0] == 0.0)
+
+
+def test_emd_matches_lp_discrete_metric_uniform_marginals(rng):
+    for n in (20, 40):
+        ground = labels(n)
+        metric = GroundMetric.discrete(ground)
+        lam = uniform_distribution(ground)
+        mu = FiniteDistribution(ground, rng.multinomial(n, np.ones(n) / n) / n)
+        got = emd(lam, mu, metric)
+        want = linprog_cost(lam.probs, mu.probs, metric.cost)
+        assert abs(got.cost - want) <= 1e-12
+        assert got.cost == pytest.approx(0.5 * np.abs(lam.probs - mu.probs).sum())
+
+
+def test_wasserstein_inf_matches_threshold_search_at_size(rng):
+    for n in (15, 25):
+        ground = labels(n)
+        lam = rand_dist(rng, ground)
+        mu = rand_dist(rng, ground)
+        metric = euclidean_metric(rng, ground)
+        got = wasserstein_inf(lam, mu, metric)
+        values = np.unique(metric.cost)
+        lo, hi = 0, values.size - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if linprog_feasible(lam.probs, mu.probs, metric.cost <= values[mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        assert got.cost == values[hi]
+        assert got.search_steps >= 2
+        assert validate_coupling(got.coupling, lam, mu)
+
+
+def test_lifted_w1_member_matches_lp_gap(rng):
+    ground = labels(12)
+    metric = euclidean_metric(rng, ground)
+    verdicts = set()
+    for _ in range(12):
+        lam0 = rand_dist(rng, ground)
+        lam1 = rand_dist(rng, ground)
+        mask = metric.cost <= rng.uniform(0.3, 0.8)
+        phi = PointRelation(
+            (ground[i], ground[j]) for i, j in zip(*np.nonzero(mask))
+        )
+        got = lifted_w1_member(phi, lam0, lam1, metric)
+        if not linprog_feasible(lam0.probs, lam1.probs, mask):
+            assert not got
+            continue
+        restricted = linprog_cost(lam0.probs, lam1.probs, metric.cost, mask)
+        free = linprog_cost(lam0.probs, lam1.probs, metric.cost)
+        assert got == (restricted <= free + 1e-9)
+        verdicts.add(got)
+    assert verdicts == {True, False}
