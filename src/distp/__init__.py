@@ -75,11 +75,10 @@ from .mechanisms import (
     MODE_GIVEN,
     MODE_NORTHWEST,
     MODE_OPTIMAL,
-    AdaptiveKernel,
-    AuxIndexedKernel,
     CouplingEntry,
     CouplingMechanismSpec,
     GeometricMechanism,
+    KernelFamily,
     aux_kernel,
     build_coupling_mechanism,
     cp_kernel,

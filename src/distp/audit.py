@@ -44,7 +44,7 @@ from .finite_prob import (
     lift,
     pair_label,
 )
-from .mechanisms import AuxIndexedKernel, CouplingMechanismSpec, _cp_rows, aux_kernel
+from .mechanisms import CouplingMechanismSpec, KernelFamily, _cp_rows, aux_kernel
 from .tolerances import TAU_NUM, TAU_ZERO
 from .transport import _cost_block, _wasserstein_cost
 
@@ -190,7 +190,7 @@ def audit_div_xdp(
     )
 
 
-Mechanism = StochasticKernel | AuxIndexedKernel | CouplingMechanismSpec
+Mechanism = StochasticKernel | KernelFamily | CouplingMechanismSpec
 
 
 def _lifted_pairs(mechanism: Mechanism, psi: DistributionPairRelation):

@@ -45,8 +45,8 @@ from .fileio import (
 )
 from .finite_prob import DistributionPairRelation, PointRelation
 from .mechanisms import (
-    AdaptiveKernel,
     CouplingMechanismSpec,
+    KernelFamily,
     build_coupling_mechanism,
     cp_kernel,
     liftseq_compose,
@@ -169,28 +169,25 @@ def cmd_couple(args) -> int:
     return 0
 
 
+def _object_map(data, load, tau_mass: float, message: str) -> dict:
+    """``load`` applied to every value of a JSON object, keyed by string."""
+    if not isinstance(data, dict):
+        raise ValidationError(message)
+    return {str(key): load(obj, tau_mass) for key, obj in data.items()}
+
+
 def cmd_couple_mech(args) -> int:
     cfg = _config(args)
     target = _load_distribution(args.target, cfg.tau_mass)
-    inputs_raw = load_json(args.inputs)
-    if not isinstance(inputs_raw, dict):
-        raise ValidationError("--inputs file must map auxiliary values to "
-                              "distribution objects")
-    approx = {
-        str(s): distribution_from_dict(obj, cfg.tau_mass)
-        for s, obj in inputs_raw.items()
-    }
+    approx = _object_map(load_json(args.inputs), distribution_from_dict,
+                         cfg.tau_mass, "--inputs file must map auxiliary values "
+                         "to distribution objects")
     metric = metric_from_csv(args.cost) if args.cost else None
     couplings = None
     if args.couplings:
-        data = load_json(args.couplings)
-        if not isinstance(data, dict):
-            raise ValidationError("--couplings file must map auxiliary values "
-                                  "to coupling objects")
-        couplings = {
-            str(s): coupling_from_dict(obj, cfg.tau_mass)
-            for s, obj in data.items()
-        }
+        couplings = _object_map(load_json(args.couplings), coupling_from_dict,
+                                cfg.tau_mass, "--couplings file must map "
+                                "auxiliary values to coupling objects")
     spec = build_coupling_mechanism(
         target,
         approx,
@@ -289,12 +286,10 @@ def cmd_audit(args) -> int:
 def _load_second_stage(path: str, tau_mass: float):
     data = load_json(path)
     if isinstance(data, dict) and "branches" in data:
-        return AdaptiveKernel(
-            {
-                str(y): kernel_from_dict(obj, tau_mass)
-                for y, obj in data["branches"].items()
-            }
-        )
+        return KernelFamily(_object_map(
+            data["branches"], kernel_from_dict, tau_mass,
+            "'branches' must map first-stage outputs to kernel objects",
+        ))
     return kernel_from_dict(data, tau_mass)
 
 

@@ -85,6 +85,20 @@ def load_json(path: str) -> Any:
         return json.load(fh)
 
 
+def _parsed(data: Any, what: str, keys: tuple[str, ...]) -> list:
+    """The loaders' shared step: check that ``data`` is an object with every
+    key in ``keys``. Returns the label lists as string tuples, then the last
+    key's numbers as an array (a list for one label list, rows for two)."""
+    if not isinstance(data, dict) or not set(keys).issubset(data):
+        raise ValidationError(f"{what} object needs {', '.join(map(repr, keys))}")
+    *grounds, values = keys
+    if len(grounds) == 1:
+        numbers = [_as_float(v, values) for v in data[values]]
+    else:
+        numbers = [[_as_float(v, values) for v in row] for row in data[values]]
+    return [tuple(str(x) for x in data[key]) for key in grounds] + [np.array(numbers)]
+
+
 def distribution_to_dict(dist: FiniteDistribution) -> dict:
     return {"ground": list(dist.ground), "probs": dist.probs.tolist()}
 
@@ -92,12 +106,8 @@ def distribution_to_dict(dist: FiniteDistribution) -> dict:
 def distribution_from_dict(
     data: Any, tau_mass: float = TAU_MASS
 ) -> FiniteDistribution:
-    if not isinstance(data, dict) or "ground" not in data or "probs" not in data:
-        raise ValidationError("distribution object needs 'ground' and 'probs'")
-    probs = [_as_float(v, "probs") for v in data["probs"]]
-    return FiniteDistribution(
-        tuple(str(x) for x in data["ground"]), np.array(probs), tau_mass
-    )
+    ground, probs = _parsed(data, "distribution", ("ground", "probs"))
+    return FiniteDistribution(ground, probs, tau_mass)
 
 
 def kernel_to_dict(kernel: StochasticKernel) -> dict:
@@ -109,16 +119,8 @@ def kernel_to_dict(kernel: StochasticKernel) -> dict:
 
 
 def kernel_from_dict(data: Any, tau_mass: float = TAU_MASS) -> StochasticKernel:
-    needed = {"inputs", "outputs", "rows"}
-    if not isinstance(data, dict) or not needed.issubset(data):
-        raise ValidationError("kernel object needs 'inputs', 'outputs', 'rows'")
-    rows = [[_as_float(v, "rows") for v in row] for row in data["rows"]]
-    return StochasticKernel(
-        tuple(str(x) for x in data["inputs"]),
-        tuple(str(y) for y in data["outputs"]),
-        np.array(rows),
-        tau_mass,
-    )
+    inputs, outputs, rows = _parsed(data, "kernel", ("inputs", "outputs", "rows"))
+    return StochasticKernel(inputs, outputs, rows, tau_mass)
 
 
 def coupling_to_dict(coupling: Coupling) -> dict:
@@ -130,16 +132,8 @@ def coupling_to_dict(coupling: Coupling) -> dict:
 
 
 def coupling_from_dict(data: Any, tau_mass: float = TAU_MASS) -> Coupling:
-    needed = {"rows", "cols", "mass"}
-    if not isinstance(data, dict) or not needed.issubset(data):
-        raise ValidationError("coupling object needs 'rows', 'cols', 'mass'")
-    mass = [[_as_float(v, "mass") for v in row] for row in data["mass"]]
-    return Coupling(
-        tuple(str(x) for x in data["rows"]),
-        tuple(str(y) for y in data["cols"]),
-        np.array(mass),
-        tau_mass,
-    )
+    rows, cols, mass = _parsed(data, "coupling", ("rows", "cols", "mass"))
+    return Coupling(rows, cols, mass, tau_mass)
 
 
 def cp_spec_to_dict(spec: CouplingMechanismSpec) -> dict:

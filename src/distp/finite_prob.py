@@ -3,6 +3,13 @@
 Grounds are ordered tuples of string labels; probabilities live in numpy
 arrays aligned with the ground order. Objects are immutable after
 construction and validate themselves exactly once, at construction time.
+
+The array-backed types (distribution, kernel, coupling, cost table) share
+one validation rule, ``_checked_array``: the shape matches the grounds,
+entries are finite, entries below -TAU_ZERO are rejected and the rest
+clipped to 0, and the mass (in total, or per kernel row) is within
+``tau_mass`` of 1, never renormalized. The stored copy is read-only. A cost
+table also rejects any entry below 0 and a diagonal entry above TAU_NUM.
 """
 
 from __future__ import annotations
@@ -51,20 +58,26 @@ def _clean_ground(labels: Iterable[str]) -> tuple[str, ...]:
     return ground
 
 
-def _clean_probs(values, size: int, tau_mass: float, what: str) -> np.ndarray:
+def _checked_array(
+    values, shape: tuple[int, ...], what: str, tau_mass: float | None = None,
+    rows: tuple[str, ...] | None = None,
+) -> np.ndarray:
+    """A read-only float copy of ``values`` under the validation rule; with
+    ``rows``, the labels of the first axis, each row's mass is checked."""
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != size:
-        raise DimensionMismatchError(
-            f"{what}: expected {size} entries, got shape {arr.shape}"
-        )
+    if arr.shape != shape:
+        raise DimensionMismatchError(f"{what}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what}: entries must be finite")
     if np.any(arr < -TAU_ZERO):
-        raise ValidationError(f"{what}: negative probability entry {arr.min():g}")
+        raise ValidationError(f"{what}: negative entry {arr.min():g}")
     np.clip(arr, 0.0, None, out=arr)
-    total = float(arr.sum())
-    if abs(total - 1.0) > tau_mass:
-        raise ValidationError(f"mass {total:g} outside tolerance ({what})")
+    if tau_mass is not None:
+        sums = arr.sum(axis=1).tolist() if rows is not None else [float(arr.sum())]
+        for i, total in enumerate(sums):
+            if abs(total - 1.0) > tau_mass:
+                where = what if rows is None else f"{what} row {rows[i]!r}"
+                raise ValidationError(f"mass {total:g} outside tolerance ({where})")
     arr.setflags(write=False)
     return arr
 
@@ -89,7 +102,7 @@ class FiniteDistribution:
 
     def __post_init__(self, tau_mass: float) -> None:
         ground = _clean_ground(self.ground)
-        probs = _clean_probs(self.probs, len(ground), tau_mass, "distribution")
+        probs = _checked_array(self.probs, (len(ground),), "distribution", tau_mass)
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(ground)})
@@ -177,27 +190,9 @@ class StochasticKernel:
     def __post_init__(self, tau_mass: float) -> None:
         inputs = _clean_ground(self.inputs)
         outputs = _clean_ground(self.outputs)
-        matrix = np.array(self.matrix, dtype=float)
-        if matrix.shape != (len(inputs), len(outputs)):
-            raise DimensionMismatchError(
-                f"kernel matrix shape {matrix.shape} does not match "
-                f"({len(inputs)}, {len(outputs)})"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ValidationError("kernel entries must be finite")
-        if np.any(matrix < -TAU_ZERO):
-            raise ValidationError(
-                f"kernel has negative entry {matrix.min():g}"
-            )
-        np.clip(matrix, 0.0, None, out=matrix)
-        sums = matrix.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > tau_mass)
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(
-                f"mass {sums[i]:g} outside tolerance (kernel row {inputs[i]!r})"
-            )
-        matrix.setflags(write=False)
+        matrix = _checked_array(
+            self.matrix, (len(inputs), len(outputs)), "kernel", tau_mass, inputs
+        )
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "matrix", matrix)
@@ -269,6 +264,7 @@ class PointRelation:
                 seen.add(key)
                 cleaned.append(key)
         object.__setattr__(self, "pairs", tuple(cleaned))
+        object.__setattr__(self, "_members", frozenset(seen))
 
     @classmethod
     def full(cls, ground: Iterable[str], include_self: bool = False) -> "PointRelation":
@@ -288,7 +284,7 @@ class PointRelation:
 
     def __contains__(self, pair) -> bool:
         a, b = pair
-        return (str(a), str(b)) in set(self.pairs)
+        return (str(a), str(b)) in self._members  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -356,20 +352,13 @@ class GroundMetric:
 
     def __post_init__(self) -> None:
         ground = _clean_ground(self.ground)
-        cost = np.array(self.cost, dtype=float)
-        n = len(ground)
-        if cost.shape != (n, n):
-            raise DimensionMismatchError(
-                f"cost shape {cost.shape} does not match ground size {n}"
-            )
-        if not np.all(np.isfinite(cost)):
-            raise ValidationError("cost entries must be finite")
-        if np.any(cost < 0.0):
-            raise ValidationError(f"cost has negative entry {cost.min():g}")
-        diag = np.abs(np.diagonal(cost))
-        if np.any(diag > TAU_NUM):
+        given = np.asarray(self.cost, dtype=float)
+        cost = _checked_array(given, (len(ground), len(ground)), "cost")
+        if np.any(given < 0.0):
+            raise ValidationError(f"cost: negative entry {given.min():g}")
+        if np.any(np.diagonal(cost) > TAU_NUM):
             raise ValidationError("cost diagonal must be zero")
-        cost = cost.copy()
+        cost.setflags(write=True)
         np.fill_diagonal(cost, 0.0)
         cost.setflags(write=False)
         object.__setattr__(self, "ground", ground)

@@ -232,15 +232,20 @@ def cp_kernel(spec: CouplingMechanismSpec, s: str) -> StochasticKernel:
 
 
 @dataclass(frozen=True)
-class AuxIndexedKernel:
-    """A family of kernels indexed by auxiliary values, sharing grounds."""
+class KernelFamily:
+    """Kernels indexed by labels, all sharing input and output grounds.
+
+    A coupling mechanism indexes its kernels by auxiliary values; the second
+    stage of a sequential composition indexes them by the first stage's
+    outputs.
+    """
 
     kernels: Mapping[str, StochasticKernel]
 
     def __post_init__(self) -> None:
         kernels = dict(self.kernels)
         if not kernels:
-            raise ValidationError("auxiliary kernel family must be nonempty")
+            raise ValidationError("kernel family must be nonempty")
         first = next(iter(kernels.values()))
         for kernel in kernels.values():
             if kernel.inputs != first.inputs or kernel.outputs != first.outputs:
@@ -249,87 +254,57 @@ class AuxIndexedKernel:
                 )
         object.__setattr__(self, "kernels", kernels)
 
-    @property
-    def aux(self) -> tuple[str, ...]:
-        return tuple(self.kernels)
-
-    def kernel_for(self, s: str) -> StochasticKernel:
-        try:
-            return self.kernels[s]
-        except KeyError:
-            raise UnknownLabelError(f"auxiliary value {s!r} not in family") from None
-
-
-def aux_kernel(spec: CouplingMechanismSpec) -> AuxIndexedKernel:
-    """All per-auxiliary kernels of a coupling mechanism."""
-    return AuxIndexedKernel({s: cp_kernel(spec, s) for s in spec.aux})
-
-
-@dataclass(frozen=True)
-class AdaptiveKernel:
-    """A second-stage kernel that may depend on the first stage's output:
-    one StochasticKernel per selector label, all sharing grounds."""
-
-    branches: Mapping[str, StochasticKernel]
-
-    def __post_init__(self) -> None:
-        branches = dict(self.branches)
-        if not branches:
-            raise ValidationError("adaptive kernel needs at least one branch")
-        first = next(iter(branches.values()))
-        for kernel in branches.values():
-            if kernel.inputs != first.inputs or kernel.outputs != first.outputs:
-                raise GroundMismatchError("all branches must share grounds")
-        object.__setattr__(self, "branches", branches)
-
     @classmethod
     def constant(
-        cls, selectors: Iterable[str], kernel: StochasticKernel
-    ) -> "AdaptiveKernel":
-        return cls({str(y): kernel for y in selectors})
+        cls, labels: Iterable[str], kernel: StochasticKernel
+    ) -> "KernelFamily":
+        return cls({str(label): kernel for label in labels})
 
-    def branch(self, selector: str) -> StochasticKernel:
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.kernels)
+
+    def kernel_for(self, label: str) -> StochasticKernel:
         try:
-            return self.branches[selector]
+            return self.kernels[label]
         except KeyError:
-            raise UnknownLabelError(
-                f"no branch for selector {selector!r}"
-            ) from None
+            raise UnknownLabelError(f"label {label!r} not in kernel family") from None
 
 
-def _as_adaptive(
-    first: StochasticKernel, second: AdaptiveKernel | StochasticKernel
-) -> AdaptiveKernel:
+def aux_kernel(spec: CouplingMechanismSpec) -> KernelFamily:
+    """All per-auxiliary kernels of a coupling mechanism."""
+    return KernelFamily({s: cp_kernel(spec, s) for s in spec.aux})
+
+
+def _second_stage(
+    first: StochasticKernel, second: KernelFamily | StochasticKernel
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The second-stage kernel picked by each output of ``first``, stacked
+    as (|Y0|, |X|, |Y1|), and the second stage's output ground."""
     if isinstance(second, StochasticKernel):
-        second = AdaptiveKernel.constant(first.outputs, second)
-    missing = [y for y in first.outputs if y not in second.branches]
+        second = KernelFamily.constant(first.outputs, second)
+    missing = [y for y in first.outputs if y not in second.kernels]
     if missing:
         raise GroundMismatchError(f"missing branches for selectors {missing}")
-    branch0 = second.branch(first.outputs[0])
-    if branch0.inputs != first.inputs:
+    stage = [second.kernels[y] for y in first.outputs]
+    if stage[0].inputs != first.inputs:
         raise GroundMismatchError(
             "second-stage inputs must match the first stage's inputs"
         )
-    return second
-
-
-def _branch_stack(first: StochasticKernel, second: AdaptiveKernel) -> np.ndarray:
-    return np.stack([second.branch(y).matrix for y in first.outputs])
+    return np.stack([k.matrix for k in stage]), stage[0].outputs
 
 
 def seq_compose(
     first: StochasticKernel,
-    second: AdaptiveKernel | StochasticKernel,
+    second: KernelFamily | StochasticKernel,
     marginalize: bool = False,
 ) -> StochasticKernel:
-    """Run ``first``, then the branch of ``second`` picked by its output.
+    """Run ``first``, then the kernel of ``second`` picked by its output.
 
     Emits the joint pair (y0, y1) by default; ``marginalize`` keeps only
     the second coordinate.
     """
-    second = _as_adaptive(first, second)
-    stack = _branch_stack(first, second)  # (|Y0|, |X|, |Y1|)
-    y1 = second.branch(first.outputs[0]).outputs
+    stack, y1 = _second_stage(first, second)
     if marginalize:
         matrix = np.einsum("xj,jxk->xk", first.matrix, stack)
         return StochasticKernel(first.inputs, y1, matrix)
@@ -342,17 +317,15 @@ def seq_compose(
 
 def liftseq_compose(
     first: StochasticKernel,
-    second: AdaptiveKernel | StochasticKernel,
+    second: KernelFamily | StochasticKernel,
     marginalize: bool = False,
 ) -> StochasticKernel:
     """Pairwise-lifted sequential composition.
 
-    Input pairs (x0, x1): ``first`` consumes x0, the selected branch of
+    Input pairs (x0, x1): ``first`` consumes x0, the selected kernel of
     ``second`` consumes x1. Emits the joint (y0, y1) unless marginalized.
     """
-    second = _as_adaptive(first, second)
-    stack = _branch_stack(first, second)
-    y1 = second.branch(first.outputs[0]).outputs
+    stack, y1 = _second_stage(first, second)
     inputs = tuple(
         pair_label(a, b) for a in first.inputs for b in first.inputs
     )

@@ -38,6 +38,7 @@ from .finite_prob import (
     FiniteDistribution,
     GroundMetric,
     PointRelation,
+    _checked_array,
     _clean_ground,
 )
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
@@ -58,21 +59,7 @@ class Coupling:
     def __post_init__(self, tau_mass: float) -> None:
         rows = _clean_ground(self.rows)
         cols = _clean_ground(self.cols)
-        mass = np.array(self.mass, dtype=float)
-        if mass.shape != (len(rows), len(cols)):
-            raise DimensionMismatchError(
-                f"coupling shape {mass.shape} does not match "
-                f"({len(rows)}, {len(cols)})"
-            )
-        if not np.all(np.isfinite(mass)):
-            raise ValidationError("coupling entries must be finite")
-        if np.any(mass < -TAU_ZERO):
-            raise ValidationError(f"coupling has negative entry {mass.min():g}")
-        np.clip(mass, 0.0, None, out=mass)
-        total = float(mass.sum())
-        if abs(total - 1.0) > tau_mass:
-            raise ValidationError(f"mass {total:g} outside tolerance (coupling)")
-        mass.setflags(write=False)
+        mass = _checked_array(self.mass, (len(rows), len(cols)), "coupling", tau_mass)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "mass", mass)

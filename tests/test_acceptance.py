@@ -34,11 +34,11 @@ from distp import (
     KL,
     STANDARD_KINDS,
     TAU_ZERO,
-    AdaptiveKernel,
     DistributionPair,
     DistributionPairRelation,
     FiniteDistribution,
     GroundMetric,
+    KernelFamily,
     MaxDivergence,
     StochasticKernel,
     approx_max_divergence,
@@ -378,7 +378,7 @@ def test_criterion_8_structural_properties(rng):
             audit_div_dp(branch, phi, KL).observed_eps
             for branch in branches.values()
         )
-        joint = seq_compose(first, AdaptiveKernel(branches))
+        joint = seq_compose(first, KernelFamily(branches))
         assert audit_div_dp(joint, phi, KL).observed_eps <= eps0 + eps1 + 1e-9
 
     # independent-pair budgets add up for the parallel composition

@@ -478,6 +478,16 @@ def test_compose_seq_with_branches(files):
     assert tuple(marg["outputs"]) == ground
 
 
+def test_compose_rejects_branches_that_are_not_an_object(files):
+    f = files("first.json", kernel_obj(randomized_response(("a", "b"), 1.0)))
+    s = files("branches.json", {"branches": [kernel_obj(
+        StochasticKernel.identity(("a", "b")))]})
+    proc = run("compose", "--op", "seq", "--first", f, "--second", s, expect=1)
+    assert proc.stderr == (
+        "error: 'branches' must map first-stage outputs to kernel objects\n"
+    )
+
+
 def test_compose_liftseq_input_grid(files):
     ground = ("a", "b")
     f = files("first.json", kernel_obj(randomized_response(ground, 1.0)))

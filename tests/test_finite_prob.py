@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from distp import (
+    Coupling,
     DimensionMismatchError,
     DistributionPair,
     DistributionPairRelation,
@@ -185,6 +186,13 @@ class TestPointRelation:
         assert ("a", "b") in phi
         assert ("b", "a") not in phi
 
+    def test_membership_matches_pairs(self):
+        phi = PointRelation([(1, 2), ("2", "3"), ("1", "2"), ("3", "1")])
+        for a in ("1", "2", "3"):
+            for b in ("1", "2", "3"):
+                assert ((a, b) in phi) == ((a, b) in set(phi.pairs))
+                assert ((int(a), int(b)) in phi) == ((a, b) in phi)
+
     def test_full(self):
         phi = PointRelation.full(("a", "b"))
         assert set(phi.pairs) == {("a", "b"), ("b", "a")}
@@ -298,3 +306,91 @@ class TestGroundMetric:
         np.testing.assert_array_equal(block, [[1.0], [1.0]])
         with pytest.raises(UnknownLabelError):
             d.submatrix(("a", "z"), ("b",))
+
+
+# ---------------------------------------------------------------------------
+# one validation rule for the four array-backed types
+
+# Exact binary fractions, so every row and total sums to 1.0 exactly, and
+# flat entry 1 is zero for the three probability types.
+VALID = {
+    "distribution": np.array([0.25, 0.0, 0.75]),
+    "kernel": np.array([[0.25, 0.0, 0.75], [0.5, 0.25, 0.25]]),
+    "coupling": np.array([[0.125, 0.0, 0.25], [0.25, 0.125, 0.25]]),
+    "metric": np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+}
+BUILD = {
+    "distribution": lambda a: FiniteDistribution(("a", "b", "c"), a),
+    "kernel": lambda a: StochasticKernel(("a", "b"), ("u", "v", "w"), a),
+    "coupling": lambda a: Coupling(("a", "b"), ("u", "v", "w"), a),
+    "metric": lambda a: GroundMetric(("a", "b", "c"), a),
+}
+VALUES = {
+    "distribution": lambda obj: obj.probs,
+    "kernel": lambda obj: obj.matrix,
+    "coupling": lambda obj: obj.mass,
+    "metric": lambda obj: obj.cost,
+}
+
+
+def _set(flat_index, value):
+    def edit(a):
+        a.flat[flat_index] = value
+        return a
+    return edit
+
+
+def _add(flat_index, value):
+    def edit(a):
+        a.flat[flat_index] += value
+        return a
+    return edit
+
+
+MASS_TYPES = ("distribution", "kernel", "coupling")
+OK = None
+# case -> (edit of the valid array, outcome per type: OK or the error class).
+# Flat entry 0 is the metric's first diagonal entry. Flat entry -2 is off
+# the diagonal and in the last row, so a check of the first row alone
+# misses it.
+VALIDATION_CASES = {
+    "valid": (lambda a: a, dict.fromkeys(BUILD, OK)),
+    "wrong_shape": (lambda a: a[..., :-1],
+                    dict.fromkeys(BUILD, DimensionMismatchError)),
+    "nan": (_set(1, np.nan), dict.fromkeys(BUILD, ValidationError)),
+    "pos_inf": (_set(1, np.inf), dict.fromkeys(BUILD, ValidationError)),
+    "negative_1e-13": (_set(1, -1e-13),
+                       {**dict.fromkeys(MASS_TYPES, OK),
+                        "metric": ValidationError}),
+    "negative_1e-6": (_set(1, -1e-6), dict.fromkeys(BUILD, ValidationError)),
+    "mass_off_2e-9": (_add(-2, 2e-9),
+                      {**dict.fromkeys(MASS_TYPES, ValidationError),
+                       "metric": OK}),
+    "mass_off_5e-10": (_add(-2, 5e-10), dict.fromkeys(BUILD, OK)),
+    "diagonal_5e-10": (_add(0, 5e-10), dict.fromkeys(BUILD, OK)),
+    "diagonal_2e-9": (_add(0, 2e-9), dict.fromkeys(BUILD, ValidationError)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD))
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+def test_validation_table(kind, case):
+    edit, outcome = VALIDATION_CASES[case]
+    given = edit(VALID[kind].copy())
+    before = given.copy()
+    expected = outcome[kind]
+    if expected is not OK:
+        with pytest.raises(expected):
+            BUILD[kind](given)
+        return
+    stored = VALUES[kind](BUILD[kind](given))
+    np.testing.assert_array_equal(given, before)  # the input is not modified
+    assert not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored.flat[2] = 0.5
+    if case == "negative_1e-13":
+        assert stored.flat[1] == 0.0 and not np.signbit(stored.flat[1])
+    elif case == "diagonal_5e-10" and kind == "metric":
+        assert stored.flat[0] == 0.0
+    else:
+        np.testing.assert_array_equal(stored, given)

@@ -21,6 +21,9 @@ PHI = ("--relation", "phi.json")
 PSI = ("--relation", "psi.json")
 METRIC = ("--metric", "metric.csv")
 SPEC = ("--mech", "spec.json")
+FIRST = ("--first", "first.json")
+CM_INPUTS = ("--target", "cm_target.json", "--inputs", "cm_inputs.json")
+DATA = ("--data", "data.csv")
 
 # case name -> (arguments, with input files named relative to INPUTS; exit code)
 CASES = {
@@ -90,6 +93,27 @@ CASES = {
     "divergence_max_delta_exact": (("divergence", "--lhs", "mu.json", "--rhs",
                                     "full.json", "--divergence", "max-delta",
                                     "--delta", "0.05", "--exact-subsets"), 0),
+    "compose_seq_branches": (("compose", "--op", "seq", *FIRST,
+                              "--second", "branches.json"), 0),
+    "compose_seq_branches_marginalize": (("compose", "--op", "seq", *FIRST,
+                                          "--second", "branches.json",
+                                          "--marginalize"), 0),
+    "compose_liftseq_branches": (("compose", "--op", "liftseq", *FIRST,
+                                  "--second", "branches.json"), 0),
+    "compose_liftseq_kernel_marginalize": (("compose", "--op", "liftseq",
+                                            *FIRST, "--second", "second.json",
+                                            "--marginalize"), 0),
+    "compose_post": (("compose", "--op", "post", *FIRST, "--second",
+                      "post.json"), 0),
+    "couple_mech_northwest": (("couple-mech", "build", *CM_INPUTS, "--mode",
+                               "northwest"), 0),
+    "couple_mech_given": (("couple-mech", "build", *CM_INPUTS, "--mode",
+                           "given", "--couplings", "cm_couplings.json"), 0),
+    "couple_northwest": (("couple", "--lhs", "mu.json", "--rhs", "full.json",
+                          "--northwest"), 0),
+    "obfuscate_kernel": (("obfuscate", *KERNEL, *DATA), 0),
+    "obfuscate_spec_aux": (("obfuscate", *SPEC, "--aux", "s2", *DATA,
+                            "--seed", "7"), 0),
 }
 
 

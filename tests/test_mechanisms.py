@@ -6,8 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from distp import (
-    AdaptiveKernel,
-    AuxIndexedKernel,
     CouplingEntry,
     CouplingMechanismSpec,
     FiniteDistribution,
@@ -16,6 +14,7 @@ from distp import (
     InvalidCouplingError,
     InvalidEpsilonError,
     KL,
+    KernelFamily,
     MaxDivergence,
     PointRelation,
     StochasticKernel,
@@ -234,7 +233,7 @@ def test_aux_kernel_family():
     lam2 = FiniteDistribution(GROUND3, np.array([0.6, 0.2, 0.2]))
     spec = build_coupling_mechanism(MU, {"s": LAM, "t": lam2}, mode="northwest")
     family = aux_kernel(spec)
-    assert family.aux == ("s", "t")
+    assert family.labels == ("s", "t")
     np.testing.assert_allclose(
         family.kernel_for("s").matrix, cp_kernel(spec, "s").matrix
     )
@@ -244,9 +243,9 @@ def test_aux_kernel_family():
 
 def test_aux_indexed_kernel_validation():
     with pytest.raises(ValidationError):
-        AuxIndexedKernel({})
+        KernelFamily({})
     with pytest.raises(GroundMismatchError):
-        AuxIndexedKernel({
+        KernelFamily({
             "s": StochasticKernel.identity(("a", "b")),
             "t": StochasticKernel.identity(("a", "c")),
         })
@@ -271,12 +270,12 @@ def test_seq_joint_matches_nested_loops(rng):
     y0 = labels(2, "u")
     y1 = labels(3, "v")
     first = rand_kernel(rng, ground, y0)
-    second = AdaptiveKernel({u: rand_kernel(rng, ground, y1) for u in y0})
+    second = KernelFamily({u: rand_kernel(rng, ground, y1) for u in y0})
     joint = seq_compose(first, second)
     for xi, x in enumerate(ground):
         for ui, u in enumerate(y0):
             for vi, v in enumerate(y1):
-                want = first.matrix[xi, ui] * second.branch(u).matrix[xi, vi]
+                want = first.matrix[xi, ui] * second.kernel_for(u).matrix[xi, vi]
                 got = joint.matrix[xi, joint.outputs.index(pair_label(u, v))]
                 assert got == pytest.approx(want, abs=1e-15)
 
@@ -285,7 +284,7 @@ def test_seq_marginalize(rng):
     ground = labels(3)
     y0 = labels(2, "u")
     first = rand_kernel(rng, ground, y0)
-    second = AdaptiveKernel({u: rand_kernel(rng, ground, labels(3, "v")) for u in y0})
+    second = KernelFamily({u: rand_kernel(rng, ground, labels(3, "v")) for u in y0})
     joint = seq_compose(first, second)
     marg = seq_compose(first, second, marginalize=True)
     folded = joint.matrix.reshape(3, 2, 3).sum(axis=1)
@@ -295,7 +294,7 @@ def test_seq_marginalize(rng):
 def test_seq_identity_then_echo_is_diagonal():
     ground = ("a", "b")
     first = StochasticKernel.identity(ground)
-    second = AdaptiveKernel({
+    second = KernelFamily({
         y: StochasticKernel.constant(ground, point_distribution(y, ground))
         for y in ground
     })
@@ -320,12 +319,12 @@ def test_seq_kl_budget_random_adaptive(rng):
     phi = PointRelation.full(ground)
     for _ in range(15):
         first = rand_kernel(rng, ground, labels(3, "u"))
-        second = AdaptiveKernel(
+        second = KernelFamily(
             {u: rand_kernel(rng, ground, labels(2, "v")) for u in labels(3, "u")}
         )
         eps0 = audit_div_dp(first, phi, KL).observed_eps
         eps1 = max(
-            audit_div_dp(second.branch(u), phi, KL).observed_eps
+            audit_div_dp(second.kernel_for(u), phi, KL).observed_eps
             for u in labels(3, "u")
         )
         got = audit_div_dp(seq_compose(first, second), phi, KL).observed_eps
@@ -334,7 +333,7 @@ def test_seq_kl_budget_random_adaptive(rng):
 
 def test_seq_ground_mismatch():
     first = StochasticKernel.identity(("a", "b"))
-    second = AdaptiveKernel.constant(("a",), StochasticKernel.identity(("a", "b")))
+    second = KernelFamily.constant(("a",), StochasticKernel.identity(("a", "b")))
     with pytest.raises(GroundMismatchError, match="missing branches"):
         seq_compose(first, second)
     other = StochasticKernel.identity(("u", "v"))
@@ -347,14 +346,14 @@ def test_liftseq_matches_double_sum(rng):
     y0 = labels(2, "u")
     y1 = labels(2, "v")
     first = rand_kernel(rng, ground, y0)
-    second = AdaptiveKernel({u: rand_kernel(rng, ground, y1) for u in y0})
+    second = KernelFamily({u: rand_kernel(rng, ground, y1) for u in y0})
     composed = liftseq_compose(first, second)
     lam0 = rand_dist(rng, ground)
     lam1 = rand_dist(rng, ground)
     out = lift(composed, product_distribution(lam0, lam1))
     a0 = lift(first, lam0)
     for ui, u in enumerate(y0):
-        a1 = lift(second.branch(u), lam1)
+        a1 = lift(second.kernel_for(u), lam1)
         for vi, v in enumerate(y1):
             want = a0.probs[ui] * a1.probs[vi]
             assert out[pair_label(u, v)] == pytest.approx(want, abs=1e-12)
