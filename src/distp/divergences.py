@@ -302,7 +302,7 @@ def _exact_event_max(ps: np.ndarray, qs: np.ndarray, delta: float) -> float:
             f"exact event enumeration limited to supports of size "
             f"{MAX_EXACT_SUPPORT}, got {k}"
         )
-    best = -INF
+    best = 0.0
     total = 1 << k
     shifts = np.arange(k)
     chunk = 1 << 16
@@ -320,8 +320,9 @@ def _exact_event_max(ps: np.ndarray, qs: np.ndarray, delta: float) -> float:
         Qk = Q[ok]
         if np.any(Qk <= TAU_ZERO):
             return INF
-        best = max(best, float(np.max(np.log(numk / Qk))))
-    return best
+        best = max(best, float(np.max(numk / Qk)))
+    # math.log of the best ratio, as the prefix rule takes it.
+    return math.log(best) if best > 0.0 else -INF
 
 
 def _relation_indices(kernel: StochasticKernel, phi: PointRelation):

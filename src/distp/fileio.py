@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from typing import Any
@@ -85,18 +86,30 @@ def load_json(path: str) -> Any:
         return json.load(fh)
 
 
+def _array(value: Any, what: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def _parsed(data: Any, what: str, keys: tuple[str, ...]) -> list:
     """The loaders' shared step: check that ``data`` is an object with every
-    key in ``keys``. Returns the label lists as string tuples, then the last
-    key's numbers as an array (a list for one label list, rows for two)."""
+    key in ``keys``, each holding an array. Returns the label lists as string
+    tuples, then the last key's numbers as an array (a list for one label
+    list, rows for two)."""
     if not isinstance(data, dict) or not set(keys).issubset(data):
         raise ValidationError(f"{what} object needs {', '.join(map(repr, keys))}")
     *grounds, values = keys
+    numbers = _array(data[values], f"{what} {values!r}")
     if len(grounds) == 1:
-        numbers = [_as_float(v, values) for v in data[values]]
+        numbers = [_as_float(v, values) for v in numbers]
     else:
-        numbers = [[_as_float(v, values) for v in row] for row in data[values]]
-    return [tuple(str(x) for x in data[key]) for key in grounds] + [np.array(numbers)]
+        row_what = f"{what} {values!r} row"
+        numbers = [[_as_float(v, values) for v in _array(row, row_what)]
+                   for row in numbers]
+    labels = [tuple(map(str, _array(data[key], f"{what} {key!r}")))
+              for key in grounds]
+    return labels + [np.array(numbers)]
 
 
 def distribution_to_dict(dist: FiniteDistribution) -> dict:
@@ -157,8 +170,9 @@ def cp_spec_from_dict(
     if not isinstance(data, dict) or "target" not in data or "aux" not in data:
         raise ValidationError("mechanism spec needs 'target' and 'aux'")
     entries = []
-    for item in data["aux"]:
-        if not {"s", "approx_input", "coupling"}.issubset(item):
+    for item in _array(data["aux"], "mechanism spec 'aux'"):
+        if not (isinstance(item, dict)
+                and {"s", "approx_input", "coupling"}.issubset(item)):
             raise ValidationError(
                 "each aux entry needs 's', 'approx_input', 'coupling'"
             )
@@ -279,24 +293,23 @@ def metric_to_csv(metric: GroundMetric) -> str:
 
 
 def load_labels_csv(path: str, header: str = "x") -> list[str]:
-    """Read a one-column CSV of labels with the given header."""
+    """Read a one-column CSV of labels with the given header.
+
+    Blank lines are skipped; every other line after the header must hold
+    exactly one label."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows or not rows[0] or rows[0][0].strip() != header:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows or rows[0][0].strip() != header:
         raise ValidationError(f"{path}: expected a CSV with header {header!r}")
-    out = []
-    for row in rows[1:]:
-        if len(row) != 1:
-            raise ValidationError(f"{path}: expected one label per line")
-        out.append(row[0])
-    return out
+    try:
+        return [label for (label,) in itertools.islice(rows, 1, None)]
+    except ValueError:
+        raise ValidationError(f"{path}: expected one label per line") from None
 
 
 def labels_to_csv(labels: list[str], header: str = "y") -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([header])
-    for label in labels:
-        writer.writerow([label])
+    writer.writerows(zip(labels))
     return buf.getvalue()

@@ -446,14 +446,24 @@ def sample_outputs(
 ) -> list[str]:
     """Sample one output per input label by inverse-CDF over the row.
 
-    One uniform draw is consumed per input, in order, so a seeded
-    counter-based generator reproduces the stream exactly.
+    One uniform draw is consumed per input, in order: ``rng.random(n)``
+    reads the same stream as n scalar draws, so a seeded counter-based
+    generator reproduces it exactly. A record gets the first output whose
+    cumulative row mass exceeds its draw, or the last output if none does.
     """
-    out = []
-    for label in labels:
-        row = kernel.matrix[kernel.input_index(str(label))]
-        cum = np.cumsum(row)
-        u = rng.random()
-        idx = int(np.searchsorted(cum, u, side="right"))
-        out.append(kernel.outputs[min(idx, len(kernel.outputs) - 1)])
-    return out
+    rows = np.array(
+        [kernel.input_index(str(label)) for label in labels], dtype=np.intp
+    )
+    u = rng.random(rows.size)
+    # Each row's cumulative sum, added left to right as np.cumsum(row) does.
+    cum = np.cumsum(kernel.matrix, axis=1)
+    # Records grouped by input row, one searchsorted per row that occurs.
+    order = np.argsort(rows, kind="stable")
+    counts = np.bincount(rows, minlength=len(kernel.inputs))
+    ends = np.cumsum(counts)
+    picks = np.empty(rows.size, dtype=np.intp)
+    for i in np.flatnonzero(counts).tolist():
+        take = order[ends[i] - counts[i] : ends[i]]
+        picks[take] = np.searchsorted(cum[i], u[take], side="right")
+    np.minimum(picks, len(kernel.outputs) - 1, out=picks)
+    return [kernel.outputs[j] for j in picks.tolist()]

@@ -175,6 +175,37 @@ def test_malformed_json_exits_one(files):
     assert proc.stderr.startswith("error:")
 
 
+def test_kernel_row_that_is_not_an_array_exits_one(files):
+    mech = files("k.json", {"inputs": ["a"], "outputs": ["y"], "rows": [1]})
+    data = files("points.csv", "x\na\n")
+    proc = run("obfuscate", "--mech", mech, "--data", data, expect=1)
+    assert proc.stderr == "error: kernel 'rows' row must be a JSON array, got 1\n"
+
+
+def test_distribution_probs_that_are_not_an_array_exit_one(files):
+    lhs = files("bad.json", {"ground": ["a"], "probs": 1})
+    rhs = files("b.json", {"ground": ["a"], "probs": [1.0]})
+    proc = run(
+        "divergence", "--lhs", lhs, "--rhs", rhs, "--divergence", "kl", expect=1
+    )
+    assert proc.stderr == (
+        "error: distribution 'probs' must be a JSON array, got 1\n"
+    )
+
+
+def test_spec_aux_entry_that_is_not_an_object_exits_one(files):
+    spec = files("spec.json", {
+        "target": {"ground": ["y"], "probs": [1.0]},
+        "aux": [["s", "approx_input", "coupling"]],
+    })
+    data = files("points.csv", "x\na\n")
+    proc = run("obfuscate", "--mech", spec, "--aux", "s", "--data", data,
+               expect=1)
+    assert proc.stderr == (
+        "error: each aux entry needs 's', 'approx_input', 'coupling'\n"
+    )
+
+
 def test_couple_northwest(files):
     lhs = files("lam.json", dist_obj(LAM))
     rhs = files("mu.json", dist_obj(MU))
@@ -414,6 +445,13 @@ def test_obfuscate_out_file_matches_stdout(files, tmp_path):
         "obfuscate", "--mech", mech, "--data", data, "--out", str(out_path)
     )
     assert out_path.read_text() == proc.stdout
+
+
+def test_obfuscate_rejects_two_labels_on_a_line(files):
+    mech = rr_kernel_file(files)
+    data = files("points.csv", "x\na\na,b\n")
+    proc = run("obfuscate", "--mech", mech, "--data", data, expect=1)
+    assert proc.stderr == f"error: {data}: expected one label per line\n"
 
 
 def test_obfuscate_aux_wiring(files, tmp_path):

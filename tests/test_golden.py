@@ -7,6 +7,7 @@ of a float, fails here; regenerate a golden file only for a change that is
 meant to alter that report.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,10 @@ CASES = {
     "obfuscate_kernel": (("obfuscate", *KERNEL, *DATA), 0),
     "obfuscate_spec_aux": (("obfuscate", *SPEC, "--aux", "s2", *DATA,
                             "--seed", "7"), 0),
+    # Input and output labels with a comma, a double quote, a space, a
+    # leading space and the empty label; the data file has a blank line.
+    "obfuscate_quoted": (("obfuscate", "--mech", "quoted_kernel.json",
+                          "--data", "quoted_data.csv", "--seed", "3"), 0),
 }
 
 
@@ -129,3 +134,23 @@ def test_cli_report_matches_golden(name, monkeypatch, capsys):
     code, out = run_case(name, monkeypatch, capsys)
     assert code == CASES[name][1]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_obfuscate_out_file_matches_golden(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "y.csv"
+    monkeypatch.chdir(INPUTS)
+    assert main([*CASES["obfuscate_quoted"][0], "--out", str(out)]) == 0
+    expected = (GOLDEN / "obfuscate_quoted.out").read_bytes()
+    assert out.read_bytes() == expected
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_exact_and_prefix_delta_audits_agree(monkeypatch, capsys):
+    """Enumerating every event and the prefix rule report the same values,
+    down to the last bit, on the golden kernel and relation."""
+    prefix = json.loads(run_case("audit_dp_max_delta", monkeypatch, capsys)[1])
+    exact = json.loads(run_case("audit_dp_max_delta_exact", monkeypatch,
+                                capsys)[1])
+    assert exact.pop("config") == {**prefix.pop("config"),
+                                   "exact_subsets": True}
+    assert exact == prefix
