@@ -7,15 +7,17 @@ exceptions are reserved for malformed inputs.
 
 All auditors and the coupling-mechanism theorem check share one core,
 ``_audit``: callers gather the output rows of every pair, and the blocked
-row kernel of ``divergences`` evaluates them all at once. DP and XDP are
-the point-mass cases of DistP and XDistP.
+row kernel of ``divergences`` evaluates them all at once. The report keeps
+the results as columns and builds one object per pair only when asked. DP
+and XDP are the point-mass cases of DistP and XDistP.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -88,20 +90,46 @@ class PairAudit:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditReport:
-    """Aggregated audit outcome.
+    """Aggregated audit outcome, kept as columns.
 
-    ``observed_eps`` is the maximum per-pair value; the verdict compares it
-    with ``claimed_eps`` (a missing claim passes vacuously).
+    Entry i of the read-only float arrays ``forward`` and ``backward`` is
+    the pair ``labels[i]`` audited in each direction. ``observed_eps`` is
+    the maximum per-pair value and ``worst_pair`` the first pair attaining
+    it; the verdict compares it with ``claimed_eps`` (a missing claim
+    passes vacuously).
     """
 
     notion: str
     divergence: str
     claimed_eps: float | None
-    observed_eps: float
-    worst_pair: str
-    pairs: tuple[PairAudit, ...]
+    labels: tuple[str, ...]
+    forward: np.ndarray
+    backward: np.ndarray
+    observed_eps: float = field(init=False)
+    worst_pair: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for name in ("forward", "backward"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        worst = int(np.argmax(np.maximum(self.forward, self.backward)))
+        value = max(float(self.forward[worst]), float(self.backward[worst]))
+        object.__setattr__(self, "observed_eps", value)
+        object.__setattr__(self, "worst_pair", self.labels[worst])
+
+    @cached_property
+    def pairs(self) -> tuple[PairAudit, ...]:
+        """One :class:`PairAudit` per pair, in order; built on first access."""
+        return tuple(
+            PairAudit(label, fwd, bwd, self.claimed_eps)
+            for label, fwd, bwd in zip(
+                self.labels, self.forward.tolist(), self.backward.tolist()
+            )
+        )
 
     @property
     def passed(self) -> bool:
@@ -128,7 +156,7 @@ class AuditReport:
 def _audit(
     notion: str,
     divergence: Divergence,
-    labels: list[str],
+    labels: Sequence[str],
     table: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
@@ -144,14 +172,7 @@ def _audit(
     if distances is not None:
         forward = _per_distance(forward, distances)
         backward = _per_distance(backward, distances)
-    pairs = tuple(
-        PairAudit(label, fwd, bwd, claimed)
-        for label, fwd, bwd in zip(labels, forward.tolist(), backward.tolist())
-    )
-    worst = int(np.argmax(np.maximum(forward, backward)))
-    return AuditReport(
-        notion, divergence.name, claimed, pairs[worst].value, labels[worst], pairs
-    )
+    return AuditReport(notion, divergence.name, claimed, labels, forward, backward)
 
 
 def audit_div_dp(
@@ -183,7 +204,14 @@ def audit_div_xdp(
     """Worst divergence per unit input distance over all related pairs."""
     left, right = _relation_indices(kernel, phi)
     labels = [pair_label(a, b) for a, b in phi]
-    distances = np.array([metric.distance(a, b) for a, b in phi])
+    # Look up each kernel row that the relation uses in the metric once, in
+    # the order the relation first names it, so that a missing label is
+    # reported as a per-pair lookup would report it.
+    used, first = np.unique(np.column_stack([left, right]), return_index=True)
+    rows = np.zeros(len(kernel.inputs), dtype=np.intp)
+    for i in used[np.argsort(first)].tolist():
+        rows[i] = metric.index(kernel.inputs[i])
+    distances = metric.cost[rows[left], rows[right]]
     return _audit(
         NOTION_XDP, divergence, labels, kernel.matrix, left, right, claimed_eps,
         distances=distances, exact_subsets=exact_subsets,
@@ -379,7 +407,7 @@ def check_cp_theorem(
 
     aux = spec.aux
     first, second = np.triu_indices(len(aux))
-    labels = [pair_label(aux[i], aux[j]) for i, j in zip(first, second)]
+    labels = tuple(pair_label(aux[i], aux[j]) for i, j in zip(first, second))
     table = np.stack(outputs)
 
     growth = math.exp(eps)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,9 +34,11 @@ def pair_label(a: str, b: str) -> str:
     """Canonical label for an ordered pair of labels.
 
     Rendered as a compact JSON array so arbitrary label strings stay
-    unambiguous and recoverable.
+    unambiguous and recoverable: the text of ``json.dumps([a, b],
+    separators=(",", ":"))``, formatted with the same string encoder
+    without going through ``json.dumps``.
     """
-    return json.dumps([a, b], separators=(",", ":"))
+    return "[" + encode_basestring_ascii(a) + "," + encode_basestring_ascii(b) + "]"
 
 
 def split_pair_label(label: str) -> tuple[str, str]:

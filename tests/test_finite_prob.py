@@ -1,8 +1,9 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from distp import (
@@ -108,6 +109,25 @@ def test_pair_label_round_trip():
         split_pair_label("not json")
     with pytest.raises(ValidationError):
         split_pair_label('["only one"]')
+
+
+# Characters that JSON escapes or that sit at an encoding boundary: quotes,
+# backslashes, control characters, DEL, "/", non-ASCII and astral characters
+# (escaped as surrogate pairs).
+LABEL_CHARS = st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\b\f\n\r\t \u00e9\u20ac\U0001f600\U0010ffff'),
+    st.characters(),
+)
+
+
+@given(st.text(LABEL_CHARS), st.text(LABEL_CHARS))
+@example("", "")
+@example("/", 'say "hi" \\ \x01')
+@example("\u00e9", "\U0001f600")
+def test_pair_label_is_compact_json(a, b):
+    label = pair_label(a, b)
+    assert label == json.dumps([a, b], separators=(",", ":"))
+    assert split_pair_label(label) == (a, b)
 
 
 @given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 10**6))

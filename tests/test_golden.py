@@ -25,6 +25,7 @@ SPEC = ("--mech", "spec.json")
 FIRST = ("--first", "first.json")
 CM_INPUTS = ("--target", "cm_target.json", "--inputs", "cm_inputs.json")
 DATA = ("--data", "data.csv")
+QUOTED = ("--mech", "quoted_kernel.json", "--relation", "quoted_phi.json")
 
 # case name -> (arguments, with input files named relative to INPUTS; exit code)
 CASES = {
@@ -119,6 +120,11 @@ CASES = {
     # leading space and the empty label; the data file has a blank line.
     "obfuscate_quoted": (("obfuscate", "--mech", "quoted_kernel.json",
                           "--data", "quoted_data.csv", "--seed", "3"), 0),
+    # Pair labels whose inputs carry a comma, double quotes and spaces, so
+    # that every pair label holds JSON escapes.
+    "audit_quoted_max": (("audit", *QUOTED, "--divergence", "max"), 0),
+    "audit_quoted_kl_csv": (("audit", *QUOTED, "--divergence", "kl",
+                             "--format", "csv"), 0),
 }
 
 
