@@ -7,9 +7,12 @@ exceptions are reserved for malformed inputs.
 
 All auditors and the coupling-mechanism theorem check share one core,
 ``_audit``: callers gather the output rows of every pair, and the blocked
-row kernel of ``divergences`` evaluates them all at once. The report keeps
-the results as columns and builds one object per pair only when asked. DP
-and XDP are the point-mass cases of DistP and XDistP.
+row kernel of ``divergences`` evaluates them all at once. Each distinct
+ordered pair of output rows is evaluated once per audit: on a symmetric
+relation the backward direction of (a, b) is the forward direction of
+(b, a), so it costs one direction, not two. The report keeps the results
+as columns and builds one object per pair only when asked. DP and XDP are
+the point-mass cases of DistP and XDistP.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .divergences import (
     STANDARD_KINDS,
     Divergence,
     MaxDivergence,
-    _divergence_rows,
+    _divergence_columns,
     _per_distance,
     _relation_indices,
     max_divergence,
@@ -167,8 +170,9 @@ def _audit(
 ) -> AuditReport:
     """Audit output rows ``table[left[i]]`` against ``table[right[i]]``, in
     both directions, per unit of ``distances[i]`` if given."""
-    forward = _divergence_rows(divergence, table, left, right, exact_subsets)
-    backward = _divergence_rows(divergence, table, right, left, exact_subsets)
+    forward, backward = _divergence_columns(
+        divergence, table, left, right, exact_subsets
+    )
     if distances is not None:
         forward = _per_distance(forward, distances)
         backward = _per_distance(backward, distances)

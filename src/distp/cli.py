@@ -15,11 +15,13 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from . import __version__
 from .audit import (
+    AuditReport,
     audit_distp,
     audit_div_dp,
     audit_div_xdp,
@@ -227,21 +229,22 @@ def cmd_obfuscate(args) -> int:
     return 0
 
 
-def _audit_csv(payload: dict) -> str:
+def _audit_csv(report: AuditReport, tau_num: float) -> str:
+    """One row per pair, written from the report's columns. A float cell
+    reads as its JSON token does (``str`` of an infinity is ``inf``), and the
+    per-pair value and verdict are taken as ``PairAudit`` takes them."""
+    forward, backward = report.forward.tolist(), report.backward.tolist()
+    values = list(map(max, forward, backward))
+    if report.claimed_eps is None:
+        bounds = verdicts = repeat("")
+    else:
+        bounds = repeat(jsonable(report.claimed_eps))
+        limit = report.claimed_eps + tau_num
+        verdicts = ["true" if v <= limit else "false" for v in values]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["pair", "forward", "backward", "value", "bound", "pass"])
-    for entry in payload["pairs"]:
-        writer.writerow(
-            [
-                entry["pair"],
-                jsonable(entry["forward"]),
-                jsonable(entry["backward"]),
-                jsonable(entry["value"]),
-                "" if entry["bound"] is None else jsonable(entry["bound"]),
-                "" if entry["pass"] is None else str(entry["pass"]).lower(),
-            ]
-        )
+    writer.writerows(zip(report.labels, forward, backward, values, bounds, verdicts))
     return buf.getvalue()
 
 
@@ -275,12 +278,11 @@ def cmd_audit(args) -> int:
         options["wasserstein"] = args.wasserstein or "1"
     report = auditor(mechanism, relation, divergence=divergence, **options)
 
-    payload = report.to_dict(tau_num=cfg.tau_num)
     if cfg.format == "csv":
-        sys.stdout.write(_audit_csv(payload))
+        sys.stdout.write(_audit_csv(report, cfg.tau_num))
     else:
-        _emit(payload, cfg)
-    return 0 if payload["verdict"] == "pass" else 2
+        _emit(report.to_dict(tau_num=cfg.tau_num), cfg)
+    return 0 if report._passed(cfg.tau_num) else 2
 
 
 def _load_second_stage(path: str, tau_mass: float):

@@ -183,15 +183,42 @@ def _row_function(divergence: Divergence, exact_subsets: bool):
     raise ValidationError(f"unknown divergence descriptor {divergence!r}")
 
 
-def _divergence_rows(divergence, table, left, right, exact_subsets) -> np.ndarray:
-    """Divergence of row ``left[i]`` of ``table`` from row ``right[i]``, for
-    every i, equal bit for bit to the one-row call on that pair. Rows are
-    gathered block by block, so no temporary grows with the pair count."""
-    rows = _row_function(divergence, exact_subsets)
+def _blocked_rows(rows, table, left, right) -> np.ndarray:
+    """``rows`` applied to rows ``left[i]`` and ``right[i]`` of ``table``, for
+    every i. Rows are gathered block by block, so no temporary grows with the
+    pair count."""
     out = np.empty(len(left))
     for block in _row_blocks(len(left), table.shape[1]):
         out[block] = rows(table[left[block]], table[right[block]])
     return out
+
+
+def _both_directions(rows, table, left, right):
+    """``rows`` on every pair in both directions: ``(forward, backward)``,
+    entry i evaluated on rows ``(left[i], right[i])`` and ``(right[i],
+    left[i])``. Each distinct ordered pair of table rows is evaluated once,
+    so a symmetric relation costs one direction; row functions act on each
+    row alone, so the values do not depend on which pairs are evaluated
+    together."""
+    n = len(table)
+    codes = np.concatenate([left * n + right, right * n + left])
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    values = _blocked_rows(rows, table, distinct // n, distinct % n)[inverse]
+    return values[: len(left)], values[len(left):]
+
+
+def _divergence_rows(divergence, table, left, right, exact_subsets) -> np.ndarray:
+    """Divergence of row ``left[i]`` of ``table`` from row ``right[i]``, for
+    every i, equal bit for bit to the one-row call on that pair."""
+    rows = _row_function(divergence, exact_subsets)
+    return _blocked_rows(rows, table, left, right)
+
+
+def _divergence_columns(divergence, table, left, right, exact_subsets):
+    """``_divergence_rows`` of every pair forward and backward, each distinct
+    ordered row pair evaluated once."""
+    rows = _row_function(divergence, exact_subsets)
+    return _both_directions(rows, table, left, right)
 
 
 def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -239,16 +266,21 @@ def _prefix_rows(P, Q, delta: float, exact_subsets: bool) -> np.ndarray:
     # keep ground order), then the entries outside the support.
     ratios = np.divide(P, Q, out=np.full(P.shape, INF), where=Q > TAU_ZERO)
     order = np.argsort(np.where(on, -ratios, INF), axis=1, kind="stable")
-    cp = np.cumsum(np.take_along_axis(P, order, axis=1), axis=1)
-    cq = np.cumsum(np.take_along_axis(Q, order, axis=1), axis=1)
-    inside = np.arange(P.shape[1]) < on.sum(axis=1)[:, None]
+    # The sorted entries, transposed (one column per row) through one flat
+    # index, so that the running sums go down axis 0 for all rows at once;
+    # each column is still summed in order, as ``np.cumsum`` sums a row.
+    rows, width = P.shape
+    flat = order.T + width * np.arange(rows)
+    cp = np.add.accumulate(np.take(P, flat), axis=0)
+    cq = np.add.accumulate(np.take(Q, flat), axis=0)
+    inside = np.arange(width)[:, None] < on.sum(axis=1)
     valid = inside & (cp >= delta) & (cp - delta > 0.0)
-    best = np.zeros(P.shape)
+    best = np.zeros(cp.shape)
     np.divide(cp - delta, cq, out=best, where=valid & (cq > TAU_ZERO))
     # The log of the best ratio is the best log (log is monotone); math.log,
     # as in the per-event definition, since np.log can differ in the last bit.
-    logs = [math.log(t) if t > 0.0 else -INF for t in best.max(axis=1)]
-    return np.where(np.any(valid & (cq <= TAU_ZERO), axis=1), INF, logs)
+    logs = [math.log(t) if t > 0.0 else -INF for t in best.max(axis=0)]
+    return np.where(np.any(valid & (cq <= TAU_ZERO), axis=0), INF, logs)
 
 
 def f_divergence(
@@ -355,14 +387,11 @@ def delta_required(
     if epsilon < 0.0:
         raise ValidationError(f"epsilon {epsilon:g} must be nonnegative")
     scale = math.exp(epsilon)
-    m = kernel.matrix
-    worst = 0.0
-    for block in _row_blocks(len(left), m.shape[1]):
-        pa, pb = m[left[block]], m[right[block]]
-        fwd = np.maximum(0.0, pa - scale * pb).sum(axis=1)
-        bwd = np.maximum(0.0, pb - scale * pa).sum(axis=1)
-        worst = max(worst, float(fwd.max()), float(bwd.max()))
-    return worst
+    forward, backward = _both_directions(
+        lambda P, Q: np.maximum(0.0, P - scale * Q).sum(axis=1),
+        kernel.matrix, left, right,
+    )
+    return max(0.0, float(forward.max()), float(backward.max()))
 
 
 def divergence_value(
