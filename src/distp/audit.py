@@ -46,7 +46,7 @@ from .finite_prob import (
     GroundMetric,
     PointRelation,
     StochasticKernel,
-    lift,
+    _lifted_probs,
     pair_label,
 )
 from .mechanisms import CouplingMechanismSpec, KernelFamily, _cp_rows, aux_kernel
@@ -247,8 +247,8 @@ def _lifted_pairs(mechanism: Mechanism, psi: DistributionPairRelation):
         for aux, k0, k1 in sides:
             index.append(i)
             labels.append(f"{i}:{pair_label(*aux)}" if aux else str(i))
-            left.append(lift(k0, pair.left).probs)
-            right.append(lift(k1, pair.right).probs)
+            left.append(_lifted_probs(k0, pair.left))
+            right.append(_lifted_probs(k1, pair.right))
     k = len(labels)
     table = np.stack(left + right)
     return np.array(index), labels, table, np.arange(k), k + np.arange(k)

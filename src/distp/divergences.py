@@ -3,8 +3,9 @@
 Two families are provided:
 
 * f-divergences ``sum over supp(nu) of nu[y] * f(mu[y] / nu[y])`` for a
-  convex generator f with f(1) = 0, returning +inf when absolute
-  continuity fails (some y has nu[y] = 0 but mu[y] > 0);
+  convex generator f with f(1) = 0, plus ``mu(Y outside supp(nu)) * f'(inf)``
+  (Csiszar's convention, with the recession slope f'(inf) = lim f(t)/t), so
+  mass of mu off supp(nu) gives +inf exactly when that slope is +inf;
 * the max divergence ``max over y in supp(mu) of ln(mu[y] / nu[y])`` and
   its slack-delta variant, the largest ``ln((mu[R] - delta) / nu[R])``
   over events R inside supp(mu) with mu[R] >= delta.
@@ -45,11 +46,14 @@ class FDivergenceKind:
 
     ``generator`` must accept a numpy array of nonnegative ratios and
     return the elementwise values; +inf entries are allowed (for
-    generators unbounded at 0).
+    generators unbounded at 0). ``slope`` is the recession slope
+    f'(inf) = lim f(t)/t, the cost per unit of mass that mu puts where nu
+    has none; +inf (the default) makes any such mass give +inf.
     """
 
     name: str
     generator: Callable[[np.ndarray], np.ndarray]
+    slope: float = INF
 
     def __call__(self, ratios: np.ndarray) -> np.ndarray:
         return self.generator(ratios)
@@ -83,10 +87,10 @@ def _gen_hellinger(t: np.ndarray) -> np.ndarray:
 
 
 KL = FDivergenceKind("kl", _gen_kl)
-REVERSE_KL = FDivergenceKind("rkl", _gen_rkl)
-TOTAL_VARIATION = FDivergenceKind("tv", _gen_tv)
+REVERSE_KL = FDivergenceKind("rkl", _gen_rkl, 0.0)
+TOTAL_VARIATION = FDivergenceKind("tv", _gen_tv, 0.5)
 CHI_SQUARED = FDivergenceKind("chi2", _gen_chi2)
-HELLINGER = FDivergenceKind("hellinger", _gen_hellinger)
+HELLINGER = FDivergenceKind("hellinger", _gen_hellinger, 0.5)
 
 STANDARD_KINDS: tuple[FDivergenceKind, ...] = (
     KL,
@@ -223,7 +227,9 @@ def _divergence_columns(divergence, table, left, right, exact_subsets):
 
 def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     on = Q > TAU_ZERO
-    inf = np.any((P > TAU_ZERO) & ~on, axis=1)
+    off = (P > TAU_ZERO) & ~on
+    lost = np.any(off, axis=1)
+    inf = lost & (kind.slope == INF)
     use = on & ~inf[:, None]
     values = np.asarray(kind(P[use] / Q[use]), dtype=float)
     if np.any(np.isnan(values)):
@@ -245,6 +251,9 @@ def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
             f"generator {kind.name!r} produced values summing to NaN"
         )
     totals[inf] = INF
+    if kind.slope < INF and np.any(lost):
+        # Mass off supp(Q) costs the recession slope per unit (Csiszar).
+        totals[lost] += kind.slope * np.where(off[lost], P[lost], 0.0).sum(axis=1)
     return totals
 
 
@@ -288,10 +297,11 @@ def f_divergence(
 ) -> float:
     """f-divergence of ``mu`` from ``nu`` (second argument is the reference).
 
-    Sums ``nu[y] * f(mu[y]/nu[y])`` over the support of ``nu``; returns +inf
-    when ``mu`` puts mass outside that support. The convention
-    0 * f(0/0) = 0 is built in because y outside supp(nu) contributes
-    nothing.
+    Sums ``nu[y] * f(mu[y]/nu[y])`` over the support of ``nu`` and adds
+    ``kind.slope`` times the mass ``mu`` puts outside that support, which
+    is +inf for an unbounded slope (KL, chi-squared, custom kinds). The
+    convention 0 * f(0/0) = 0 is built in because y outside both supports
+    contributes nothing.
     """
     return divergence_value(kind, mu, nu)
 

@@ -239,12 +239,17 @@ def lift(kernel: StochasticKernel, lam: FiniteDistribution) -> FiniteDistributio
     Returns the output distribution y -> sum_x lam[x] * kernel(x)[y]. The
     input ground must match the kernel's input ground exactly (same order).
     """
+    return FiniteDistribution(kernel.outputs, _lifted_probs(kernel, lam))
+
+
+def _lifted_probs(kernel: StochasticKernel, lam: FiniteDistribution) -> np.ndarray:
+    """The probabilities of ``lift(kernel, lam)``, which are valid by
+    construction and so are not checked again."""
     if lam.ground != kernel.inputs:
         raise GroundMismatchError(
             "distribution ground does not match kernel inputs"
         )
-    probs = lam.probs @ kernel.matrix
-    return FiniteDistribution(kernel.outputs, probs)
+    return lam.probs @ kernel.matrix
 
 
 @dataclass(frozen=True)

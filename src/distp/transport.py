@@ -1,14 +1,17 @@
 """Discrete optimal transport over finite grounds.
 
-The solver is a transportation simplex in network form. The north-west
-corner rule builds the initial basis, a spanning tree over the row and
-column nodes; degenerate basic cells carry an explicit zero mass.
-Potentials (MODI) price the nonbasic cells, and the most negative reduced
-cost enters (Dantzig). A run of more than m + n degenerate pivots switches
-to Bland's rule until mass moves again, so degenerate instances cannot
-cycle. The tree keeps parent and depth arrays: the pivot cycle is the two
-paths up to a common ancestor, and only the subtree that a pivot cuts off
-is hung again and re-priced.
+The solver is a transportation simplex in network form. A cold solve
+starts from the least-cost (matrix-minimum) basis: cells are filled in
+ascending cost order, ties in row-major order, and each filled cell closes
+one row or column, so the start is a spanning tree over the row and column
+nodes; degenerate basic cells carry an explicit zero mass. Potentials
+(MODI) price the nonbasic cells, and the most negative reduced cost enters
+(Dantzig). A run of more than m + n degenerate pivots switches to Bland's
+rule until mass moves again, so degenerate instances cannot cycle. The
+tree keeps parent and depth arrays: the pivot cycle is the two paths up to
+a common ancestor, and only the subtree that a pivot cuts off is hung
+again and re-priced. The north-west corner rule is kept only for
+``northwest_corner``, which the ``"northwest"`` coupling-mechanism mode uses.
 
 A bounded-variable variant fixes a set of forbidden arcs at zero, which
 gives feasibility tests and restricted optima for relation-constrained
@@ -16,6 +19,12 @@ couplings without big-M costs. Solves that differ only in costs or
 forbidden arcs continue from an earlier basis: the bottleneck search
 across thresholds, and the restricted then unrestricted optimum of a
 lifted-relation membership test.
+
+The bottleneck search needs no solve to bracket its answer: the least-cost
+start is an exact coupling, so the largest cost it ships on is feasible,
+and every feasible threshold test lowers the bracket to the largest cost on
+its plan's support. Bisection below that bracket finds the least feasible
+threshold (Garfinkel and Rao's threshold method for bottleneck transport).
 """
 
 from __future__ import annotations
@@ -140,12 +149,56 @@ def _northwest(supply: np.ndarray, demand: np.ndarray):
         else:
             j += 1
             rc = float(demand[j])
-    # Float drift can strand a sliver of mass; fold it into the largest cell.
+    _fold_defect(mass, supply, demand)
+    return mass, basis
+
+
+def _least_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
+    """Matrix-minimum fill; returns (mass, basis) with m+n-1 basic cells.
+
+    Cells are taken in ascending cost order, ties in row-major order. Each
+    taken cell ships as much as its row and column still hold and closes
+    one of the two lines, so every line but the last row and column closes
+    on exactly one basic cell and the cells form a spanning tree. As in
+    ``_northwest``, a tie closes the row, leaving the column open for a
+    zero-mass basic cell, and the last open row or column never closes
+    before the other kind's last line.
+    """
+    m, n = cost.shape
+    mass = np.zeros((m, n))
+    basis: list[tuple[int, int]] = []
+    rr = supply.tolist()
+    rc = demand.tolist()
+    row_open = [True] * m
+    col_open = [True] * n
+    rows_left, cols_left = m, n
+    order = np.divmod(np.argsort(cost, axis=None, kind="stable"), n)
+    for i, j in zip(order[0].tolist(), order[1].tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
+        t = rr[i] if rr[i] <= rc[j] else rc[j]
+        mass[i, j] = t
+        basis.append((i, j))
+        rr[i] -= t
+        rc[j] -= t
+        if rows_left == 1 and cols_left == 1:
+            break
+        if (rr[i] == 0.0 and rows_left > 1) or cols_left == 1:
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+    _fold_defect(mass, supply, demand)
+    return mass, basis
+
+
+def _fold_defect(mass: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> None:
+    """Float drift can strand a sliver of mass; fold it into the largest cell."""
     defect = 0.5 * (float(supply.sum()) + float(demand.sum())) - float(mass.sum())
     if defect != 0.0:
         k = np.unravel_index(int(np.argmax(mass)), mass.shape)
         mass[k] += defect
-    return mass, basis
 
 
 def _tree(basis, cl, m: int, n: int):
@@ -222,7 +275,7 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
     objective and Bland's rule cannot cycle, so the loop terminates.
     """
     m, n = cost.shape
-    mass, basis = _northwest(supply, demand) if warm is None else warm
+    mass, basis = _least_cost(supply, demand, cost) if warm is None else warm
     flow = mass.tolist()
     basis = set(basis)
     cl = cost.tolist()
@@ -390,27 +443,31 @@ def wasserstein_inf(
     """Bottleneck distance: minimal worst cost on the support of a coupling.
 
     Binary search over the distinct cost values, with a feasibility test
-    restricted to arcs at or below the candidate threshold. Each test
-    continues from the last feasible plan, taken before its dust clamp so
-    that clamps do not add up across steps.
+    restricted to arcs at or below the candidate threshold. The least-cost
+    start on the real cost is an exact coupling, so the largest cost it
+    ships on brackets the search from above with no solve; each feasible
+    test lowers that bracket to the largest cost on its clamped plan's
+    support. Each test continues from the last feasible plan, taken before
+    its dust clamp so that clamps do not add up across steps.
     """
     cost = _cost_block(metric, lam.ground, mu.ground)
     values = np.unique(cost)
-    lo, hi = 0, values.size - 1
-    ok, plan = _feasible_on(lam.probs, mu.probs, cost <= values[hi])
-    if not ok:
-        raise SolverNonconvergenceError("transport polytope is empty")
-    pivots, degenerate, steps = plan.pivots, plan.degenerate_pivots, 1
+    mass, basis = _least_cost(lam.probs, mu.probs, cost)
+    plan = _Plan(mass, set(basis), 0, 0)
+    lo, hi = 0, _top(values, cost, mass > 0.0)
+    pivots = degenerate = steps = 0
     while lo < hi:
         mid = (lo + hi) // 2
+        allowed = cost <= values[mid]
         ok_mid, trial = _feasible_on(
-            lam.probs, mu.probs, cost <= values[mid], warm=(plan.mass, plan.basis)
+            lam.probs, mu.probs, allowed, warm=(plan.mass, plan.basis)
         )
         pivots += trial.pivots
         degenerate += trial.degenerate_pivots
         steps += 1
         if ok_mid:
-            hi = mid
+            support = allowed & (trial.mass > TAU_ZERO)
+            hi = max(lo, _top(values, cost, support))
             plan = trial
         else:
             lo = mid + 1
@@ -421,6 +478,11 @@ def wasserstein_inf(
         Coupling(lam.ground, mu.ground, mass), value, frozenset(plan.basis),
         pivots, degenerate, steps,
     )
+
+
+def _top(values: np.ndarray, cost: np.ndarray, cells: np.ndarray) -> int:
+    """Index in ``values`` of the largest cost on the (nonempty) ``cells``."""
+    return int(np.searchsorted(values, cost[cells].max()))
 
 
 def _result(lam, mu, plan: _Plan, value: float) -> TransportResult:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from distp import (
+    HELLINGER,
     KL,
     STANDARD_KINDS,
     TOTAL_VARIATION,
@@ -93,9 +94,11 @@ def test_dp_disjoint_rows_blow_up():
     phi = PointRelation([("a", "b")])
     for kind in STANDARD_KINDS:
         report = audit_div_dp(kernel, phi, kind)
-        assert report.observed_eps == math.inf
+        # TV and Hellinger are bounded: disjoint rows attain their maximum 1
+        bounded = kind in (TOTAL_VARIATION, HELLINGER)
+        assert report.observed_eps == (1.0 if bounded else math.inf)
         assert report.worst_pair == pair_label("a", "b")
-    report = audit_div_dp(kernel, phi, kind, claimed_eps=100.0)
+    report = audit_div_dp(kernel, phi, KL, claimed_eps=100.0)
     assert not report.passed
 
 

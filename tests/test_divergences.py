@@ -146,10 +146,25 @@ def test_hellinger_closed_form(rng):
 
 
 def test_absolute_continuity_violation_is_inf():
+    # only for kinds whose generator grows faster than linearly
     mu = dist(0.5, 0.5)
     nu = dist(1.0, 0.0)
-    for kind in STANDARD_KINDS:
+    for kind in (KL, CHI_SQUARED, custom_kind("sq", lambda t: (t - 1.0) ** 2)):
+        assert kind.slope == math.inf
         assert f_divergence(kind, mu, nu) == math.inf
+
+
+def test_mass_off_the_reference_support_costs_the_recession_slope():
+    # Csiszar's convention: mu's mass where nu has none costs f'(inf) per
+    # unit, 0 for reverse KL and 1/2 for TV and Hellinger
+    mu = dist(0.5, 0.5)
+    nu = dist(1.0, 0.0)
+    assert f_divergence(REVERSE_KL, mu, nu) == pytest.approx(math.log(2.0))
+    assert f_divergence(TOTAL_VARIATION, mu, nu) == pytest.approx(0.5)
+    assert f_divergence(HELLINGER, mu, nu) == pytest.approx(1.0 - math.sqrt(0.5))
+    # the symmetric kinds agree in both directions
+    for kind in (TOTAL_VARIATION, HELLINGER):
+        assert f_divergence(kind, mu, nu) == pytest.approx(f_divergence(kind, nu, mu))
 
 
 def test_reference_support_gap_is_fine():

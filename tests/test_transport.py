@@ -28,6 +28,15 @@ from distp import (
     wasserstein_inf,
     wasserstein_p,
 )
+from distp.tolerances import TAU_MASS, TAU_ZERO
+from distp.transport import (
+    _clamped,
+    _feasible_on,
+    _least_cost,
+    _northwest,
+    _simplex,
+    _tree,
+)
 from conftest import (
     euclidean_metric,
     labels,
@@ -448,7 +457,8 @@ def test_bland_fallback_on_tie_heavy_instance():
     # discrete metric, uniform marginals, the right ground shuffled: an
     # assignment problem whose pivots are almost all degenerate; on these
     # seeds a run of degenerate pivots exceeds m + n, so Bland's rule
-    # takes over until mass moves again
+    # takes over until mass moves again. The least-cost start is already
+    # optimal here, so the solve starts from the north-west corner.
     n = 30
     ground = labels(n)
     metric = GroundMetric.discrete(ground)
@@ -456,14 +466,142 @@ def test_bland_fallback_on_tie_heavy_instance():
     for seed in (0, 1):
         order = np.random.default_rng(seed).permutation(n)
         mu = uniform_distribution(tuple(ground[i] for i in order))
-        got = emd(lam, mu, metric)
+        cost = metric.submatrix(lam.ground, mu.ground)
+        got = _simplex(lam.probs, mu.probs, cost,
+                       warm=_northwest(lam.probs, mu.probs))
         assert got.degenerate_pivots > 0
         assert got.pivots > got.degenerate_pivots
-        cost = metric.submatrix(lam.ground, mu.ground)
-        assert got.cost == pytest.approx(
+        assert float(np.sum(cost * got.mass)) == pytest.approx(
             linprog_cost(lam.probs, mu.probs, cost), abs=1e-12
         )
-        assert validate_coupling(got.coupling, lam, mu)
+        assert validate_coupling(Coupling(lam.ground, mu.ground, got.mass),
+                                 lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# least-cost start and the bottleneck bracket
+
+
+def sliver_marginals():
+    """Marginals with entries near TAU_MASS and totals off by almost it."""
+    supply = np.array([1.0 - 3e-9, 1e-9, 2e-9])
+    demand = np.array([0.5e-9, 0.5 - 0.5e-9, 0.5 - 0.9e-9])
+    return supply, demand
+
+
+def least_cost_cases():
+    rng = np.random.default_rng(7)
+    cases = []
+    for m, n in ((5, 9), (9, 5), (1, 7), (7, 1), (1, 1), (12, 12)):
+        cases.append((rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n)),
+                      rng.random((m, n))))
+    supply = rng.dirichlet(np.ones(8))
+    supply[[1, 4]] = 0.0
+    demand = rng.dirichlet(np.ones(6))
+    demand[[0, 5]] = 0.0
+    cases.append((supply / supply.sum(), demand / demand.sum(),
+                  rng.random((8, 6))))
+    cases.append((np.full(6, 1 / 6), rng.dirichlet(np.ones(4)), np.ones((6, 4))))
+    cases.append((*sliver_marginals(), rng.random((3, 3))))
+    cases.append((*sliver_marginals(), np.zeros((3, 3))))
+    return cases
+
+
+@pytest.mark.parametrize("supply, demand, cost", least_cost_cases())
+def test_least_cost_start_is_a_basic_coupling(supply, demand, cost):
+    m, n = cost.shape
+    mass, basis = _least_cost(supply, demand, cost)
+    _tree(basis, cost.tolist(), m, n)  # raises unless a spanning tree
+    assert len(set(basis)) == m + n - 1
+    off = np.ones((m, n), dtype=bool)
+    off[tuple(np.array(basis).T)] = False
+    assert np.all(mass[off] == 0.0)
+    assert np.all(mass >= 0.0)
+    assert np.all(np.abs(mass.sum(axis=1) - supply) <= TAU_MASS)
+    assert np.all(np.abs(mass.sum(axis=0) - demand) <= TAU_MASS)
+
+
+def test_least_cost_start_fills_cheapest_cells_first():
+    cost = np.array([[3.0, 1.0], [2.0, 4.0]])
+    mass, basis = _least_cost(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cost)
+    assert mass.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    # the tie at (0, 1) closes row 0 and leaves column 1 open; the last
+    # open row and column meet on a zero-mass basic cell
+    assert basis == [(0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("n", [16, 40, 60])
+def test_least_cost_start_needs_no_more_pivots_than_northwest(n):
+    rng = np.random.default_rng(n)
+    ground = labels(n)
+    lam = rand_dist(rng, ground)
+    mu = rand_dist(rng, ground)
+    cost = euclidean_metric(rng, ground).cost
+    cold = _simplex(lam.probs, mu.probs, cost)
+    staircase = _simplex(lam.probs, mu.probs, cost,
+                         warm=_northwest(lam.probs, mu.probs))
+    assert cold.pivots <= staircase.pivots
+    assert abs(np.sum(cost * cold.mass) - np.sum(cost * staircase.mass)) <= 1e-12
+    again = _simplex(lam.probs, mu.probs, cost)
+    assert (again.pivots, again.degenerate_pivots) == (cold.pivots,
+                                                        cold.degenerate_pivots)
+
+
+def full_range_bisection(lam, mu, metric):
+    """The bottleneck search before the least-cost bracket: a phase-1 solve
+    at the largest cost, from the north-west corner, then bisection over
+    every distinct cost, each test warm from the last feasible plan."""
+    cost = metric.submatrix(lam.ground, mu.ground)
+    values = np.unique(cost)
+    lo, hi = 0, values.size - 1
+    ok, plan = _feasible_on(lam.probs, mu.probs, cost <= values[hi],
+                            warm=_northwest(lam.probs, mu.probs))
+    assert ok
+    while lo < hi:
+        mid = (lo + hi) // 2
+        ok_mid, trial = _feasible_on(
+            lam.probs, mu.probs, cost <= values[mid], warm=(plan.mass, plan.basis)
+        )
+        if ok_mid:
+            hi = mid
+            plan = trial
+        else:
+            lo = mid + 1
+    mass = _clamped(plan.mass, cost <= values[hi])
+    support = mass > TAU_ZERO
+    return float(cost[support].max()) if np.any(support) else 0.0
+
+
+@given(st.integers(2, 14), st.integers(0, 2), st.integers(0, 4),
+       st.integers(0, 10**6))
+def test_wasserstein_inf_equals_full_range_bisection(n, family, zeros, seed):
+    rng = np.random.default_rng(seed)
+    ground = labels(n)
+    if family == 0:
+        metric = euclidean_metric(rng, ground)
+    elif family == 1:
+        metric = shuffled_line_metric(rng, ground)
+    else:
+        metric = GroundMetric.discrete(ground)
+    if family == 2 and seed % 2:
+        # uniform against a shuffled multinomial: ties everywhere
+        lam = uniform_distribution(ground)
+        mu = FiniteDistribution(ground, rng.multinomial(n, np.ones(n) / n) / n)
+    else:
+        lam = rand_dist(rng, ground, zeros=zeros)
+        mu = rand_dist(rng, ground, zeros=zeros)
+    got = wasserstein_inf(lam, mu, metric)
+    assert got.cost == full_range_bisection(lam, mu, metric)
+    assert validate_coupling(got.coupling, lam, mu)
+
+
+def test_wasserstein_inf_needs_no_search_when_the_start_is_optimal():
+    ground = labels(10)
+    lam = rand_dist(np.random.default_rng(3), ground)
+    got = wasserstein_inf(lam, lam, GroundMetric.discrete(ground))
+    assert got.cost == 0.0
+    assert (got.pivots, got.search_steps) == (0, 0)
+    assert np.array_equal(got.coupling.mass, np.diag(lam.probs))
 
 
 # ---------------------------------------------------------------------------
