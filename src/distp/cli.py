@@ -5,6 +5,14 @@ compose. JSON reports go to stdout with a "config" block echoing the seed,
 tolerance overrides, and tool version, so runs are self-describing and
 reproducible. Exit codes: 0 success (audit verdict pass), 2 audit verdict
 fail, 1 error.
+
+Arguments are parsed before numpy or any numpy module of distp loads:
+this module imports only the standard library, ``errors``, ``tolerances``
+and the package's lazy submodules, and each handler reaches the library
+through a module attribute (``fileio.load_json``, ``transport.emd``), so
+a module executes when a handler first touches it. ``--version``,
+``--help`` and usage errors therefore cost an interpreter start and
+argparse, and ``obfuscate`` never loads the auditors.
 """
 
 from __future__ import annotations
@@ -14,73 +22,35 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
-import numpy as np
-
-from . import __version__
-from .audit import (
-    AuditReport,
-    audit_distp,
-    audit_div_dp,
-    audit_div_xdp,
-    audit_xdistp,
+from . import (
+    __version__,
+    audit,
+    divergences,
+    fileio,
+    finite_prob,
+    mechanisms,
+    transport,
 )
-from .divergences import KIND_BY_NAME, MaxDivergence, divergence_value
 from .errors import DistpError, ValidationError
-from .fileio import (
-    coupling_from_dict,
-    coupling_to_dict,
-    cp_spec_to_dict,
-    distribution_from_dict,
-    dumps_json,
-    jsonable,
-    kernel_from_dict,
-    kernel_to_dict,
-    labels_to_csv,
-    load_json,
-    load_labels_csv,
-    load_mechanism,
-    metric_from_csv,
-    relation_from_obj,
-)
-from .finite_prob import DistributionPairRelation, PointRelation
-from .mechanisms import (
-    CouplingMechanismSpec,
-    KernelFamily,
-    build_coupling_mechanism,
-    cp_kernel,
-    liftseq_compose,
-    post_process,
-    sample_outputs,
-    seq_compose,
-)
 from .tolerances import DEFAULT_SEED, TAU_MASS, TAU_NUM
-from .transport import coupling_cost, emd, northwest_corner, wasserstein_inf, wasserstein_p
 
-DIVERGENCE_CHOICES = tuple(KIND_BY_NAME) + ("max", "max-delta")
+# divergences.KIND_BY_NAME, spelled out so that parsing loads no numpy
+DIVERGENCE_CHOICES = ("kl", "rkl", "tv", "chi2", "hellinger", "max",
+                      "max-delta")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig",
+                           ("seed", "exact_subsets", "tau_mass", "tau_num",
+                            "format"),
+                           defaults=(DEFAULT_SEED, False, TAU_MASS, TAU_NUM,
+                                     "json"))):
     """Settings echoed into every JSON report."""
 
-    seed: int = DEFAULT_SEED
-    exact_subsets: bool = False
-    tau_mass: float = TAU_MASS
-    tau_num: float = TAU_NUM
-    format: str = "json"
-
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "exact_subsets": self.exact_subsets,
-            "tau_mass": self.tau_mass,
-            "tau_num": self.tau_num,
-            "format": self.format,
-            "tool_version": __version__,
-        }
+        return {**self._asdict(), "tool_version": __version__}
 
 
 class _UsageError(Exception):
@@ -105,21 +75,21 @@ def _config(args) -> RunConfig:
 
 
 def _emit(payload: dict, config: RunConfig) -> None:
-    sys.stdout.write(dumps_json({"config": config.to_dict(), **payload}))
+    sys.stdout.write(fileio.dumps_json({"config": config.to_dict(), **payload}))
 
 
 def _load_distribution(path: str, tau_mass: float):
-    return distribution_from_dict(load_json(path), tau_mass)
+    return fileio.distribution_from_dict(fileio.load_json(path), tau_mass)
 
 
 def _resolve_divergence(args):
     if args.divergence == "max":
-        return MaxDivergence(0.0)
+        return divergences.MaxDivergence(0.0)
     if args.divergence == "max-delta":
         if args.delta is None:
             raise ValidationError("divergence 'max-delta' needs --delta")
-        return MaxDivergence(args.delta)
-    return KIND_BY_NAME[args.divergence]
+        return divergences.MaxDivergence(args.delta)
+    return divergences.KIND_BY_NAME[args.divergence]
 
 
 def cmd_divergence(args) -> int:
@@ -127,7 +97,7 @@ def cmd_divergence(args) -> int:
     lhs = _load_distribution(args.lhs, cfg.tau_mass)
     rhs = _load_distribution(args.rhs, cfg.tau_mass)
     divergence = _resolve_divergence(args)
-    value = divergence_value(divergence, lhs, rhs, cfg.exact_subsets)
+    value = divergences.divergence_value(divergence, lhs, rhs, cfg.exact_subsets)
     _emit({"kind": divergence.name, "value": value}, cfg)
     return 0
 
@@ -136,18 +106,18 @@ def cmd_emd(args) -> int:
     cfg = _config(args)
     lhs = _load_distribution(args.lhs, cfg.tau_mass)
     rhs = _load_distribution(args.rhs, cfg.tau_mass)
-    metric = metric_from_csv(args.cost)
+    metric = fileio.metric_from_csv(args.cost)
     if args.inf:
-        result = wasserstein_inf(lhs, rhs, metric)
+        result = transport.wasserstein_inf(lhs, rhs, metric)
         order = "inf"
     else:
         p = 1.0 if args.p is None else args.p
-        result = wasserstein_p(lhs, rhs, metric, p=p)
+        result = transport.wasserstein_p(lhs, rhs, metric, p=p)
         order = p
     payload = {
         "order": order,
         "cost": result.cost,
-        "coupling": coupling_to_dict(result.coupling),
+        "coupling": fileio.coupling_to_dict(result.coupling),
     }
     _emit(payload, cfg)
     return 0
@@ -157,17 +127,17 @@ def cmd_couple(args) -> int:
     cfg = _config(args)
     lhs = _load_distribution(args.lhs, cfg.tau_mass)
     rhs = _load_distribution(args.rhs, cfg.tau_mass)
-    metric = metric_from_csv(args.cost) if args.cost else None
+    metric = fileio.metric_from_csv(args.cost) if args.cost else None
     if args.northwest:
-        coupling = northwest_corner(lhs, rhs)
-        cost = coupling_cost(coupling, metric) if metric else None
+        coupling = transport.northwest_corner(lhs, rhs)
+        cost = transport.coupling_cost(coupling, metric) if metric else None
     else:
         if metric is None:
             raise ValidationError("provide --cost for an optimal coupling "
                                   "or pass --northwest")
-        result = emd(lhs, rhs, metric)
+        result = transport.emd(lhs, rhs, metric)
         coupling, cost = result.coupling, result.cost
-    _emit({"cost": cost, "coupling": coupling_to_dict(coupling)}, cfg)
+    _emit({"cost": cost, "coupling": fileio.coupling_to_dict(coupling)}, cfg)
     return 0
 
 
@@ -181,16 +151,18 @@ def _object_map(data, load, tau_mass: float, message: str) -> dict:
 def cmd_couple_mech(args) -> int:
     cfg = _config(args)
     target = _load_distribution(args.target, cfg.tau_mass)
-    approx = _object_map(load_json(args.inputs), distribution_from_dict,
-                         cfg.tau_mass, "--inputs file must map auxiliary values "
+    approx = _object_map(fileio.load_json(args.inputs),
+                         fileio.distribution_from_dict, cfg.tau_mass,
+                         "--inputs file must map auxiliary values "
                          "to distribution objects")
-    metric = metric_from_csv(args.cost) if args.cost else None
+    metric = fileio.metric_from_csv(args.cost) if args.cost else None
     couplings = None
     if args.couplings:
-        couplings = _object_map(load_json(args.couplings), coupling_from_dict,
-                                cfg.tau_mass, "--couplings file must map "
+        couplings = _object_map(fileio.load_json(args.couplings),
+                                fileio.coupling_from_dict, cfg.tau_mass,
+                                "--couplings file must map "
                                 "auxiliary values to coupling objects")
-    spec = build_coupling_mechanism(
+    spec = mechanisms.build_coupling_mechanism(
         target,
         approx,
         args.mode,
@@ -198,8 +170,8 @@ def cmd_couple_mech(args) -> int:
         couplings=couplings,
         fallback=args.fallback,
     )
-    payload = cp_spec_to_dict(spec)
-    text = dumps_json({"config": cfg.to_dict(), **payload})
+    payload = fileio.cp_spec_to_dict(spec)
+    text = fileio.dumps_json({"config": cfg.to_dict(), **payload})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -208,20 +180,22 @@ def cmd_couple_mech(args) -> int:
 
 
 def cmd_obfuscate(args) -> int:
+    import numpy as np
+
     cfg = _config(args)
-    mechanism = load_mechanism(args.mech, cfg.tau_mass)
-    if isinstance(mechanism, CouplingMechanismSpec):
+    mechanism = fileio.load_mechanism(args.mech, cfg.tau_mass)
+    if isinstance(mechanism, mechanisms.CouplingMechanismSpec):
         if args.aux is None:
             raise ValidationError("mechanism spec needs --aux to pick a kernel")
-        kernel = cp_kernel(mechanism, args.aux)
+        kernel = mechanisms.cp_kernel(mechanism, args.aux)
     else:
         if args.aux is not None:
             raise ValidationError("--aux only applies to mechanism spec files")
         kernel = mechanism
-    labels = load_labels_csv(args.data, header="x")
+    labels = fileio.load_labels_csv(args.data, header="x")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    outputs = sample_outputs(kernel, labels, rng)
-    text = labels_to_csv(outputs, header="y")
+    outputs = mechanisms.sample_outputs(kernel, labels, rng)
+    text = fileio.labels_to_csv(outputs, header="y")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -229,7 +203,7 @@ def cmd_obfuscate(args) -> int:
     return 0
 
 
-def _audit_csv(report: AuditReport, tau_num: float) -> str:
+def _audit_csv(report: audit.AuditReport, tau_num: float) -> str:
     """One row per pair, written from the report's columns. A float cell
     reads as its JSON token does (``str`` of an infinity is ``inf``), and the
     per-pair value and verdict are taken as ``PairAudit`` takes them."""
@@ -238,7 +212,7 @@ def _audit_csv(report: AuditReport, tau_num: float) -> str:
     if report.claimed_eps is None:
         bounds = verdicts = repeat("")
     else:
-        bounds = repeat(jsonable(report.claimed_eps))
+        bounds = repeat(fileio.jsonable(report.claimed_eps))
         limit = report.claimed_eps + tau_num
         verdicts = ["true" if v <= limit else "false" for v in values]
     buf = io.StringIO()
@@ -250,31 +224,33 @@ def _audit_csv(report: AuditReport, tau_num: float) -> str:
 
 def cmd_audit(args) -> int:
     cfg = _config(args)
-    mechanism = load_mechanism(args.mech, cfg.tau_mass)
-    relation = relation_from_obj(load_json(args.relation), cfg.tau_mass)
+    mechanism = fileio.load_mechanism(args.mech, cfg.tau_mass)
+    relation = fileio.relation_from_obj(fileio.load_json(args.relation),
+                                        cfg.tau_mass)
     divergence = _resolve_divergence(args)
-    metric = metric_from_csv(args.metric) if args.metric else None
+    metric = fileio.metric_from_csv(args.metric) if args.metric else None
 
-    if isinstance(relation, PointRelation):
+    if isinstance(relation, finite_prob.PointRelation):
         if args.wasserstein is not None:
             raise ValidationError(
                 "--wasserstein needs a relation over distributions"
             )
-        if isinstance(mechanism, CouplingMechanismSpec):
+        if isinstance(mechanism, mechanisms.CouplingMechanismSpec):
             # a spec picks its kernel per auxiliary value, so its label
             # pairs are audited as pairs of point masses, whose W1 under
             # a metric is the label distance
             ground = mechanism.entries[0].approx_input.ground
-            relation = DistributionPairRelation.from_point_relation(relation, ground)
+            relation = finite_prob.DistributionPairRelation.from_point_relation(
+                relation, ground)
     options = {"claimed_eps": args.claimed_eps, "exact_subsets": cfg.exact_subsets}
     if metric is not None:
         options["metric"] = metric
-    if isinstance(relation, PointRelation):
-        auditor = audit_div_dp if metric is None else audit_div_xdp
+    if isinstance(relation, finite_prob.PointRelation):
+        auditor = audit.audit_div_dp if metric is None else audit.audit_div_xdp
     elif metric is None:
-        auditor = audit_distp
+        auditor = audit.audit_distp
     else:
-        auditor = audit_xdistp
+        auditor = audit.audit_xdistp
         options["wasserstein"] = args.wasserstein or "1"
     report = auditor(mechanism, relation, divergence=divergence, **options)
 
@@ -286,26 +262,28 @@ def cmd_audit(args) -> int:
 
 
 def _load_second_stage(path: str, tau_mass: float):
-    data = load_json(path)
+    data = fileio.load_json(path)
     if isinstance(data, dict) and "branches" in data:
-        return KernelFamily(_object_map(
-            data["branches"], kernel_from_dict, tau_mass,
+        return mechanisms.KernelFamily(_object_map(
+            data["branches"], fileio.kernel_from_dict, tau_mass,
             "'branches' must map first-stage outputs to kernel objects",
         ))
-    return kernel_from_dict(data, tau_mass)
+    return fileio.kernel_from_dict(data, tau_mass)
 
 
 def cmd_compose(args) -> int:
     cfg = _config(args)
-    first = kernel_from_dict(load_json(args.first), cfg.tau_mass)
+    first = fileio.kernel_from_dict(fileio.load_json(args.first), cfg.tau_mass)
     if args.op == "post":
-        second = kernel_from_dict(load_json(args.second), cfg.tau_mass)
-        composed = post_process(first, second)
+        second = fileio.kernel_from_dict(fileio.load_json(args.second),
+                                         cfg.tau_mass)
+        composed = mechanisms.post_process(first, second)
     else:
         second = _load_second_stage(args.second, cfg.tau_mass)
-        combine = seq_compose if args.op == "seq" else liftseq_compose
+        combine = (mechanisms.seq_compose if args.op == "seq"
+                   else mechanisms.liftseq_compose)
         composed = combine(first, second, marginalize=args.marginalize)
-    _emit(kernel_to_dict(composed), cfg)
+    _emit(fileio.kernel_to_dict(composed), cfg)
     return 0
 
 
@@ -363,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_couple)
 
     p = subs.add_parser("couple-mech", help="coupling mechanism operations")
+    p.set_defaults(help_parser=p)  # shown when no action is given
     actions = p.add_subparsers(dest="action", metavar="action")
     b = actions.add_parser("build", help="assemble a coupling mechanism spec")
     b.add_argument("--target", required=True, help="target distribution JSON")
@@ -420,7 +399,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not hasattr(args, "func"):
-        parser.print_help(sys.stderr)
+        getattr(args, "help_parser", parser).print_help(sys.stderr)
         return 1
     try:
         return args.func(args)

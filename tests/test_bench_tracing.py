@@ -7,6 +7,8 @@ traced calls, and uninstalls it again. The benchmark code is only read.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +28,8 @@ from distp import (
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+TRACED_CLI = TRACING.with_name("traced_cli.py")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -78,3 +82,28 @@ def test_tracer_installs_and_uninstalls(tracing):
     assert distp.aux_kernel is aux_kernel
     assert distp.build_coupling_mechanism is build_coupling_mechanism
     assert distp.lift is lift
+
+
+@pytest.mark.parametrize("args, golden, span", [
+    (("--version",), None, None),
+    (("obfuscate", "--mech", str(GOLDEN / "inputs" / "kernel.json"),
+      "--data", str(GOLDEN / "inputs" / "data.csv")),
+     GOLDEN / "obfuscate_kernel.out", "mechanisms.sample_outputs"),
+])
+def test_traced_cli_child_matches_plain_cli(args, golden, span, tmp_path):
+    """A fresh traced CLI process installs the tracer on the package's lazy
+    modules and prints what the plain CLI prints."""
+    spans_path = tmp_path / "spans.json"
+    traced = subprocess.run([sys.executable, str(TRACED_CLI), str(spans_path),
+                             *args], capture_output=True)
+    plain = subprocess.run([sys.executable, "-m", "distp.cli", *args],
+                           capture_output=True)
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+    if golden is not None:
+        assert traced.stdout == golden.read_bytes()
+    names = [name for name, *_ in json.loads(spans_path.read_text())["spans"]]
+    assert "cli.main" in names
+    if span is not None:
+        assert span in names

@@ -72,6 +72,14 @@ def test_no_command_exits_one():
     run(expect=1)
 
 
+def test_missing_action_prints_the_deepest_help():
+    proc = run("couple-mech", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: distp couple-mech")
+    assert "build" in proc.stderr
+    assert run(expect=1).stderr.startswith("usage: distp [-h] [--version]")
+
+
 def test_unknown_flag_exits_one(files):
     proc = run("emd", "--bogus", "x", expect=1)
     assert "error" in proc.stderr.lower()

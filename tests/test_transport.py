@@ -51,6 +51,9 @@ GROUND3 = ("1", "2", "3")
 LAM = FiniteDistribution(GROUND3, np.array([0.2, 0.5, 0.3]))
 MU = FiniteDistribution(GROUND3, np.array([0.3, 0.2, 0.5]))
 LINE3 = GroundMetric.line(GROUND3)
+# Dual feasibility of a returned basis certifies its cost optimal to within
+# this much (the marginals have unit mass), the precision of the LP oracles.
+REDUCED_COST_TOL = 1e-12
 
 
 def linprog_cost(supply, demand, cost, mask=None):
@@ -71,9 +74,19 @@ def linprog_cost(supply, demand, cost, mask=None):
             (0.0, None) if ok else (0.0, 0.0) for ok in mask.ravel()
         ],
         method="highs",
+        # at HiGHS's default feasibility tolerances (1e-7) its value was more
+        # than 1e-12 off on 14 of 1,200 random 27-point Euclidean instances
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def assert_dual_certificate(result, cost):
+    """The potentials of ``result.basis`` price no arc below its cost."""
+    u, v = dual_potentials(result.basis, cost)
+    assert (cost - u[:, None] - v[None, :]).min() >= -REDUCED_COST_TOL
 
 
 def linprog_feasible(supply, demand, mask):
@@ -617,6 +630,7 @@ def test_emd_matches_lp_euclidean_ladder(n):
     metric = euclidean_metric(rng, ground)
     got = emd(lam, mu, metric)
     assert abs(got.cost - linprog_cost(lam.probs, mu.probs, metric.cost)) <= 1e-12
+    assert_dual_certificate(got, metric.cost)
     assert validate_coupling(got.coupling, lam, mu)
 
 
@@ -633,6 +647,7 @@ def test_emd_matches_lp_rectangular_and_zero_rows(rng):
         )
         got = emd(lam, mu, union)
         assert abs(got.cost - linprog_cost(lam.probs, mu.probs, cost)) <= 1e-12
+        assert_dual_certificate(got, cost)
         assert validate_coupling(got.coupling, lam, mu)
         assert np.all(got.coupling.mass[lam.probs == 0.0] == 0.0)
 
@@ -646,6 +661,7 @@ def test_emd_matches_lp_discrete_metric_uniform_marginals(rng):
         got = emd(lam, mu, metric)
         want = linprog_cost(lam.probs, mu.probs, metric.cost)
         assert abs(got.cost - want) <= 1e-12
+        assert_dual_certificate(got, metric.cost)
         assert got.cost == pytest.approx(0.5 * np.abs(lam.probs - mu.probs).sum())
 
 
