@@ -36,8 +36,8 @@ _EXPORTS = {
         "check_cp_theorem", "expected_utility_loss", "worst_case_loss",
     ),
     "divergences": (
-        "CHI_SQUARED", "HELLINGER", "KIND_BY_NAME", "KL", "MAX_EXACT_SUPPORT",
-        "REVERSE_KL", "STANDARD_KINDS", "TOTAL_VARIATION", "Divergence",
+        "CHI_SQUARED", "HELLINGER", "KIND_BY_NAME", "KL", "REVERSE_KL",
+        "STANDARD_KINDS", "TOTAL_VARIATION", "Divergence",
         "FDivergenceKind", "MaxDivergence", "approx_max_divergence",
         "custom_kind", "delta_required", "divergence_value", "f_divergence",
         "max_divergence",

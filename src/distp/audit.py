@@ -166,13 +166,10 @@ def _audit(
     claimed: float | None,
     *,
     distances: np.ndarray | None = None,
-    exact_subsets: bool,
 ) -> AuditReport:
     """Audit output rows ``table[left[i]]`` against ``table[right[i]]``, in
     both directions, per unit of ``distances[i]`` if given."""
-    forward, backward = _divergence_columns(
-        divergence, table, left, right, exact_subsets
-    )
+    forward, backward = _divergence_columns(divergence, table, left, right)
     if distances is not None:
         forward = _per_distance(forward, distances)
         backward = _per_distance(backward, distances)
@@ -187,13 +184,12 @@ def audit_div_dp(
     *,
     exact_subsets: bool = False,
 ) -> AuditReport:
-    """Worst divergence between output rows over all related input pairs."""
+    """Worst divergence between output rows over all related input pairs
+    (``exact_subsets`` is ignored; it is kept for compatibility)."""
     left, right = _relation_indices(kernel, phi)
     labels = [pair_label(a, b) for a, b in phi]
-    return _audit(
-        NOTION_DP, divergence, labels, kernel.matrix, left, right, claimed_eps,
-        exact_subsets=exact_subsets,
-    )
+    return _audit(NOTION_DP, divergence, labels, kernel.matrix, left, right,
+                  claimed_eps)
 
 
 def audit_div_xdp(
@@ -205,7 +201,8 @@ def audit_div_xdp(
     *,
     exact_subsets: bool = False,
 ) -> AuditReport:
-    """Worst divergence per unit input distance over all related pairs."""
+    """Worst divergence per unit input distance over all related pairs
+    (``exact_subsets`` is ignored; it is kept for compatibility)."""
     left, right = _relation_indices(kernel, phi)
     labels = [pair_label(a, b) for a, b in phi]
     # Look up each kernel row that the relation uses in the metric once, in
@@ -218,7 +215,7 @@ def audit_div_xdp(
     distances = metric.cost[rows[left], rows[right]]
     return _audit(
         NOTION_XDP, divergence, labels, kernel.matrix, left, right, claimed_eps,
-        distances=distances, exact_subsets=exact_subsets,
+        distances=distances,
     )
 
 
@@ -264,12 +261,10 @@ def audit_distp(
 ) -> AuditReport:
     """Worst divergence between lifted outputs over related distribution
     pairs. Accepts a single kernel, a family indexed by auxiliary values,
-    or a coupling mechanism."""
+    or a coupling mechanism. ``exact_subsets`` is ignored; it is kept for
+    compatibility."""
     _, labels, table, left, right = _lifted_pairs(mechanism, psi)
-    return _audit(
-        NOTION_DISTP, divergence, labels, table, left, right, claimed_eps,
-        exact_subsets=exact_subsets,
-    )
+    return _audit(NOTION_DISTP, divergence, labels, table, left, right, claimed_eps)
 
 
 WASSERSTEIN_ONE = "1"
@@ -288,7 +283,8 @@ def audit_xdistp(
     """Worst lifted divergence per unit of input Wasserstein distance.
 
     ``wasserstein`` picks the denominator: "1" (default), "inf", or a
-    numeric order p >= 1.
+    numeric order p >= 1. ``exact_subsets`` is ignored; it is kept for
+    compatibility.
     """
     index, labels, table, left, right = _lifted_pairs(mechanism, psi)
     distances = np.array([
@@ -297,7 +293,7 @@ def audit_xdistp(
     ])
     return _audit(
         NOTION_XDISTP, divergence, labels, table, left, right, claimed_eps,
-        distances=distances[index], exact_subsets=exact_subsets,
+        distances=distances[index],
     )
 
 
@@ -384,7 +380,8 @@ def check_cp_theorem(
     true input and its estimate; it must be finite (matching supports). The
     audited bounds, over all pairs of auxiliary values: max divergence at
     most twice the level; KL at most 2 * eps * e^eps; and for each built-in
-    f-divergence kind, at most e^eps * f(e^(2*eps)).
+    f-divergence kind, at most e^eps * f(e^(2*eps)). ``exact_subsets`` is
+    ignored; it is kept for compatibility.
     """
     missing = [s for s in spec.aux if s not in actual_inputs]
     if missing:
@@ -421,8 +418,7 @@ def check_cp_theorem(
         bounds.append((f"f:{kind.name}", kind, bound))
     checks = tuple(
         BoundCheck(name, bound, _audit(
-            NOTION_DISTP, divergence, labels, table, first, second, bound,
-            exact_subsets=exact_subsets,
+            NOTION_DISTP, divergence, labels, table, first, second, bound
         ))
         for name, divergence, bound in bounds
     )

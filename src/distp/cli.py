@@ -97,7 +97,7 @@ def cmd_divergence(args) -> int:
     lhs = _load_distribution(args.lhs, cfg.tau_mass)
     rhs = _load_distribution(args.rhs, cfg.tau_mass)
     divergence = _resolve_divergence(args)
-    value = divergences.divergence_value(divergence, lhs, rhs, cfg.exact_subsets)
+    value = divergences.divergence_value(divergence, lhs, rhs)
     _emit({"kind": divergence.name, "value": value}, cfg)
     return 0
 
@@ -242,7 +242,7 @@ def cmd_audit(args) -> int:
             ground = mechanism.entries[0].approx_input.ground
             relation = finite_prob.DistributionPairRelation.from_point_relation(
                 relation, ground)
-    options = {"claimed_eps": args.claimed_eps, "exact_subsets": cfg.exact_subsets}
+    options = {"claimed_eps": args.claimed_eps}
     if metric is not None:
         options["metric"] = metric
     if isinstance(relation, finite_prob.PointRelation):
@@ -302,7 +302,7 @@ def _divergence_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--delta", type=float, default=None,
                      help="slack for the max-delta divergence")
     sub.add_argument("--exact-subsets", action="store_true",
-                     help="cross-check slack divergences by subset enumeration")
+                     help="no effect; the prefix rule is exact; kept for compatibility")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,9 +36,6 @@ from .tolerances import TAU_NUM, TAU_ZERO
 
 INF = math.inf
 
-# Exhaustive event enumeration is limited to supports of this size.
-MAX_EXACT_SUPPORT = 20
-
 
 @dataclass(frozen=True)
 class FDivergenceKind:
@@ -154,11 +151,6 @@ class MaxDivergence:
 Divergence = FDivergenceKind | MaxDivergence
 
 
-def _require_shared_ground(mu: FiniteDistribution, nu: FiniteDistribution) -> None:
-    if mu.ground != nu.ground:
-        raise GroundMismatchError("divergence requires a shared ground set")
-
-
 # The row kernel works through (pairs x |Y|) inputs this many cells at a
 # time, which bounds every temporary it allocates whatever the pair count.
 # A float block is 32 KiB. glibc hands the top of the heap back to the
@@ -176,14 +168,14 @@ def _row_blocks(rows: int, cols: int):
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def _row_function(divergence: Divergence, exact_subsets: bool):
+def _row_function(divergence: Divergence):
     """The function evaluating ``divergence`` on a block of row pairs."""
     if isinstance(divergence, FDivergenceKind):
         return lambda P, Q: _f_rows(divergence, P, Q)
     if isinstance(divergence, MaxDivergence):
         if divergence.delta == 0.0:
             return _max_rows
-        return lambda P, Q: _prefix_rows(P, Q, divergence.delta, exact_subsets)
+        return lambda P, Q: _prefix_rows(P, Q, divergence.delta)
     raise ValidationError(f"unknown divergence descriptor {divergence!r}")
 
 
@@ -211,18 +203,16 @@ def _both_directions(rows, table, left, right):
     return values[: len(left)], values[len(left):]
 
 
-def _divergence_rows(divergence, table, left, right, exact_subsets) -> np.ndarray:
+def _divergence_rows(divergence, table, left, right) -> np.ndarray:
     """Divergence of row ``left[i]`` of ``table`` from row ``right[i]``, for
     every i, equal bit for bit to the one-row call on that pair."""
-    rows = _row_function(divergence, exact_subsets)
-    return _blocked_rows(rows, table, left, right)
+    return _blocked_rows(_row_function(divergence), table, left, right)
 
 
-def _divergence_columns(divergence, table, left, right, exact_subsets):
+def _divergence_columns(divergence, table, left, right):
     """``_divergence_rows`` of every pair forward and backward, each distinct
     ordered row pair evaluated once."""
-    rows = _row_function(divergence, exact_subsets)
-    return _both_directions(rows, table, left, right)
+    return _both_directions(_row_function(divergence), table, left, right)
 
 
 def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -265,12 +255,20 @@ def _max_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.where(np.any(on & ~use, axis=1), INF, logs.max(axis=1))
 
 
-def _prefix_rows(P, Q, delta: float, exact_subsets: bool) -> np.ndarray:
+def _prefix_rows(P, Q, delta: float) -> np.ndarray:
+    """Slack-delta max divergence of each row pair, over prefixes only.
+
+    Some prefix of supp(P) sorted by decreasing P/Q attains the largest
+    ln((P[R] - delta) / Q[R]) (Dinkelbach's fractional-programming
+    argument). Let R* be optimal with t* = (P[R*] - delta) / Q[R*] > 0.
+    Adding a label with P[y] >= t* Q[y] cannot lower the ratio; dropping one
+    with P[y] < t* Q[y] raises it and keeps P[R] > delta, since
+    P[R*] - delta - P[y] > t* (Q[R*] - Q[y]) >= 0. So the labels of ratio at
+    least t*, a prefix (ties are all in or all out), are optimal. Labels
+    with Q = 0 head the order: +inf when their mass exceeds delta. With no
+    event of mass above delta the value is -inf.
+    """
     on = P > TAU_ZERO
-    if exact_subsets:
-        return np.array([
-            _exact_event_max(p[m], q[m], delta) for p, q, m in zip(P, Q, on)
-        ])
     # Support entries sorted by decreasing likelihood ratio (stable, so ties
     # keep ground order), then the entries outside the support.
     ratios = np.divide(P, Q, out=np.full(P.shape, INF), where=Q > TAU_ZERO)
@@ -286,8 +284,8 @@ def _prefix_rows(P, Q, delta: float, exact_subsets: bool) -> np.ndarray:
     valid = inside & (cp >= delta) & (cp - delta > 0.0)
     best = np.zeros(cp.shape)
     np.divide(cp - delta, cq, out=best, where=valid & (cq > TAU_ZERO))
-    # The log of the best ratio is the best log (log is monotone); math.log,
-    # as in the per-event definition, since np.log can differ in the last bit.
+    # The log of the best ratio is the best log (log is monotone); math.log
+    # because np.log can differ in the last bit and would move delta goldens.
     logs = [math.log(t) if t > 0.0 else -INF for t in best.max(axis=0)]
     return np.where(np.any(valid & (cq <= TAU_ZERO), axis=0), INF, logs)
 
@@ -320,51 +318,12 @@ def approx_max_divergence(
     """Max divergence with additive slack.
 
     Maximizes ``ln((mu[R] - delta) / nu[R])`` over events R inside supp(mu)
-    with mu[R] >= delta. Events whose numerator vanishes contribute -inf;
-    if no event has positive numerator the result is -inf (a vacuous
-    constraint, reported as a sentinel rather than an error).
-
-    The default path evaluates prefixes of the support sorted by decreasing
-    likelihood ratio (ratio-level sets), which attain the maximum; set
-    ``exact_subsets`` to enumerate every event instead (supports up to
-    ``MAX_EXACT_SUPPORT`` labels).
+    with mu[R] >= delta, by the prefix rule of ``_prefix_rows``; -inf if no
+    event has mu[R] > delta (a vacuous constraint, reported as a sentinel
+    rather than an error). ``exact_subsets`` is ignored; it is kept for
+    compatibility.
     """
-    _require_shared_ground(mu, nu)
-    if not (0.0 <= delta <= 1.0):
-        raise ValidationError(f"delta {delta:g} outside [0, 1]")
-    rows = _prefix_rows(mu.probs[None, :], nu.probs[None, :], delta, exact_subsets)
-    return float(rows[0])
-
-
-def _exact_event_max(ps: np.ndarray, qs: np.ndarray, delta: float) -> float:
-    """Enumerate all events over the support (chunked bitmask sweep)."""
-    k = ps.size
-    if k > MAX_EXACT_SUPPORT:
-        raise ValidationError(
-            f"exact event enumeration limited to supports of size "
-            f"{MAX_EXACT_SUPPORT}, got {k}"
-        )
-    best = 0.0
-    total = 1 << k
-    shifts = np.arange(k)
-    chunk = 1 << 16
-    for start in range(1, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        bits = (codes[:, None] >> shifts[None, :]) & 1
-        P = bits @ ps
-        Q = bits @ qs
-        num = P - delta
-        ok = (P >= delta) & (num > 0.0)
-        if not np.any(ok):
-            continue
-        numk = num[ok]
-        Qk = Q[ok]
-        if np.any(Qk <= TAU_ZERO):
-            return INF
-        best = max(best, float(np.max(numk / Qk)))
-    # math.log of the best ratio, as the prefix rule takes it.
-    return math.log(best) if best > 0.0 else -INF
+    return divergence_value(MaxDivergence(delta), mu, nu)
 
 
 def _relation_indices(kernel: StochasticKernel, phi: PointRelation):
@@ -410,7 +369,9 @@ def divergence_value(
     nu: FiniteDistribution,
     exact_subsets: bool = False,
 ) -> float:
-    """Evaluate an f-divergence or (slack) max divergence descriptor."""
-    rows = _row_function(divergence, exact_subsets)
-    _require_shared_ground(mu, nu)
+    """Evaluate an f-divergence or (slack) max divergence descriptor
+    (``exact_subsets`` is ignored; it is kept for compatibility)."""
+    rows = _row_function(divergence)
+    if mu.ground != nu.ground:
+        raise GroundMismatchError("divergence requires a shared ground set")
     return float(rows(mu.probs[None, :], nu.probs[None, :])[0])

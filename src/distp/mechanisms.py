@@ -98,7 +98,7 @@ def geometric_mechanism(
     kernel = StochasticKernel(ground, ground, matrix)
 
     first, second = np.nonzero(~np.eye(len(ground), dtype=bool))
-    levels = _divergence_rows(MaxDivergence(), kernel.matrix, first, second, False)
+    levels = _divergence_rows(MaxDivergence(), kernel.matrix, first, second)
     scaled = _per_distance(levels, cost[first, second])
     worst = float(np.max(scaled, initial=0.0))
     return GeometricMechanism(kernel, worst)

@@ -4,6 +4,9 @@ Every generator takes an explicit numpy Generator so suites stay
 reproducible; the hypothesis profile is derandomized for the same reason.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -141,3 +144,21 @@ def tilted(rng, dist, scale=0.2):
     u = rng.uniform(-scale, scale, size=len(dist.ground))
     w = dist.probs * np.exp(u)
     return FiniteDistribution(dist.ground, w / w.sum())
+
+
+def subset_oracle(p, q, delta):
+    """Brute-force maximum of ln((p[R] - delta) / q[R]) over events R inside
+    supp(p): every subset is summed on its own, with no ordering argument."""
+    support = [i for i, x in enumerate(p) if x > 1e-12]
+    best = -math.inf
+    for size in range(1, len(support) + 1):
+        for combo in itertools.combinations(support, size):
+            big_p = float(sum(p[i] for i in combo))
+            big_q = float(sum(q[i] for i in combo))
+            num = big_p - delta
+            if big_p < delta or num <= 0.0:
+                continue
+            if big_q <= 1e-12:
+                return math.inf
+            best = max(best, math.log(num / big_q))
+    return best

@@ -52,10 +52,10 @@ PALETTE = np.array([
 
 
 def eager_report(notion, divergence, labels, table, left, right, claimed, *,
-                 distances=None, exact_subsets):
+                 distances=None):
     """The report fields as the auditors built them with eager pairs."""
-    forward = _divergence_rows(divergence, table, left, right, exact_subsets)
-    backward = _divergence_rows(divergence, table, right, left, exact_subsets)
+    forward = _divergence_rows(divergence, table, left, right)
+    backward = _divergence_rows(divergence, table, right, left)
     if distances is not None:
         forward = _per_distance(forward, distances)
         backward = _per_distance(backward, distances)

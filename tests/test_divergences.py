@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from distp import (
     CHI_SQUARED,
     HELLINGER,
     KL,
-    MAX_EXACT_SUPPORT,
     REVERSE_KL,
     STANDARD_KINDS,
     TOTAL_VARIATION,
@@ -22,6 +20,7 @@ from distp import (
     PointRelation,
     ValidationError,
     approx_max_divergence,
+    audit_div_dp,
     custom_kind,
     delta_required,
     divergence_value,
@@ -32,7 +31,7 @@ from distp import (
     randomized_response,
     uniform_distribution,
 )
-from conftest import labels, rand_dist, rand_kernel
+from conftest import labels, rand_dist, rand_kernel, subset_oracle
 
 
 def dist(*probs):
@@ -229,23 +228,6 @@ def test_max_divergence_nonnegative(k, seed):
 # slack variant, checked against exhaustive event enumeration
 
 
-def subset_oracle(mu, nu, delta):
-    """Brute-force maximum of ln((mu[R] - delta) / nu[R]) over events."""
-    support = [i for i, p in enumerate(mu.probs) if p > 1e-12]
-    best = -math.inf
-    for size in range(1, len(support) + 1):
-        for combo in itertools.combinations(support, size):
-            big_p = float(sum(mu.probs[i] for i in combo))
-            big_q = float(sum(nu.probs[i] for i in combo))
-            num = big_p - delta
-            if big_p < delta or num <= 0.0:
-                continue
-            if big_q <= 1e-12:
-                return math.inf
-            best = max(best, math.log(num / big_q))
-    return best
-
-
 @pytest.mark.parametrize("delta", [0.0, 0.05, 0.1, 0.3])
 def test_prefix_matches_subset_oracle(rng, delta):
     for trial in range(60):
@@ -254,7 +236,7 @@ def test_prefix_matches_subset_oracle(rng, delta):
         mu = rand_dist(rng, labels(k), zeros=zeros)
         nu = rand_dist(rng, labels(k), zeros=zeros if trial % 3 else 0)
         got = approx_max_divergence(mu, nu, delta)
-        want = subset_oracle(mu, nu, delta)
+        want = subset_oracle(mu.probs, nu.probs, delta)
         if math.isinf(want):
             assert got == want
         else:
@@ -263,28 +245,30 @@ def test_prefix_matches_subset_oracle(rng, delta):
 
 @pytest.mark.parametrize("delta", [0.0, 0.1, 0.3])
 def test_exact_subsets_path_agrees(rng, delta):
-    for _ in range(20):
-        mu = rand_dist(rng, labels(6))
-        nu = rand_dist(rng, labels(6))
-        fast = approx_max_divergence(mu, nu, delta)
-        slow = approx_max_divergence(mu, nu, delta, exact_subsets=True)
-        assert fast == pytest.approx(slow, abs=1e-12)
-
-
-def test_exact_subsets_support_cap():
-    k = MAX_EXACT_SUPPORT + 1
-    mu = uniform_distribution(labels(k))
-    with pytest.raises(ValidationError, match="exact event enumeration"):
-        approx_max_divergence(mu, mu, 0.1, exact_subsets=True)
+    """``exact_subsets`` is a no-op kept for compatibility: the values are
+    those of the default call, bit for bit, on supports of any size."""
+    for k in (6, 6, 6, 25):
+        ground = labels(k)
+        mu, nu = rand_dist(rng, ground), rand_dist(rng, ground)
+        assert approx_max_divergence(mu, nu, delta, exact_subsets=True) == (
+            approx_max_divergence(mu, nu, delta)
+        )
+        kernel = rand_kernel(rng, labels(4), labels(k, "y"))
+        phi = PointRelation.full(kernel.inputs)
+        divergence = MaxDivergence(delta)
+        default = audit_div_dp(kernel, phi, divergence)
+        keyword = audit_div_dp(kernel, phi, divergence, exact_subsets=True)
+        assert keyword.forward.tolist() == default.forward.tolist()
+        assert keyword.backward.tolist() == default.backward.tolist()
+        assert keyword.to_dict() == default.to_dict()
 
 
 def test_zero_slack_equals_max_divergence(rng):
-    for _ in range(30):
-        mu = rand_dist(rng, labels(5))
-        nu = rand_dist(rng, labels(5))
-        assert approx_max_divergence(mu, nu, 0.0) == pytest.approx(
-            max_divergence(mu, nu), abs=1e-12
-        )
+    for _ in range(3000):
+        ground = labels(int(rng.integers(2, 7)))
+        mu = rand_dist(rng, ground)
+        nu = rand_dist(rng, ground)
+        assert approx_max_divergence(mu, nu, 0.0) == max_divergence(mu, nu)
 
 
 def test_slack_monotone_in_delta(rng):

@@ -97,9 +97,6 @@ def test_small_relations_count_their_distinct_ordered_pairs(rng):
         kernel, PointRelation([("x0", "x1"), ("x1", "x0"), ("x0", "x0"),
                                ("x2", "x1")])
     ) == 5
-    # the exact-subsets path is routed the same way
-    phi = PointRelation([("x0", "x1"), ("x1", "x0")])
-    assert audited_rows(kernel, phi, MaxDivergence(0.1), exact_subsets=True) == 2
 
 
 def test_delta_required_evaluates_each_ordered_pair_once(rng):
@@ -130,10 +127,10 @@ def palette_kernel(rows):
     return StochasticKernel(labels(len(rows)), labels(3, "y"), PALETTE[list(rows)])
 
 
-def plain_columns(divergence, table, left, right, exact_subsets):
+def plain_columns(divergence, table, left, right):
     return (
-        _divergence_rows(divergence, table, left, right, exact_subsets),
-        _divergence_rows(divergence, table, right, left, exact_subsets),
+        _divergence_rows(divergence, table, left, right),
+        _divergence_rows(divergence, table, right, left),
     )
 
 
@@ -141,9 +138,8 @@ def plain_columns(divergence, table, left, right, exact_subsets):
     st.lists(st.integers(0, 3), min_size=2, max_size=6),
     st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1,
              max_size=12),
-    st.booleans(),
 )
-def test_columns_equal_two_plain_calls(rows, pairs, exact_subsets):
+def test_columns_equal_two_plain_calls(rows, pairs):
     kernel = palette_kernel(rows)
     ground = kernel.inputs
     phi = PointRelation(
@@ -151,10 +147,9 @@ def test_columns_equal_two_plain_calls(rows, pairs, exact_subsets):
     )
     left, right = _relation_indices(kernel, phi)
     for divergence in DIVERGENCES:
-        want = plain_columns(divergence, kernel.matrix, left, right, exact_subsets)
-        got = _divergence_columns(divergence, kernel.matrix, left, right,
-                                  exact_subsets)
-        report = audit_div_dp(kernel, phi, divergence, exact_subsets=exact_subsets)
+        want = plain_columns(divergence, kernel.matrix, left, right)
+        got = _divergence_columns(divergence, kernel.matrix, left, right)
+        report = audit_div_dp(kernel, phi, divergence)
         for column, got_column, reported in zip(want, got, (report.forward,
                                                            report.backward)):
             assert hexes(got_column) == hexes(column)
@@ -173,7 +168,7 @@ def test_mirrored_pairs_keep_their_directions():
     assert backward[3] == forward[3] == 0.0
     left, right = _relation_indices(kernel, phi)
     for divergence in DIVERGENCES:
-        want = plain_columns(divergence, kernel.matrix, left, right, False)
+        want = plain_columns(divergence, kernel.matrix, left, right)
         report = audit_div_dp(kernel, phi, divergence)
         assert hexes(report.forward) == hexes(want[0])
         assert hexes(report.backward) == hexes(want[1])

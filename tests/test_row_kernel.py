@@ -3,12 +3,15 @@
 The reference functions below are the scalar bodies the divergences had
 before they were evaluated on stacked rows. The kernel must reproduce them
 exactly (``==``, not approximately), over inputs long enough to span more
-than one block.
+than one block. The slack-delta rows are also checked against
+``subset_oracle``, which tries every event rather than the prefixes, to
+within 1e-9.
 """
 
 import math
 
 import numpy as np
+import pytest
 import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,9 +28,9 @@ from distp import (
     delta_required,
     geometric_mechanism,
 )
-from distp.divergences import _BLOCK_CELLS, _divergence_rows, _exact_event_max
+from distp.divergences import _BLOCK_CELLS, _divergence_rows
 from distp.tolerances import TAU_NUM, TAU_ZERO
-from conftest import labels
+from conftest import labels, subset_oracle
 
 INF = math.inf
 
@@ -52,12 +55,10 @@ def ref_max(p, q):
     return float(np.max(np.log(p[on] / q[on])))
 
 
-def ref_prefix(p, q, delta, exact_subsets=False):
+def ref_prefix(p, q, delta):
     on = np.flatnonzero(p > TAU_ZERO)
     if on.size == 0:
         return -INF
-    if exact_subsets:
-        return _exact_event_max(p[on], q[on], delta)
     ps = p[on]
     qs = q[on]
     ratios = np.where(qs > TAU_ZERO, ps / np.where(qs > TAU_ZERO, qs, 1.0), INF)
@@ -77,11 +78,11 @@ def ref_prefix(p, q, delta, exact_subsets=False):
     return best
 
 
-def ref_value(divergence, p, q, exact_subsets=False):
+def ref_value(divergence, p, q):
     if isinstance(divergence, MaxDivergence):
         if divergence.delta == 0.0:
             return ref_max(p, q)
-        return ref_prefix(p, q, divergence.delta, exact_subsets)
+        return ref_prefix(p, q, divergence.delta)
     return ref_f(divergence, p, q)
 
 
@@ -122,9 +123,9 @@ def test_rows_equal_scalar_definitions_across_blocks(width, seed):
             for i in range(8)
             for j in range(8)
         }
-        got = _divergence_rows(divergence, distinct, a, b, False)
+        got = _divergence_rows(divergence, distinct, a, b)
         assert got.tolist() == [want[i, j] for i, j in zip(a, b)]
-    values = _divergence_rows(MaxDivergence(), distinct, a, b, False).tolist()
+    values = _divergence_rows(MaxDivergence(), distinct, a, b).tolist()
     assert values[0] == 0.0 and values[1] == 0.0
 
 
@@ -142,41 +143,83 @@ def test_bounded_f_divergences_match_closed_forms(width, seed):
     a = rng.integers(0, 8, n)
     b = rng.integers(0, 8, n)
     P, Q = table[a], table[b]
-    tv = _divergence_rows(TOTAL_VARIATION, table, a, b, False)
+    tv = _divergence_rows(TOTAL_VARIATION, table, a, b)
     assert np.allclose(tv, 0.5 * np.abs(P - Q).sum(axis=1), rtol=0, atol=1e-12)
-    hellinger = _divergence_rows(HELLINGER, table, a, b, False)
+    hellinger = _divergence_rows(HELLINGER, table, a, b)
     assert np.allclose(hellinger, 1.0 - np.sqrt(P * Q).sum(axis=1),
                        rtol=0, atol=1e-12)
     # RKL(mu || nu) = KL(nu || mu)
-    rkl = _divergence_rows(REVERSE_KL, table, a, b, False)
+    rkl = _divergence_rows(REVERSE_KL, table, a, b)
     kl_back = scipy.special.rel_entr(Q, P).sum(axis=1)
     assert np.array_equal(np.isinf(rkl), np.isinf(kl_back))
     finite = ~np.isinf(rkl)
     assert np.allclose(rkl[finite], kl_back[finite], rtol=1e-12, atol=1e-12)
 
 
-@given(st.integers(1, 8), st.integers(0, 10**6))
-def test_exact_subset_rows_equal_scalar_definition(width, seed):
+def assert_matches_oracle(got, want):
+    """Equal within 1e-9, with infinities compared exactly."""
+    for value, expected in zip(got, want):
+        if math.isinf(expected):
+            assert value == expected
+        else:
+            assert value == pytest.approx(expected, abs=1e-9)
+
+
+@given(st.integers(1, 7), st.integers(0, 10**6))
+def test_delta_rows_equal_subset_oracle(width, seed):
+    """The prefix rule against every event, on tie-heavy rows with zeros,
+    at fixed slacks and at slacks 1e-6 either side of an event's mass."""
     rng = np.random.default_rng(seed)
-    table = np.array([random_row(rng, width) for _ in range(12)])
-    a = rng.integers(0, 12, 20)
-    b = rng.integers(0, 12, 20)
-    for delta in (0.05, 0.5, 1.0):
-        got = _divergence_rows(MaxDivergence(delta), table, a, b, True)
-        want = [
-            ref_prefix(table[i], table[j], delta, exact_subsets=True)
-            for i, j in zip(a, b)
-        ]
-        assert got.tolist() == want
+    table = np.array([random_row(rng, width) for _ in range(8)])
+    a = rng.integers(0, 8, 12)
+    b = rng.integers(0, 8, 12)
+    row = table[rng.integers(8)]
+    mass = float(row[rng.random(width) < 0.5].sum())
+    # No event of these rows weighs 0.05 or 0.45, so the rule and the oracle,
+    # which sum in different orders, cannot round to opposite sides of them;
+    # the slack at the support mass is in the next test.
+    deltas = [0.05, 0.45] + [d for d in (mass - 1e-6, mass + 1e-6) if 0 < d < 1]
+    for delta in deltas:
+        got = _divergence_rows(MaxDivergence(delta), table, a, b)
+        assert_matches_oracle(got.tolist(), [
+            subset_oracle(table[i], table[j], delta) for i, j in zip(a, b)
+        ])
+
+
+def test_delta_rows_at_the_edges_equal_subset_oracle():
+    """+inf where the reference misses a support label, -inf where the slack
+    reaches or passes the support mass, and slacks 1e-6 either side of an
+    event's mass. The rows are dyadic, so every event mass is exact."""
+    table = np.array([
+        [0.5, 0.25, 0.25, 0.0],
+        [0.25, 0.25, 0.5, 0.0],
+        [0.5, 0.0, 0.25, 0.25],   # misses label 1 of row 0
+        [0.0, 0.0, 0.0, 1.0],     # disjoint from rows 0 and 1
+        [0.375, 0.125, 0.0, 0.0],  # a sub-probability row: support mass 1/2
+    ])
+    left = np.array([0, 1, 0, 2, 0, 3, 4, 4])
+    right = np.array([1, 0, 2, 0, 3, 0, 0, 1])
+    for delta in (0.125, 0.25, 0.5, 0.75, 1.0,
+                  0.375 - 1e-6, 0.375 + 1e-6, 0.75 - 1e-6, 0.75 + 1e-6,
+                  0.5 - 1e-6, 0.5 + 1e-6):
+        got = _divergence_rows(MaxDivergence(delta), table, left, right)
+        want = [subset_oracle(table[i], table[j], delta)
+                for i, j in zip(left, right)]
+        assert_matches_oracle(got.tolist(), want)
+    # the cases the edges are there for
+    assert _divergence_rows(MaxDivergence(0.125), table, [0], [2])[0] == INF
+    assert _divergence_rows(MaxDivergence(0.5), table, [4], [0])[0] == -INF
+    assert _divergence_rows(MaxDivergence(0.75), table, [4], [0])[0] == -INF
+    assert _divergence_rows(MaxDivergence(1.0), table, [0], [1])[0] == -INF
 
 
 def test_rows_cover_inf_and_sentinel_values():
     table = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
     left, right = np.array([0, 1, 0]), np.array([1, 0, 0])
-    assert _divergence_rows(MaxDivergence(), table, left, right, False).tolist() == [
+    assert _divergence_rows(MaxDivergence(), table, left, right).tolist() == [
         INF, math.log(2.0), 0.0,
     ]
-    assert _divergence_rows(MaxDivergence(1.0), table, left, right, False).tolist() == [
+    assert _divergence_rows(MaxDivergence(1.0), table, left, right).tolist() == [
         -INF, -INF, -INF,
     ]
 
