@@ -6,13 +6,20 @@ infinite observed level is a legal outcome and is reported, never raised;
 exceptions are reserved for malformed inputs.
 
 All auditors and the coupling-mechanism theorem check share one core,
-``_audit``: callers gather the output rows of every pair, and the blocked
-row kernel of ``divergences`` evaluates them all at once. Each distinct
-ordered pair of output rows is evaluated once per audit: on a symmetric
-relation the backward direction of (a, b) is the forward direction of
-(b, a), so it costs one direction, not two. The report keeps the results
-as columns and builds one object per pair only when asked. DP and XDP are
-the point-mass cases of DistP and XDistP.
+``_audit``, which takes a pair plan (``finite_prob._PairPlan``): the table
+rows and label of every pair, and the distinct ordered row pairs that its
+two directions need. The blocked row kernel of ``divergences`` evaluates
+each of those once: on a symmetric relation the backward direction of
+(a, b) is the forward direction of (b, a), so it costs one direction, not
+two. A relation's plan is built on its first audit and kept on the frozen
+relation: a label relation's per input ground, a distribution relation's
+per kind of mechanism. A distribution relation interns its distributions
+(by identity, then by exact ground and probabilities), lifts each distinct
+one once per kernel and measures each distinct ordered pair once; two point
+masses need no transport solve, since their one coupling makes the distance
+the ground cost between the two labels. The report keeps the results as
+columns and builds one object per pair only when asked. DP and XDP are the
+point-mass cases of DistP and XDistP.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -31,7 +38,6 @@ from .divergences import (
     MaxDivergence,
     _divergence_columns,
     _per_distance,
-    _relation_indices,
     max_divergence,
 )
 from .errors import (
@@ -46,12 +52,15 @@ from .finite_prob import (
     GroundMetric,
     PointRelation,
     StochasticKernel,
+    _cached_plan,
     _lifted_probs,
+    _PairPlan,
+    _point_plan,
     pair_label,
 )
 from .mechanisms import CouplingMechanismSpec, KernelFamily, _cp_rows, aux_kernel
 from .tolerances import TAU_NUM, TAU_ZERO
-from .transport import _cost_block, _wasserstein_cost
+from .transport import _cost_block, _pair_distances
 
 NOTION_DP = "dp"
 NOTION_XDP = "xdp"
@@ -159,21 +168,20 @@ class AuditReport:
 def _audit(
     notion: str,
     divergence: Divergence,
-    labels: Sequence[str],
+    plan: _PairPlan,
     table: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
     claimed: float | None,
     *,
     distances: np.ndarray | None = None,
 ) -> AuditReport:
-    """Audit output rows ``table[left[i]]`` against ``table[right[i]]``, in
-    both directions, per unit of ``distances[i]`` if given."""
-    forward, backward = _divergence_columns(divergence, table, left, right)
+    """Audit every pair of ``plan`` over the rows of ``table``, in both
+    directions, per unit of ``distances[i]`` if given."""
+    forward, backward = _divergence_columns(divergence, table, plan)
     if distances is not None:
         forward = _per_distance(forward, distances)
         backward = _per_distance(backward, distances)
-    return AuditReport(notion, divergence.name, claimed, labels, forward, backward)
+    return AuditReport(notion, divergence.name, claimed, plan.labels, forward,
+                       backward)
 
 
 def audit_div_dp(
@@ -181,15 +189,10 @@ def audit_div_dp(
     phi: PointRelation,
     divergence: Divergence,
     claimed_eps: float | None = None,
-    *,
-    exact_subsets: bool = False,
 ) -> AuditReport:
-    """Worst divergence between output rows over all related input pairs
-    (``exact_subsets`` is ignored; it is kept for compatibility)."""
-    left, right = _relation_indices(kernel, phi)
-    labels = [pair_label(a, b) for a, b in phi]
-    return _audit(NOTION_DP, divergence, labels, kernel.matrix, left, right,
-                  claimed_eps)
+    """Worst divergence between output rows over all related input pairs."""
+    plan = _point_plan(phi, kernel)
+    return _audit(NOTION_DP, divergence, plan, kernel.matrix, claimed_eps)
 
 
 def audit_div_xdp(
@@ -198,13 +201,10 @@ def audit_div_xdp(
     metric: GroundMetric,
     divergence: Divergence,
     claimed_eps: float | None = None,
-    *,
-    exact_subsets: bool = False,
 ) -> AuditReport:
-    """Worst divergence per unit input distance over all related pairs
-    (``exact_subsets`` is ignored; it is kept for compatibility)."""
-    left, right = _relation_indices(kernel, phi)
-    labels = [pair_label(a, b) for a, b in phi]
+    """Worst divergence per unit input distance over all related pairs."""
+    plan = _point_plan(phi, kernel)
+    left, right = plan.left, plan.right
     # Look up each kernel row that the relation uses in the metric once, in
     # the order the relation first names it, so that a missing label is
     # reported as a per-pair lookup would report it.
@@ -213,42 +213,101 @@ def audit_div_xdp(
     for i in used[np.argsort(first)].tolist():
         rows[i] = metric.index(kernel.inputs[i])
     distances = metric.cost[rows[left], rows[right]]
-    return _audit(
-        NOTION_XDP, divergence, labels, kernel.matrix, left, right, claimed_eps,
-        distances=distances,
-    )
+    return _audit(NOTION_XDP, divergence, plan, kernel.matrix, claimed_eps,
+                  distances=distances)
 
 
 Mechanism = StochasticKernel | KernelFamily | CouplingMechanismSpec
 
 
-def _lifted_pairs(mechanism: Mechanism, psi: DistributionPairRelation):
-    """Pair index and label of every audited instance, a table of the lifted
-    outputs, and the table rows of each instance's two outputs.
+@dataclass(frozen=True, eq=False)
+class _LiftPlan:
+    """A distribution relation's audited instances over one kind of
+    mechanism: a single kernel, or a family with given labels.
 
-    Aux-tagged pairs select the named kernels; untagged pairs against a
-    kernel family are audited once per auxiliary value.
+    ``nodes`` are the relation's distinct distributions, interned first by
+    identity and then by exact ground and probabilities; relation pair j
+    compares node ``pair_left[j]`` with node ``pair_right[j]``. Table row r
+    is ``lifts[r] = (slot, node)``, the node pushed through kernel ``slot``
+    of the mechanism, listed once however many instances use it. ``pairs``
+    gives each instance's two table rows and label, and ``index`` its
+    relation pair. Aux-tagged pairs select the named kernels; untagged
+    pairs against a family are audited once per auxiliary value.
     """
+
+    nodes: tuple[FiniteDistribution, ...]
+    pair_left: np.ndarray
+    pair_right: np.ndarray
+    lifts: tuple[tuple[int, int], ...]
+    index: np.ndarray
+    pairs: _PairPlan
+
+
+def _new_lift_plan(psi: DistributionPairRelation, inputs, family) -> _LiftPlan:
+    """The plan of ``psi`` over kernels with input ground ``inputs``: one
+    kernel if ``family`` is None, else the kernels of ``family``."""
+    slots = {} if family is None else {s: k for k, s in enumerate(family.kernels)}
+
+    def slot(label: str) -> int:
+        if label not in slots:
+            family.kernel_for(label)  # raises the family's UnknownLabelError
+        return slots[label]
+
+    nodes: list[FiniteDistribution] = []
+    by_id: dict[int, int] = {}
+    by_value: dict[tuple, int] = {}
+
+    def node(dist: FiniteDistribution) -> int:
+        if id(dist) not in by_id:
+            key = (dist.ground, dist.probs.tobytes())
+            if key not in by_value:
+                by_value[key] = len(nodes)
+                nodes.append(dist)
+            by_id[id(dist)] = by_value[key]
+        return by_id[id(dist)]
+
+    rows: dict[tuple[int, int], int] = {}
+    index, labels, left, right, pair_left, pair_right = [], [], [], [], [], []
+    for i, pair in enumerate(psi):
+        if family is None:
+            sides = [(pair.aux, 0, 0)]
+        elif pair.aux is not None:
+            sides = [(pair.aux, *map(slot, pair.aux))]
+        else:
+            sides = [((s, s), k, k) for s, k in slots.items()]
+        if pair.left.ground != inputs:
+            raise GroundMismatchError(
+                "distribution ground does not match kernel inputs"
+            )
+        a, b = node(pair.left), node(pair.right)
+        pair_left.append(a)
+        pair_right.append(b)
+        for aux, k0, k1 in sides:
+            index.append(i)
+            labels.append(f"{i}:{pair_label(*aux)}" if aux else str(i))
+            left.append(rows.setdefault((k0, a), len(rows)))
+            right.append(rows.setdefault((k1, b), len(rows)))
+    return _LiftPlan(tuple(nodes), np.array(pair_left), np.array(pair_right),
+                     tuple(rows), np.array(index), _PairPlan(labels, left, right))
+
+
+def _lifted_pairs(mechanism: Mechanism, psi: DistributionPairRelation):
+    """The relation's plan over ``mechanism`` (built once per kind of
+    mechanism and kept on the relation) and its table of lifted outputs."""
     if len(psi) == 0:
         raise EmptyRelationError("relation has no pairs")
     if isinstance(mechanism, CouplingMechanismSpec):
         mechanism = aux_kernel(mechanism)
-    index, labels, left, right = [], [], [], []
-    for i, pair in enumerate(psi):
-        if isinstance(mechanism, StochasticKernel):
-            sides = [(pair.aux, mechanism, mechanism)]
-        elif pair.aux is not None:
-            sides = [(pair.aux, *map(mechanism.kernel_for, pair.aux))]
-        else:
-            sides = [((s, s), k, k) for s, k in mechanism.kernels.items()]
-        for aux, k0, k1 in sides:
-            index.append(i)
-            labels.append(f"{i}:{pair_label(*aux)}" if aux else str(i))
-            left.append(_lifted_probs(k0, pair.left))
-            right.append(_lifted_probs(k1, pair.right))
-    k = len(labels)
-    table = np.stack(left + right)
-    return np.array(index), labels, table, np.arange(k), k + np.arange(k)
+    if isinstance(mechanism, StochasticKernel):
+        family, kernels = None, (mechanism,)
+    else:
+        family, kernels = mechanism, tuple(mechanism.kernels.values())
+    inputs = kernels[0].inputs
+    key = (inputs, None if family is None else family.labels)
+    plan = _cached_plan(psi, key, lambda: _new_lift_plan(psi, inputs, family))
+    table = np.stack([_lifted_probs(kernels[k], plan.nodes[j])
+                      for k, j in plan.lifts])
+    return plan, table
 
 
 def audit_distp(
@@ -256,15 +315,12 @@ def audit_distp(
     psi: DistributionPairRelation,
     divergence: Divergence,
     claimed_eps: float | None = None,
-    *,
-    exact_subsets: bool = False,
 ) -> AuditReport:
     """Worst divergence between lifted outputs over related distribution
     pairs. Accepts a single kernel, a family indexed by auxiliary values,
-    or a coupling mechanism. ``exact_subsets`` is ignored; it is kept for
-    compatibility."""
-    _, labels, table, left, right = _lifted_pairs(mechanism, psi)
-    return _audit(NOTION_DISTP, divergence, labels, table, left, right, claimed_eps)
+    or a coupling mechanism."""
+    plan, table = _lifted_pairs(mechanism, psi)
+    return _audit(NOTION_DISTP, divergence, plan.pairs, table, claimed_eps)
 
 
 WASSERSTEIN_ONE = "1"
@@ -278,23 +334,18 @@ def audit_xdistp(
     claimed_eps: float | None = None,
     *,
     wasserstein: float | str = WASSERSTEIN_ONE,
-    exact_subsets: bool = False,
 ) -> AuditReport:
     """Worst lifted divergence per unit of input Wasserstein distance.
 
     ``wasserstein`` picks the denominator: "1" (default), "inf", or a
-    numeric order p >= 1. ``exact_subsets`` is ignored; it is kept for
-    compatibility.
+    numeric order p >= 1. Each distinct ordered pair of input distributions
+    is measured once, and a pair of point masses takes no solve.
     """
-    index, labels, table, left, right = _lifted_pairs(mechanism, psi)
-    distances = np.array([
-        _wasserstein_cost(pair.left, pair.right, metric, wasserstein)
-        for pair in psi
-    ])
-    return _audit(
-        NOTION_XDISTP, divergence, labels, table, left, right, claimed_eps,
-        distances=distances[index],
-    )
+    plan, table = _lifted_pairs(mechanism, psi)
+    distances = _pair_distances(plan.nodes, plan.pair_left, plan.pair_right,
+                                metric, wasserstein)
+    return _audit(NOTION_XDISTP, divergence, plan.pairs, table, claimed_eps,
+                  distances=distances[plan.index])
 
 
 def expected_utility_loss(
@@ -371,8 +422,6 @@ class CPTheoremReport:
 def check_cp_theorem(
     spec: CouplingMechanismSpec,
     actual_inputs: Mapping[str, FiniteDistribution],
-    *,
-    exact_subsets: bool = False,
 ) -> CPTheoremReport:
     """Audit the coupling mechanism's output-closeness guarantees.
 
@@ -380,8 +429,7 @@ def check_cp_theorem(
     true input and its estimate; it must be finite (matching supports). The
     audited bounds, over all pairs of auxiliary values: max divergence at
     most twice the level; KL at most 2 * eps * e^eps; and for each built-in
-    f-divergence kind, at most e^eps * f(e^(2*eps)). ``exact_subsets`` is
-    ignored; it is kept for compatibility.
+    f-divergence kind, at most e^eps * f(e^(2*eps)).
     """
     missing = [s for s in spec.aux if s not in actual_inputs]
     if missing:
@@ -408,7 +456,10 @@ def check_cp_theorem(
 
     aux = spec.aux
     first, second = np.triu_indices(len(aux))
-    labels = tuple(pair_label(aux[i], aux[j]) for i, j in zip(first, second))
+    plan = _PairPlan(
+        tuple(pair_label(aux[i], aux[j]) for i, j in zip(first, second)),
+        first, second,
+    )
     table = np.stack(outputs)
 
     growth = math.exp(eps)
@@ -417,9 +468,7 @@ def check_cp_theorem(
         bound = growth * float(kind(math.exp(2.0 * eps)))
         bounds.append((f"f:{kind.name}", kind, bound))
     checks = tuple(
-        BoundCheck(name, bound, _audit(
-            NOTION_DISTP, divergence, labels, table, first, second, bound
-        ))
+        BoundCheck(name, bound, _audit(NOTION_DISTP, divergence, plan, table, bound))
         for name, divergence, bound in bounds
     )
     return CPTheoremReport(eps, checks)

@@ -25,13 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    EmptyRelationError,
-    GroundMismatchError,
-    InvalidGeneratorError,
-    ValidationError,
+from .errors import GroundMismatchError, InvalidGeneratorError, ValidationError
+from .finite_prob import (
+    FiniteDistribution,
+    PointRelation,
+    StochasticKernel,
+    _PairPlan,
+    _point_plan,
 )
-from .finite_prob import FiniteDistribution, PointRelation, StochasticKernel
 from .tolerances import TAU_NUM, TAU_ZERO
 
 INF = math.inf
@@ -189,18 +190,15 @@ def _blocked_rows(rows, table, left, right) -> np.ndarray:
     return out
 
 
-def _both_directions(rows, table, left, right):
-    """``rows`` on every pair in both directions: ``(forward, backward)``,
-    entry i evaluated on rows ``(left[i], right[i])`` and ``(right[i],
-    left[i])``. Each distinct ordered pair of table rows is evaluated once,
-    so a symmetric relation costs one direction; row functions act on each
-    row alone, so the values do not depend on which pairs are evaluated
-    together."""
-    n = len(table)
-    codes = np.concatenate([left * n + right, right * n + left])
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    values = _blocked_rows(rows, table, distinct // n, distinct % n)[inverse]
-    return values[: len(left)], values[len(left):]
+def _both_directions(rows, table, plan: _PairPlan):
+    """``rows`` on every pair of ``plan`` in both directions: ``(forward,
+    backward)``, entry i evaluated on table rows ``(left[i], right[i])`` and
+    ``(right[i], left[i])``. Each distinct ordered pair of table rows is
+    evaluated once, so a symmetric relation costs one direction; row
+    functions act on each row alone, so the values do not depend on which
+    pairs are evaluated together."""
+    values = _blocked_rows(rows, table, plan.first, plan.second)[plan.inverse]
+    return values[: len(plan.left)], values[len(plan.left):]
 
 
 def _divergence_rows(divergence, table, left, right) -> np.ndarray:
@@ -209,10 +207,10 @@ def _divergence_rows(divergence, table, left, right) -> np.ndarray:
     return _blocked_rows(_row_function(divergence), table, left, right)
 
 
-def _divergence_columns(divergence, table, left, right):
-    """``_divergence_rows`` of every pair forward and backward, each distinct
-    ordered row pair evaluated once."""
-    return _both_directions(_row_function(divergence), table, left, right)
+def _divergence_columns(divergence, table, plan: _PairPlan):
+    """``_divergence_rows`` of every pair of ``plan`` forward and backward,
+    each distinct ordered row pair evaluated once."""
+    return _both_directions(_row_function(divergence), table, plan)
 
 
 def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -255,6 +253,26 @@ def _max_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.where(np.any(on & ~use, axis=1), INF, logs.max(axis=1))
 
 
+def _support_order(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Indices sorting each row of ``keys`` ascending, in the stable order
+    on the row's first ``counts[i]`` sorted positions.
+
+    Distinct keys have one sorting permutation, so the default sort already
+    gives the stable order on them. Only the rows whose first ``counts[i]``
+    sorted keys hold an exact tie (-inf ties included) are sorted again,
+    stably, so that tied entries keep ground order.
+    """
+    order = np.argsort(keys, axis=1)
+    ranked = np.take_along_axis(keys, order, axis=1)
+    width = keys.shape[1]
+    tied = (ranked[:, 1:] == ranked[:, :-1]) & (
+        np.arange(2, width + 1) <= counts[:, None])
+    again = np.flatnonzero(tied.any(axis=1))
+    if again.size:
+        order[again] = np.argsort(keys[again], axis=1, kind="stable")
+    return order
+
+
 def _prefix_rows(P, Q, delta: float) -> np.ndarray:
     """Slack-delta max divergence of each row pair, over prefixes only.
 
@@ -267,12 +285,20 @@ def _prefix_rows(P, Q, delta: float) -> np.ndarray:
     least t*, a prefix (ties are all in or all out), are optimal. Labels
     with Q = 0 head the order: +inf when their mass exceeds delta. With no
     event of mass above delta the value is -inf.
+
+    A prefix of k labels counts as above delta only when its running sum
+    exceeds delta by more than k * 2**-52 times that sum. Summing k terms
+    rounds by up to about k * 2**-53 times the sum, and the entries of a
+    row normalized by division carry about as much again, so a smaller
+    slack is rounding, not mass: at delta = 1, or at a delta equal to the
+    support mass, the value is exactly -inf.
     """
     on = P > TAU_ZERO
-    # Support entries sorted by decreasing likelihood ratio (stable, so ties
-    # keep ground order), then the entries outside the support.
+    counts = on.sum(axis=1)
+    # Support entries sorted by decreasing likelihood ratio, ties in ground
+    # order, then the entries outside the support.
     ratios = np.divide(P, Q, out=np.full(P.shape, INF), where=Q > TAU_ZERO)
-    order = np.argsort(np.where(on, -ratios, INF), axis=1, kind="stable")
+    order = _support_order(np.where(on, -ratios, INF), counts)
     # The sorted entries, transposed (one column per row) through one flat
     # index, so that the running sums go down axis 0 for all rows at once;
     # each column is still summed in order, as ``np.cumsum`` sums a row.
@@ -280,8 +306,8 @@ def _prefix_rows(P, Q, delta: float) -> np.ndarray:
     flat = order.T + width * np.arange(rows)
     cp = np.add.accumulate(np.take(P, flat), axis=0)
     cq = np.add.accumulate(np.take(Q, flat), axis=0)
-    inside = np.arange(width)[:, None] < on.sum(axis=1)
-    valid = inside & (cp >= delta) & (cp - delta > 0.0)
+    terms = np.arange(1, width + 1)[:, None]
+    valid = (terms <= counts) & (cp - delta > terms * 2.0**-52 * cp)
     best = np.zeros(cp.shape)
     np.divide(cp - delta, cq, out=best, where=valid & (cq > TAU_ZERO))
     # The log of the best ratio is the best log (log is monotone); math.log
@@ -310,29 +336,16 @@ def max_divergence(mu: FiniteDistribution, nu: FiniteDistribution) -> float:
 
 
 def approx_max_divergence(
-    mu: FiniteDistribution,
-    nu: FiniteDistribution,
-    delta: float,
-    exact_subsets: bool = False,
+    mu: FiniteDistribution, nu: FiniteDistribution, delta: float
 ) -> float:
     """Max divergence with additive slack.
 
     Maximizes ``ln((mu[R] - delta) / nu[R])`` over events R inside supp(mu)
     with mu[R] >= delta, by the prefix rule of ``_prefix_rows``; -inf if no
     event has mu[R] > delta (a vacuous constraint, reported as a sentinel
-    rather than an error). ``exact_subsets`` is ignored; it is kept for
-    compatibility.
+    rather than an error).
     """
     return divergence_value(MaxDivergence(delta), mu, nu)
-
-
-def _relation_indices(kernel: StochasticKernel, phi: PointRelation):
-    """Kernel row indices of the left and right members of every pair."""
-    if len(phi) == 0:
-        raise EmptyRelationError("relation has no pairs")
-    index = kernel.input_index
-    left = np.array([index(a) for a, _ in phi], dtype=np.intp)
-    return left, np.array([index(b) for _, b in phi], dtype=np.intp)
 
 
 def _per_distance(values: np.ndarray, distances: np.ndarray) -> np.ndarray:
@@ -352,25 +365,21 @@ def delta_required(
     ``sum over y of max(0, P[y] - e^epsilon * Q[y])`` and returns the worst
     value. Zero means the multiplicative bound alone already holds.
     """
-    left, right = _relation_indices(kernel, phi)
+    plan = _point_plan(phi, kernel)
     if epsilon < 0.0:
         raise ValidationError(f"epsilon {epsilon:g} must be nonnegative")
     scale = math.exp(epsilon)
     forward, backward = _both_directions(
         lambda P, Q: np.maximum(0.0, P - scale * Q).sum(axis=1),
-        kernel.matrix, left, right,
+        kernel.matrix, plan,
     )
     return max(0.0, float(forward.max()), float(backward.max()))
 
 
 def divergence_value(
-    divergence: Divergence,
-    mu: FiniteDistribution,
-    nu: FiniteDistribution,
-    exact_subsets: bool = False,
+    divergence: Divergence, mu: FiniteDistribution, nu: FiniteDistribution
 ) -> float:
-    """Evaluate an f-divergence or (slack) max divergence descriptor
-    (``exact_subsets`` is ignored; it is kept for compatibility)."""
+    """Evaluate an f-divergence or (slack) max divergence descriptor."""
     rows = _row_function(divergence)
     if mu.ground != nu.ground:
         raise GroundMismatchError("divergence requires a shared ground set")

@@ -15,14 +15,15 @@ table also rejects any entry below 0 and a diagonal entry above TAU_NUM.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EmptyRelationError,
     GroundMismatchError,
     UnknownLabelError,
     ValidationError,
@@ -273,6 +274,7 @@ class PointRelation:
                 cleaned.append(key)
         object.__setattr__(self, "pairs", tuple(cleaned))
         object.__setattr__(self, "_members", frozenset(seen))
+        object.__setattr__(self, "_plans", {})
 
     @classmethod
     def full(cls, ground: Iterable[str], include_self: bool = False) -> "PointRelation":
@@ -293,6 +295,69 @@ class PointRelation:
     def __contains__(self, pair) -> bool:
         a, b = pair
         return (str(a), str(b)) in self._members  # type: ignore[attr-defined]
+
+
+@dataclass(frozen=True, eq=False)
+class _PairPlan:
+    """Pairs of table rows to audit in both directions, and what every
+    audit of them shares.
+
+    Pair i, named ``labels[i]``, compares row ``left[i]`` of a table with
+    row ``right[i]``. ``first[k]`` and ``second[k]`` list every ordered row
+    pair that the two directions need, each once, and ``inverse`` maps the
+    forward directions, then the backward ones, onto that list.
+    """
+
+    labels: tuple[str, ...]
+    left: np.ndarray
+    right: np.ndarray
+    first: np.ndarray = field(init=False)
+    second: np.ndarray = field(init=False)
+    inverse: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        left = np.array(self.left, dtype=np.intp)
+        right = np.array(self.right, dtype=np.intp)
+        width = int(max(left.max(), right.max())) + 1
+        codes = np.concatenate([left * width + right, right * width + left])
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        columns = {"left": left, "right": right, "first": distinct // width,
+                   "second": distinct % width, "inverse": inverse}
+        for name, column in columns.items():
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "labels", tuple(self.labels))
+
+
+def _cached_plan(relation, key, build: Callable[[], object]):
+    """The plan ``build()`` makes, kept on the frozen ``relation`` under
+    ``key`` so that later audits reuse it; a build that raises keeps
+    nothing."""
+    plans = relation._plans
+    if key not in plans:
+        plans[key] = build()
+    return plans[key]
+
+
+def _point_plan(phi: PointRelation, kernel: StochasticKernel) -> _PairPlan:
+    """The pairs of ``phi`` as pairs of ``kernel`` rows, built once per
+    input ground.
+
+    Each distinct label is looked up once, the left members before the
+    right ones, so a missing label is reported as looking up every left
+    member and then every right member reports it.
+    """
+    if len(phi) == 0:
+        raise EmptyRelationError("relation has no pairs")
+
+    def build() -> _PairPlan:
+        lefts = [a for a, _ in phi.pairs]
+        rights = [b for _, b in phi.pairs]
+        row = {x: kernel.input_index(x) for x in dict.fromkeys(lefts + rights)}
+        return _PairPlan(tuple(map(pair_label, lefts, rights)),
+                         [row[a] for a in lefts], [row[b] for b in rights])
+
+    return _cached_plan(phi, kernel.inputs, build)
 
 
 @dataclass(frozen=True)
@@ -326,6 +391,7 @@ class DistributionPairRelation:
                 left, right = pair
                 cleaned.append(DistributionPair(left, right))
         object.__setattr__(self, "pairs", tuple(cleaned))
+        object.__setattr__(self, "_plans", {})
 
     @classmethod
     def from_point_relation(

@@ -428,8 +428,7 @@ def wasserstein_p(
     p: float = 1.0,
 ) -> TransportResult:
     """p-Wasserstein distance: minimal (sum of cost^p)^(1/p) over couplings."""
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValidationError(f"order p must be finite and >= 1, got {p!r}")
+    _checked_order(p)
     cost = _cost_block(metric, lam.ground, mu.ground)
     powered = cost if p == 1.0 else cost**p
     plan = _simplex(lam.probs, mu.probs, powered)
@@ -492,11 +491,67 @@ def _result(lam, mu, plan: _Plan, value: float) -> TransportResult:
     )
 
 
+def _checked_order(p: float) -> float:
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValidationError(f"order p must be finite and >= 1, got {p!r}")
+    return p
+
+
+def _order(order: float | str) -> float:
+    """The order "1", "inf", math.inf or a number p >= 1, as a float."""
+    if order == "inf" or order == math.inf:
+        return math.inf
+    return _checked_order(float(order))
+
+
 def _wasserstein_cost(lam, mu, metric, order: float | str) -> float:
     """Wasserstein distance at order "1", "inf", math.inf or a number p >= 1."""
-    if order == "inf" or order == math.inf:
+    p = _order(order)
+    if p == math.inf:
         return wasserstein_inf(lam, mu, metric).cost
-    return wasserstein_p(lam, mu, metric, p=float(order)).cost
+    return wasserstein_p(lam, mu, metric, p=p).cost
+
+
+def _atom(dist: FiniteDistribution) -> int | None:
+    """The index of the one label carrying all of ``dist``'s mass (exactly
+    1, every other entry exactly 0), or None."""
+    nonzero = np.flatnonzero(dist.probs)
+    if len(nonzero) == 1 and dist.probs[nonzero[0]] == 1.0:
+        return int(nonzero[0])
+    return None
+
+
+def _pair_distances(dists, left, right, metric, order: float | str) -> np.ndarray:
+    """Wasserstein distance at ``order`` (as ``_wasserstein_cost`` takes it)
+    from ``dists[left[i]]`` to ``dists[right[i]]``, for every i.
+
+    Each distinct ordered pair is computed once, in order of first use.
+    W(mu, lam) is not reused for W(lam, mu): the simplex on the transposed
+    problem can differ in the last bit. Two point masses delta_a and delta_b
+    have one coupling, delta_a x delta_b, which every solve ships on with
+    exact 0/1 flows; so their distance takes no solve and is read off the
+    cost block with the float operations that end the solver path:
+    cost[a, b] at orders 1 and inf, (cost[a, b] ** p) ** (1 / p) at p.
+    """
+    p = _order(order)
+    plain = p in (1.0, math.inf)
+    atoms = [_atom(dist) for dist in dists]
+    pairs = list(zip(left.tolist(), right.tolist()))
+    blocks: dict = {}
+    known: dict = {}
+    for i, j in dict.fromkeys(pairs):
+        lam, mu = dists[i], dists[j]
+        a, b = atoms[i], atoms[j]
+        if a is None or b is None:
+            known[i, j] = _wasserstein_cost(lam, mu, metric, p)
+            continue
+        grounds = (lam.ground, mu.ground)
+        if grounds not in blocks:
+            cost = _cost_block(metric, *grounds)
+            blocks[grounds] = cost if plain else cost**p
+        value = float(blocks[grounds][a, b])
+        known[i, j] = value if plain else value ** (1.0 / p)
+    return np.array([known[pair] for pair in pairs])
 
 
 def diameter(

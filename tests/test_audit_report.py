@@ -51,9 +51,9 @@ PALETTE = np.array([
 ])
 
 
-def eager_report(notion, divergence, labels, table, left, right, claimed, *,
-                 distances=None):
+def eager_report(notion, divergence, plan, table, claimed, *, distances=None):
     """The report fields as the auditors built them with eager pairs."""
+    labels, left, right = plan.labels, plan.left, plan.right
     forward = _divergence_rows(divergence, table, left, right)
     backward = _divergence_rows(divergence, table, right, left)
     if distances is not None:

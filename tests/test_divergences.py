@@ -13,14 +13,21 @@ from distp import (
     REVERSE_KL,
     STANDARD_KINDS,
     TOTAL_VARIATION,
+    DistributionPairRelation,
     FDivergenceKind,
     FiniteDistribution,
+    GroundMetric,
     InvalidGeneratorError,
     MaxDivergence,
     PointRelation,
     ValidationError,
     approx_max_divergence,
+    audit_distp,
     audit_div_dp,
+    audit_div_xdp,
+    audit_xdistp,
+    build_coupling_mechanism,
+    check_cp_theorem,
     custom_kind,
     delta_required,
     divergence_value,
@@ -244,23 +251,31 @@ def test_prefix_matches_subset_oracle(rng, delta):
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1, 0.3])
-def test_exact_subsets_path_agrees(rng, delta):
-    """``exact_subsets`` is a no-op kept for compatibility: the values are
-    those of the default call, bit for bit, on supports of any size."""
-    for k in (6, 6, 6, 25):
-        ground = labels(k)
-        mu, nu = rand_dist(rng, ground), rand_dist(rng, ground)
-        assert approx_max_divergence(mu, nu, delta, exact_subsets=True) == (
-            approx_max_divergence(mu, nu, delta)
-        )
-        kernel = rand_kernel(rng, labels(4), labels(k, "y"))
-        phi = PointRelation.full(kernel.inputs)
-        divergence = MaxDivergence(delta)
-        default = audit_div_dp(kernel, phi, divergence)
-        keyword = audit_div_dp(kernel, phi, divergence, exact_subsets=True)
-        assert keyword.forward.tolist() == default.forward.tolist()
-        assert keyword.backward.tolist() == default.backward.tolist()
-        assert keyword.to_dict() == default.to_dict()
+def test_exact_subsets_keyword_is_rejected(rng, delta):
+    """The prefix rule is the only delta evaluation, so the library takes no
+    ``exact_subsets`` keyword; the CLI flag alone remains, echoed in the
+    report configuration."""
+    ground = labels(4)
+    mu, nu = rand_dist(rng, ground), rand_dist(rng, ground)
+    kernel = rand_kernel(rng, ground, labels(3, "y"))
+    phi = PointRelation.full(ground)
+    psi = DistributionPairRelation([(mu, nu)])
+    metric = GroundMetric.line(ground)
+    divergence = MaxDivergence(delta)
+    spec = build_coupling_mechanism(mu, {"s": nu, "t": mu}, "northwest")
+    calls = [
+        lambda **kw: approx_max_divergence(mu, nu, delta, **kw),
+        lambda **kw: divergence_value(divergence, mu, nu, **kw),
+        lambda **kw: audit_div_dp(kernel, phi, divergence, **kw),
+        lambda **kw: audit_div_xdp(kernel, phi, metric, divergence, **kw),
+        lambda **kw: audit_distp(kernel, psi, divergence, **kw),
+        lambda **kw: audit_xdistp(kernel, psi, metric, divergence, **kw),
+        lambda **kw: check_cp_theorem(spec, {"s": nu, "t": mu}, **kw),
+    ]
+    for call in calls:
+        call()
+        with pytest.raises(TypeError, match="exact_subsets"):
+            call(exact_subsets=False)
 
 
 def test_zero_slack_equals_max_divergence(rng):

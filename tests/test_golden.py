@@ -63,6 +63,12 @@ CASES = {
     "audit_spec_point_rkl_csv": (("audit", *SPEC, "--relation",
                                   "spec_phi.json", "--divergence", "rkl",
                                   "--format", "csv"), 0),
+    # A label relation with a spec is audited as pairs of point masses,
+    # whose W1 distances take no transport solve.
+    "audit_spec_point_xdistp_max": (("audit", *SPEC, "--relation",
+                                     "spec_phi.json", "--metric",
+                                     "spec_metric.csv", "--divergence",
+                                     "max"), 0),
     "audit_spec_psi_xdistp_kl": (("audit", *SPEC, "--relation",
                                   "spec_psi.json", "--metric",
                                   "spec_metric.csv", "--divergence", "kl"), 0),

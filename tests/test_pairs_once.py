@@ -29,12 +29,8 @@ from distp import (
     delta_required,
 )
 from distp import divergences
-from distp.divergences import (
-    _BLOCK_CELLS,
-    _divergence_columns,
-    _divergence_rows,
-    _relation_indices,
-)
+from distp.divergences import _BLOCK_CELLS, _divergence_columns, _divergence_rows
+from distp.finite_prob import _point_plan
 from conftest import labels, rand_dist, rand_kernel, tilted
 
 DIVERGENCES = STANDARD_KINDS + (MaxDivergence(), MaxDivergence(0.1))
@@ -145,10 +141,10 @@ def test_columns_equal_two_plain_calls(rows, pairs):
     phi = PointRelation(
         (ground[a % len(ground)], ground[b % len(ground)]) for a, b in pairs
     )
-    left, right = _relation_indices(kernel, phi)
+    plan = _point_plan(phi, kernel)
     for divergence in DIVERGENCES:
-        want = plain_columns(divergence, kernel.matrix, left, right)
-        got = _divergence_columns(divergence, kernel.matrix, left, right)
+        want = plain_columns(divergence, kernel.matrix, plan.left, plan.right)
+        got = _divergence_columns(divergence, kernel.matrix, plan)
         report = audit_div_dp(kernel, phi, divergence)
         for column, got_column, reported in zip(want, got, (report.forward,
                                                            report.backward)):
@@ -166,9 +162,9 @@ def test_mirrored_pairs_keep_their_directions():
     assert forward[0] == math.inf and math.isfinite(forward[1])
     assert backward[:2] == forward[1::-1]
     assert backward[3] == forward[3] == 0.0
-    left, right = _relation_indices(kernel, phi)
+    plan = _point_plan(phi, kernel)
     for divergence in DIVERGENCES:
-        want = plain_columns(divergence, kernel.matrix, left, right)
+        want = plain_columns(divergence, kernel.matrix, plan.left, plan.right)
         report = audit_div_dp(kernel, phi, divergence)
         assert hexes(report.forward) == hexes(want[0])
         assert hexes(report.backward) == hexes(want[1])
@@ -182,7 +178,8 @@ def test_delta_required_equals_both_directions_computed_apart(seed, epsilon):
     phi = PointRelation(
         (ground[a], ground[b]) for a, b in rng.integers(0, 5, (rng.integers(1, 9), 2))
     )
-    left, right = _relation_indices(kernel, phi)
+    plan = _point_plan(phi, kernel)
+    left, right = plan.left, plan.right
     m, scale = kernel.matrix, math.exp(epsilon)
     fwd = np.maximum(0.0, m[left] - scale * m[right]).sum(axis=1)
     bwd = np.maximum(0.0, m[right] - scale * m[left]).sum(axis=1)

@@ -9,6 +9,7 @@ within 1e-9.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from distp import (
     delta_required,
     geometric_mechanism,
 )
+from distp import divergences
 from distp.divergences import _BLOCK_CELLS, _divergence_rows
 from distp.tolerances import TAU_NUM, TAU_ZERO
 from conftest import labels, subset_oracle
@@ -67,10 +69,9 @@ def ref_prefix(p, q, delta):
     cq = np.cumsum(qs[order])
     best = -INF
     for k in range(on.size):
-        if cp[k] < delta:
-            continue
         num = cp[k] - delta
-        if num <= 0.0:
+        # a slack within the running sum's rounding bound is no slack
+        if num <= (k + 1) * 2.0**-52 * cp[k]:
             continue
         if cq[k] <= TAU_ZERO:
             return INF
@@ -222,6 +223,76 @@ def test_rows_cover_inf_and_sentinel_values():
     assert _divergence_rows(MaxDivergence(1.0), table, left, right).tolist() == [
         -INF, -INF, -INF,
     ]
+
+
+def tied_row(rng, width):
+    """A row of small integer weights, so that likelihood ratios tie often
+    and zeros on the reference side give tied infinite ratios."""
+    weights = rng.integers(0, 4, width).astype(float)
+    if weights.sum() == 0.0:
+        weights[rng.integers(width)] = 1.0
+    return weights / weights.sum()
+
+
+@contextmanager
+def recorded_orders():
+    """Every (keys, counts, order) that the delta rule sorts with."""
+    seen = []
+    sort = divergences._support_order
+
+    def recording(keys, counts):
+        order = sort(keys, counts)
+        seen.append((keys, counts, order))
+        return order
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(divergences, "_support_order", recording)
+        yield seen
+
+
+@given(st.integers(2, 12), st.integers(0, 10**6))
+def test_support_order_is_the_stable_order_across_blocks(width, seed):
+    """The default sort, sorted again stably only where support keys tie,
+    orders every support exactly as a stable sort does, on tie-heavy rows
+    over more pairs than fit in one block."""
+    rng = np.random.default_rng(seed)
+    table = np.array([tied_row(rng, width) for _ in range(8)])
+    n = _BLOCK_CELLS // width + 37
+    a, b = rng.integers(0, 8, n), rng.integers(0, 8, n)
+    with recorded_orders() as seen:
+        _divergence_rows(MaxDivergence(0.3), table, a, b)
+    assert len(seen) > 1
+    for keys, counts, order in seen:
+        stable = np.argsort(keys, axis=1, kind="stable")
+        for row, count in enumerate(counts.tolist()):
+            assert order[row, :count].tolist() == stable[row, :count].tolist()
+
+
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40),
+       st.integers(0, 10**6))
+def test_slack_at_the_support_mass_is_minus_inf(weights, seed):
+    """No event of P weighs more than 1, or more than the support mass, so
+    those slacks give exactly -inf, whatever the running sums round to; on
+    rows normalized by division, and on sub-probability rows."""
+    rng = np.random.default_rng(seed)
+    weights = np.array(weights)
+    if not np.any(weights > 1e-3):
+        weights[0] = 1.0
+    rows = [weights / weights.sum()]
+    for _ in range(3):
+        row = rows[0].copy()
+        row[rng.random(len(row)) < 0.4] = 0.0
+        if np.any(row > TAU_ZERO):
+            rows.append(row)
+    others = [rng.dirichlet(np.ones(len(weights))) for _ in range(3)]
+    table = np.array(rows + others + [rows[0] * 0.0 + 1.0 / len(weights)])
+    right = np.arange(len(rows), len(table))
+    for i, row in enumerate(rows):
+        support = math.fsum(row[row > TAU_ZERO])
+        for delta in {1.0, min(1.0, support), min(1.0, float(np.sum(row)))}:
+            left = np.full(len(right), i)
+            got = _divergence_rows(MaxDivergence(delta), table, left, right)
+            assert got.tolist() == [-INF] * len(right)
 
 
 def ref_effective_epsilon(matrix, cost):
