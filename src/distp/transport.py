@@ -20,11 +20,17 @@ forbidden arcs continue from an earlier basis: the bottleneck search
 across thresholds, and the restricted then unrestricted optimum of a
 lifted-relation membership test.
 
-The bottleneck search needs no solve to bracket its answer: the least-cost
-start is an exact coupling, so the largest cost it ships on is feasible,
-and every feasible threshold test lowers the bracket to the largest cost on
-its plan's support. Bisection below that bracket finds the least feasible
-threshold (Garfinkel and Rao's threshold method for bottleneck transport).
+The bottleneck search brackets its answer before any solve. From above:
+the least-cost start is an exact coupling, so the largest cost it ships on
+is feasible. From below: Hall's condition (Gale's supply-demand theorem)
+says each row must reach columns whose demand covers its supply, and each
+column rows whose supply covers its demand. The search then tests its
+lower bracket with phase 1. A failed test leaves a residual graph whose
+rows reachable from the stranded mass form a Hall certificate, a set of
+rows whose reachable demand falls short, and the bracket rises to the
+least threshold at which that set fits. The first feasible test is the
+answer: Garfinkel and Rao's threshold method for bottleneck transport,
+with Hall cuts in place of bisection.
 """
 
 from __future__ import annotations
@@ -279,16 +285,20 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
     flow = mass.tolist()
     basis = set(basis)
     cl = cost.tolist()
+    al = None if allowed is None else allowed.tolist()
     adj, parent, depth, pot = _tree(basis, cl, m, n)
     # the cost with +inf on the cells that may not enter: basic or forbidden
     priced = cost.copy() if allowed is None else np.where(allowed, cost, np.inf)
     for c in basis:
         priced[c] = np.inf
+    reduced = np.empty((m, n))
 
     pivots = degenerate = run = 0
     max_pivots = 1000 + 50 * (m + n) ** 2
     while pivots < max_pivots:
-        reduced = priced - np.array(pot[:m])[:, None] - np.array(pot[m:])[None, :]
+        uv = np.array(pot)
+        np.subtract(priced, uv[:m, None], out=reduced)
+        np.subtract(reduced, uv[m:], out=reduced)
         if run > m + n:
             k = int(np.argmax(reduced < -REDUCED_COST_TOL))
         else:
@@ -299,7 +309,8 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
 
         # The cycle closes through the tree paths from row ei and column ej
         # up to their common ancestor. A tree edge is named by its lower
-        # node; edges at even steps from either end lose mass.
+        # node; edges at even steps from either end lose mass. Each entry
+        # is (cell, lower node, whether the node is on row ei's path).
         a, b = ei, m + ej
         side_a: list[int] = []
         side_b: list[int] = []
@@ -315,25 +326,26 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
             side_b.append(b)
             b = parent[b]
         minus = []
-        plus = [((ei, ej), -1)]
-        for side in (side_a, side_b):
+        plus = []
+        for on_a, side in ((True, side_a), (False, side_b)):
             for t, x in enumerate(side):
                 cell = (x, parent[x] - m) if x < m else (parent[x], x - m)
-                (plus if t & 1 else minus).append((cell, x))
+                (plus if t & 1 else minus).append((cell, x, on_a))
 
         blocked = []
-        if allowed is not None:
-            blocked = [(c, x) for c, x in plus[1:] if not allowed[c]]
-        theta = 0.0 if blocked else min(flow[i][j] for (i, j), _ in minus)
-        pool = [(c, x) for c, x in minus if flow[c[0]][c[1]] <= theta]
+        if al is not None:
+            blocked = [e for e in plus if not al[e[0][0]][e[0][1]]]
+        theta = 0.0 if blocked else min(flow[i][j] for (i, j), _, _ in minus)
+        pool = [e for e in minus if flow[e[0][0]][e[0][1]] <= theta]
         pool.extend(blocked)
         # the least cell index among those that hit their bound leaves
-        (li, lj), low = min(pool)
+        (li, lj), low, low_on_a = min(pool)
 
         if theta != 0.0:
-            for (i, j), _ in plus:
+            flow[ei][ej] += theta
+            for (i, j), _, _ in plus:
                 flow[i][j] += theta
-            for (i, j), _ in minus:
+            for (i, j), _, _ in minus:
                 flow[i][j] = max(flow[i][j] - theta, 0.0)
             run = 0
         else:
@@ -344,7 +356,7 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
 
         basis.discard((li, lj))
         basis.add((ei, ej))
-        priced[li, lj] = cost[li, lj] if allowed is None or allowed[li, lj] else np.inf
+        priced[li, lj] = cl[li][lj] if al is None or al[li][lj] else np.inf
         priced[ei, ej] = np.inf
         high = parent[low]
         adj[low].remove(high)
@@ -352,11 +364,17 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
         # Removing the leaving edge cuts off the subtree below it; the
-        # entering edge hangs it again from whichever end lies outside.
-        if low in side_a:
-            _hang(adj, parent, depth, pot, cl, m, ei, m + ej)
-        else:
-            _hang(adj, parent, depth, pot, cl, m, m + ej, ei)
+        # entering edge hangs it again from whichever end lies outside,
+        # as _hang does.
+        stack = [(ei, m + ej) if low_on_a else (m + ej, ei)]
+        while stack:
+            a, pa = stack.pop()
+            parent[a] = pa
+            depth[a] = depth[pa] + 1
+            pot[a] = (cl[a][pa - m] if a < m else cl[pa][a - m]) - pot[pa]
+            for b in adj[a]:
+                if b != pa:
+                    stack.append((b, a))
     raise SolverNonconvergenceError(
         f"pivot budget exhausted on a {m}x{n} instance"
     )
@@ -441,47 +459,85 @@ def wasserstein_inf(
 ) -> TransportResult:
     """Bottleneck distance: minimal worst cost on the support of a coupling.
 
-    Binary search over the distinct cost values, with a feasibility test
-    restricted to arcs at or below the candidate threshold. The least-cost
-    start on the real cost is an exact coupling, so the largest cost it
-    ships on brackets the search from above with no solve; each feasible
-    test lowers that bracket to the largest cost on its clamped plan's
-    support. Each test continues from the last feasible plan, taken before
-    its dust clamp so that clamps do not add up across steps.
+    The least distinct cost at which a phase-1 test restricted to the arcs
+    at or below it ships all but TAU_MASS of the mass. The search is the
+    Hall-cut ascent of the module docstring: test the Hall floor, and after
+    each failed test rise to the least threshold at which its Hall set
+    fits. The least-cost start bounds it from above, and each test
+    continues from the last phase-1 plan, feasible or not.
     """
     cost = _cost_block(metric, lam.ground, mu.ground)
+    supply, demand = lam.probs, mu.probs
     values = np.unique(cost)
-    mass, basis = _least_cost(lam.probs, mu.probs, cost)
-    plan = _Plan(mass, set(basis), 0, 0)
-    lo, hi = 0, _top(values, cost, mass > 0.0)
+    mass, basis = _least_cost(supply, demand, cost)
+    plan = best = _Plan(mass, set(basis), 0, 0)
+    # Hall's sums and phase 1's sum of forbidden mass each round by up to
+    # about one ulp of the unit mass per cell; the slack keeps a bound from
+    # passing a threshold whose shortfall lies within rounding of TAU_MASS.
+    tol = TAU_MASS + cost.size * 2.0**-52
+    lo = max(_hall_index(values, cost, supply - tol, demand),
+             _hall_index(values, cost.T, demand - tol, supply))
+    hi = int(np.searchsorted(values, cost[mass > 0.0].max()))
     pivots = degenerate = steps = 0
     while lo < hi:
-        mid = (lo + hi) // 2
-        allowed = cost <= values[mid]
-        ok_mid, trial = _feasible_on(
-            lam.probs, mu.probs, allowed, warm=(plan.mass, plan.basis)
-        )
-        pivots += trial.pivots
-        degenerate += trial.degenerate_pivots
+        allowed = cost <= values[lo]
+        ok, plan = _feasible_on(supply, demand, allowed,
+                                warm=(plan.mass, plan.basis))
+        pivots += plan.pivots
+        degenerate += plan.degenerate_pivots
         steps += 1
-        if ok_mid:
-            support = allowed & (trial.mass > TAU_ZERO)
-            hi = max(lo, _top(values, cost, support))
-            plan = trial
+        if ok:
+            hi, best = lo, plan
         else:
-            lo = mid + 1
-    mass = _clamped(plan.mass, cost <= values[hi])
+            lo = _cut(values, cost, supply, demand, allowed, plan.mass, lo, tol)
+    mass = _clamped(best.mass, cost <= values[hi])
     support = mass > TAU_ZERO
     value = float(cost[support].max()) if np.any(support) else 0.0
     return TransportResult(
-        Coupling(lam.ground, mu.ground, mass), value, frozenset(plan.basis),
+        Coupling(lam.ground, mu.ground, mass), value, frozenset(best.basis),
         pivots, degenerate, steps,
     )
 
 
-def _top(values: np.ndarray, cost: np.ndarray, cells: np.ndarray) -> int:
-    """Index in ``values`` of the largest cost on the (nonempty) ``cells``."""
-    return int(np.searchsorted(values, cost[cells].max()))
+def _hall_index(values, reach, need, demand) -> int:
+    """Index in ``values`` of the least threshold at which every set with
+    ``need > 0`` reaches that much ``demand``; 0 when none has a need.
+
+    Row k of ``reach`` holds the cost at which set k reaches each column
+    (its cheapest arc there). Below that index some set's reachable demand
+    falls short of its need, so no coupling fits (Hall's condition).
+    """
+    live = need > 0.0
+    if not live.any():
+        return 0
+    reach, need = reach[live], need[live]
+    order = np.argsort(reach, axis=1, kind="stable")
+    covered = np.cumsum(demand[order], axis=1) >= need[:, None]
+    # a set that no threshold covers keeps its cheapest cost, still a bound
+    first = covered.argmax(axis=1)
+    least = np.take_along_axis(reach, order, axis=1)[np.arange(first.size), first]
+    return int(np.searchsorted(values, least.max()))
+
+
+def _cut(values, cost, supply, demand, allowed, mass, lo: int, tol: float) -> int:
+    """The next lower bracket after an infeasible test at ``values[lo]``.
+
+    S is the set of rows reachable in the residual graph of the phase-1
+    plan on the allowed arcs: from the rows that still ship on forbidden
+    arcs, along allowed arcs to columns and back along positive allowed
+    flow to rows. Hall's condition on S at higher thresholds gives the
+    bracket; an empty S gives no cut, and the bracket moves one index.
+    """
+    rows = ((mass > 0.0) & ~allowed).any(axis=1)
+    carried = allowed & (mass > 0.0)
+    while rows.any():
+        grown = rows | carried[:, allowed[rows].any(axis=0)].any(axis=1)
+        if np.array_equal(grown, rows):
+            need = np.array([supply[rows].sum() - tol])
+            cut = _hall_index(values, cost[rows].min(axis=0)[None], need, demand)
+            return max(lo + 1, cut)
+        rows = grown
+    return lo + 1
 
 
 def _result(lam, mu, plan: _Plan, value: float) -> TransportResult:

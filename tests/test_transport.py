@@ -23,6 +23,7 @@ from distp import (
     lifted_w1_member,
     northwest_corner,
     point_distribution,
+    transport,
     uniform_distribution,
     validate_coupling,
     wasserstein_inf,
@@ -31,7 +32,9 @@ from distp import (
 from distp.tolerances import TAU_MASS, TAU_ZERO
 from distp.transport import (
     _clamped,
+    _cut,
     _feasible_on,
+    _hall_index,
     _least_cost,
     _northwest,
     _simplex,
@@ -617,6 +620,106 @@ def test_wasserstein_inf_needs_no_search_when_the_start_is_optimal():
     assert np.array_equal(got.coupling.mass, np.diag(lam.probs))
 
 
+def bottleneck_instance(m, n, family, zeros, sliver, seed):
+    """(lam, mu, metric) on an m-row, n-column cost block.
+
+    Families: Euclidean points, tie-heavy integer costs, points on a line.
+    ``zeros`` rows and columns carry no mass; ``sliver`` (a multiple of
+    TAU_MASS, or None) moves that much mass from the largest row onto
+    another, so Hall's tolerance decides whether that row needs an arc.
+    """
+    rng = np.random.default_rng(seed)
+    if family == 0:
+        cost = np.linalg.norm(rng.random((m, 1, 2)) - rng.random((1, n, 2)),
+                              axis=2)
+    elif family == 1:
+        cost = rng.integers(0, 3, size=(m, n)).astype(float)
+    else:
+        cost = np.abs(rng.random((m, 1)) - rng.random((1, n)))
+
+    def marginal(k):
+        probs = rng.dirichlet(np.ones(k))
+        if zeros and k > 1:
+            probs[rng.choice(k, size=min(zeros, k - 1), replace=False)] = 0.0
+        return probs / probs.sum()
+
+    supply, demand = marginal(m), marginal(n)
+    if sliver is not None and m > 1:
+        big = int(supply.argmax())
+        other = (big + 1 + int(rng.integers(m - 1))) % m
+        supply[big] += supply[other] - sliver * TAU_MASS
+        supply[other] = sliver * TAU_MASS
+    lam = FiniteDistribution(labels(m, "a"), supply)
+    mu = FiniteDistribution(labels(n, "b"), demand)
+    union = GroundMetric(
+        lam.ground + mu.ground,
+        np.block([[np.zeros((m, m)), cost], [cost.T, np.zeros((n, n))]]),
+    )
+    return lam, mu, union
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2),
+       st.integers(0, 3),
+       st.sampled_from([None, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0]),
+       st.integers(0, 10**6))
+def test_hall_floor_and_cuts_stay_at_or_below_the_answer(m, n, family, zeros,
+                                                         sliver, seed):
+    lam, mu, metric = bottleneck_instance(m, n, family, zeros, sliver, seed)
+    bounds = []
+
+    def spy(*args):
+        bounds.append(_hall_index(*args))
+        return bounds[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "_hall_index", spy)
+        got = wasserstein_inf(lam, mu, metric)
+    answer = full_range_bisection(lam, mu, metric)
+    values = np.unique(metric.submatrix(lam.ground, mu.ground))
+    assert max(bounds) <= int(np.searchsorted(values, answer))
+    assert got.cost == answer
+    assert validate_coupling(got.coupling, lam, mu)
+
+
+def test_cut_without_forbidden_flow_moves_one_index():
+    # every row ships on allowed arcs only, so the residual search starts
+    # from no row and finds no Hall set
+    cost = np.array([[0.0, 2.0, 3.0], [3.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
+    values = np.unique(cost)
+    supply = np.array([0.3, 0.2, 0.5])
+    demand = np.array([0.6, 0.2, 0.2])
+    allowed = cost <= values[0]
+    mass = np.diag([0.3, 0.2, 0.2])
+    assert _cut(values, cost, supply, demand, allowed, mass, 0, TAU_MASS) == 1
+    # with row 2's surplus on a forbidden arc, the Hall set {2} lifts the
+    # bracket past cost 2, where it reaches only 0.4 of demand, to cost 3
+    mass[2, 0] = 0.3
+    assert _cut(values, cost, supply, demand, allowed, mass, 0, TAU_MASS) == 2
+
+
+def test_wasserstein_inf_search_on_euclidean_workload_grounds():
+    # 16-point Euclidean grounds drawn as the xdistp_euclid benchmark draws
+    # them (seeds 11, 41, 7401; 24 grounds each; its W-inf pair is the
+    # fifth and sixth distribution drawn). A bisection below the least-cost
+    # bracket took 428 steps and 3,210 phase-1 pivots here.
+    steps = pivots = 0
+    ground = labels(16, "p")
+    for seed in (11, 41, 7401):
+        for g in range(24):
+            rng = np.random.default_rng([seed, g])
+            points = rng.random((16, 2))
+            metric = GroundMetric(ground, np.sqrt(
+                ((points[:, None, :] - points[None, :, :]) ** 2).sum(-1)))
+            lam, mu = [FiniteDistribution(ground, rng.dirichlet(np.ones(16)))
+                       for _ in range(6)][4:]
+            got = wasserstein_inf(lam, mu, metric)
+            assert got.cost == full_range_bisection(lam, mu, metric)
+            steps += got.search_steps
+            pivots += got.pivots
+    assert steps <= 160
+    assert pivots <= 1200
+
+
 # ---------------------------------------------------------------------------
 # oracle checks at realistic sizes
 
@@ -681,7 +784,10 @@ def test_wasserstein_inf_matches_threshold_search_at_size(rng):
             else:
                 lo = mid + 1
         assert got.cost == values[hi]
-        assert got.search_steps >= 2
+        # the least-cost start ships above the answer, so a search was needed
+        start, _ = _least_cost(lam.probs, mu.probs, metric.cost)
+        assert metric.cost[start > 0.0].max() > got.cost
+        assert got.search_steps >= 1
         assert validate_coupling(got.coupling, lam, mu)
 
 
