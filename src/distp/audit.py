@@ -14,12 +14,17 @@ each of those once: on a symmetric relation the backward direction of
 two. A relation's plan is built on its first audit and kept on the frozen
 relation: a label relation's per input ground, a distribution relation's
 per kind of mechanism. A distribution relation interns its distributions
-(by identity, then by exact ground and probabilities), lifts each distinct
-one once per kernel and measures each distinct ordered pair once; two point
-masses need no transport solve, since their one coupling makes the distance
-the ground cost between the two labels. The report keeps the results as
-columns and builds one object per pair only when asked. DP and XDP are the
-point-mass cases of DistP and XDistP.
+(by exact ground and probabilities), lifts each distinct one once per
+kernel and measures each distinct ordered pair once; two point masses need
+no transport solve, since their one coupling makes the distance the ground
+cost between the two labels. The report keeps the results as columns and
+builds one object per pair only when asked. DP and XDP are the point-mass
+cases of DistP and XDistP.
+
+Every verdict is taken by ``_verdict``: a value passes iff it is at most
+its bound plus ``tau_num``. ``PairAudit``, ``AuditReport`` and the plain
+rows of ``AuditReport._rows``, which the JSON and the CLI's CSV report
+print, all read it, so a ``tau_num`` override moves them together.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .finite_prob import (
     PointRelation,
     StochasticKernel,
     _cached_plan,
+    _interned,
     _lifted_probs,
     _PairPlan,
     _point_plan,
@@ -66,6 +72,17 @@ NOTION_DP = "dp"
 NOTION_XDP = "xdp"
 NOTION_DISTP = "distp"
 NOTION_XDISTP = "xdistp"
+
+# The fields of one audited pair, in report order (JSON keys, CSV header).
+_PAIR_FIELDS = ("pair", "forward", "backward", "value", "bound", "pass")
+
+
+def _verdict(value: float, bound: float | None, tau_num: float) -> bool | None:
+    """The verdict rule of every audit: ``value`` passes iff it is at most
+    ``bound + tau_num``; None when there is no bound."""
+    if bound is None:
+        return None
+    return value <= bound + tau_num
 
 
 @dataclass(frozen=True)
@@ -86,20 +103,13 @@ class PairAudit:
         return self._passed(TAU_NUM)
 
     def _passed(self, tau_num: float) -> bool | None:
-        if self.bound is None:
-            return None
-        return self.value <= self.bound + tau_num
+        return _verdict(self.value, self.bound, tau_num)
 
     def to_dict(self, tau_num: float = TAU_NUM) -> dict:
         """Plain form, with the verdict taken at tolerance ``tau_num``."""
-        return {
-            "pair": self.pair,
-            "forward": self.forward,
-            "backward": self.backward,
-            "value": self.value,
-            "bound": self.bound,
-            "pass": self._passed(tau_num),
-        }
+        return dict(zip(_PAIR_FIELDS, (self.pair, self.forward, self.backward,
+                                      self.value, self.bound,
+                                      self._passed(tau_num))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +158,16 @@ class AuditReport:
         return self._passed(TAU_NUM)
 
     def _passed(self, tau_num: float) -> bool:
-        if self.claimed_eps is None:
-            return True
-        return self.observed_eps <= self.claimed_eps + tau_num
+        return _verdict(self.observed_eps, self.claimed_eps, tau_num) is not False
+
+    def _rows(self, tau_num: float):
+        """Each pair's ``_PAIR_FIELDS`` as a tuple, read from the columns,
+        with its verdict taken at tolerance ``tau_num``."""
+        bound = self.claimed_eps
+        for label, fwd, bwd in zip(self.labels, self.forward.tolist(),
+                                   self.backward.tolist()):
+            value = max(fwd, bwd)
+            yield label, fwd, bwd, value, bound, _verdict(value, bound, tau_num)
 
     def to_dict(self, tau_num: float = TAU_NUM) -> dict:
         """Plain form, with every verdict taken at tolerance ``tau_num``."""
@@ -161,7 +178,7 @@ class AuditReport:
             "observed_eps": self.observed_eps,
             "worst_pair": self.worst_pair,
             "verdict": "pass" if self._passed(tau_num) else "fail",
-            "pairs": [p.to_dict(tau_num) for p in self.pairs],
+            "pairs": [dict(zip(_PAIR_FIELDS, row)) for row in self._rows(tau_num)],
         }
 
 
@@ -225,14 +242,14 @@ class _LiftPlan:
     """A distribution relation's audited instances over one kind of
     mechanism: a single kernel, or a family with given labels.
 
-    ``nodes`` are the relation's distinct distributions, interned first by
-    identity and then by exact ground and probabilities; relation pair j
-    compares node ``pair_left[j]`` with node ``pair_right[j]``. Table row r
-    is ``lifts[r] = (slot, node)``, the node pushed through kernel ``slot``
-    of the mechanism, listed once however many instances use it. ``pairs``
-    gives each instance's two table rows and label, and ``index`` its
-    relation pair. Aux-tagged pairs select the named kernels; untagged
-    pairs against a family are audited once per auxiliary value.
+    ``nodes`` are the relation's distinct distributions, interned by exact
+    ground and probabilities; relation pair j compares node ``pair_left[j]``
+    with node ``pair_right[j]``. Table row r is ``lifts[r] = (slot, node)``,
+    the node pushed through kernel ``slot`` of the mechanism, listed once
+    however many instances use it. ``pairs`` gives each instance's two
+    table rows and label, and ``index`` its relation pair. Aux-tagged pairs
+    select the named kernels; untagged pairs against a family are audited
+    once per auxiliary value.
     """
 
     nodes: tuple[FiniteDistribution, ...]
@@ -253,21 +270,10 @@ def _new_lift_plan(psi: DistributionPairRelation, inputs, family) -> _LiftPlan:
             family.kernel_for(label)  # raises the family's UnknownLabelError
         return slots[label]
 
-    nodes: list[FiniteDistribution] = []
-    by_id: dict[int, int] = {}
-    by_value: dict[tuple, int] = {}
-
-    def node(dist: FiniteDistribution) -> int:
-        if id(dist) not in by_id:
-            key = (dist.ground, dist.probs.tobytes())
-            if key not in by_value:
-                by_value[key] = len(nodes)
-                nodes.append(dist)
-            by_id[id(dist)] = by_value[key]
-        return by_id[id(dist)]
-
+    nodes, ids = _interned(d for pair in psi for d in (pair.left, pair.right))
+    pair_left, pair_right = ids[0::2], ids[1::2]
     rows: dict[tuple[int, int], int] = {}
-    index, labels, left, right, pair_left, pair_right = [], [], [], [], [], []
+    index, labels, left, right = [], [], [], []
     for i, pair in enumerate(psi):
         if family is None:
             sides = [(pair.aux, 0, 0)]
@@ -279,9 +285,7 @@ def _new_lift_plan(psi: DistributionPairRelation, inputs, family) -> _LiftPlan:
             raise GroundMismatchError(
                 "distribution ground does not match kernel inputs"
             )
-        a, b = node(pair.left), node(pair.right)
-        pair_left.append(a)
-        pair_right.append(b)
+        a, b = pair_left[i], pair_right[i]
         for aux, k0, k1 in sides:
             index.append(i)
             labels.append(f"{i}:{pair_label(*aux)}" if aux else str(i))

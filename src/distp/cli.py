@@ -23,7 +23,6 @@ import io
 import json
 import sys
 from collections import namedtuple
-from itertools import repeat
 
 from . import (
     __version__,
@@ -74,8 +73,16 @@ def _config(args) -> RunConfig:
     )
 
 
-def _emit(payload: dict, config: RunConfig) -> None:
-    sys.stdout.write(fileio.dumps_json({"config": config.to_dict(), **payload}))
+def _write(text: str, out: str | None = None) -> None:
+    """Write ``text`` to stdout, and first to the file ``out`` if given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+
+
+def _emit(payload: dict, config: RunConfig, out: str | None = None) -> None:
+    _write(fileio.dumps_json({"config": config.to_dict(), **payload}), out)
 
 
 def _load_distribution(path: str, tau_mass: float):
@@ -170,12 +177,7 @@ def cmd_couple_mech(args) -> int:
         couplings=couplings,
         fallback=args.fallback,
     )
-    payload = fileio.cp_spec_to_dict(spec)
-    text = fileio.dumps_json({"config": cfg.to_dict(), **payload})
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _emit(fileio.cp_spec_to_dict(spec), cfg, args.out)
     return 0
 
 
@@ -195,30 +197,21 @@ def cmd_obfuscate(args) -> int:
     labels = fileio.load_labels_csv(args.data, header="x")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     outputs = mechanisms.sample_outputs(kernel, labels, rng)
-    text = fileio.labels_to_csv(outputs, header="y")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _write(fileio.labels_to_csv(outputs, header="y"), args.out)
     return 0
 
 
 def _audit_csv(report: audit.AuditReport, tau_num: float) -> str:
-    """One row per pair, written from the report's columns. A float cell
-    reads as its JSON token does (``str`` of an infinity is ``inf``), and the
-    per-pair value and verdict are taken as ``PairAudit`` takes them."""
-    forward, backward = report.forward.tolist(), report.backward.tolist()
-    values = list(map(max, forward, backward))
-    if report.claimed_eps is None:
-        bounds = verdicts = repeat("")
-    else:
-        bounds = repeat(fileio.jsonable(report.claimed_eps))
-        limit = report.claimed_eps + tau_num
-        verdicts = ["true" if v <= limit else "false" for v in values]
+    """One row per pair, as the report's JSON lists it. A float cell reads
+    as its JSON token does (``str`` of an infinity is ``inf``); a missing
+    bound and verdict are empty."""
+    bound = "" if report.claimed_eps is None else fileio.jsonable(report.claimed_eps)
+    verdict = {True: "true", False: "false", None: ""}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pair", "forward", "backward", "value", "bound", "pass"])
-    writer.writerows(zip(report.labels, forward, backward, values, bounds, verdicts))
+    writer.writerow(audit._PAIR_FIELDS)
+    writer.writerows((*row[:4], bound, verdict[row[5]])
+                     for row in report._rows(tau_num))
     return buf.getvalue()
 
 
@@ -255,7 +248,7 @@ def cmd_audit(args) -> int:
     report = auditor(mechanism, relation, divergence=divergence, **options)
 
     if cfg.format == "csv":
-        sys.stdout.write(_audit_csv(report, cfg.tau_num))
+        _write(_audit_csv(report, cfg.tau_num))
     else:
         _emit(report.to_dict(tau_num=cfg.tau_num), cfg)
     return 0 if report._passed(cfg.tau_num) else 2

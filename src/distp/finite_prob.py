@@ -339,6 +339,22 @@ def _cached_plan(relation, key, build: Callable[[], object]):
     return plans[key]
 
 
+def _interned(dists: Iterable[FiniteDistribution]):
+    """The distinct distributions of ``dists`` in order of first use, and
+    the index of each entry among them. Two entries are one distribution
+    when they have the same ground and bit-identical probabilities."""
+    nodes: list[FiniteDistribution] = []
+    ids: list[int] = []
+    index: dict[tuple, int] = {}
+    for dist in dists:
+        key = (dist.ground, dist.probs.tobytes())
+        if key not in index:
+            index[key] = len(nodes)
+            nodes.append(dist)
+        ids.append(index[key])
+    return nodes, ids
+
+
 def _point_plan(phi: PointRelation, kernel: StochasticKernel) -> _PairPlan:
     """The pairs of ``phi`` as pairs of ``kernel`` rows, built once per
     input ground.

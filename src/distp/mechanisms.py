@@ -31,13 +31,14 @@ from .finite_prob import (
     GroundMetric,
     StochasticKernel,
     _clean_ground,
+    _interned,
     lift,
     pair_label,
 )
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
 from .transport import (
     Coupling,
-    _wasserstein_cost,
+    _pair_distances,
     emd,
     northwest_corner,
     validate_coupling,
@@ -361,6 +362,8 @@ def stability_check(
 
     Metric form (``pairs`` + ``metric``): every pair must satisfy
     W(T#a, T#b) <= c * W(a, b) + TAU_NUM for the chosen Wasserstein order.
+    The pairs and their images are interned, so each distinct ordered pair
+    is measured once, and a pair of point masses takes no solve.
 
     Relation form (``relation``): for every related pair, the image of the
     right member must reach the image of the left member in at most ``c``
@@ -374,13 +377,14 @@ def stability_check(
             raise ValidationError("metric form needs both pairs and metric")
         if c < 0.0:
             raise ValidationError("expansion factor c must be nonnegative")
-        for pair in pairs:
-            a, b = (pair.left, pair.right) if hasattr(pair, "left") else pair
-            before = _wasserstein_cost(a, b, metric, order)
-            after = _wasserstein_cost(lift(kernel, a), lift(kernel, b), metric, order)
-            if after > c * before + TAU_NUM:
-                return False
-        return True
+        sides = [(p.left, p.right) if hasattr(p, "left") else p for p in pairs]
+        nodes, ids = _interned(d for a, b in sides for d in (a, b))
+        images, image_ids = _interned([lift(kernel, d) for d in nodes])
+        left, right = np.array(ids, dtype=np.intp).reshape(-1, 2).T
+        image = np.array(image_ids, dtype=np.intp)
+        before = _pair_distances(nodes, left, right, metric, order)
+        after = _pair_distances(images, image[left], image[right], metric, order)
+        return not np.any(after > c * before + TAU_NUM)
 
     steps = int(c)
     if steps < 0 or steps != c:

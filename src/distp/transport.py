@@ -10,8 +10,9 @@ nodes; degenerate basic cells carry an explicit zero mass. Potentials
 rule until mass moves again, so degenerate instances cannot cycle. The
 tree keeps parent and depth arrays: the pivot cycle is the two paths up to
 a common ancestor, and only the subtree that a pivot cuts off is hung
-again and re-priced. The north-west corner rule is kept only for
-``northwest_corner``, which the ``"northwest"`` coupling-mechanism mode uses.
+again and re-priced. The north-west corner rule of ``northwest_corner``
+(the ``"northwest"`` coupling-mechanism mode) is the same fill on the
+staircase costs i + j.
 
 A bounded-variable variant fixes a set of forbidden arcs at zero, which
 gives feasibility tests and restricted optima for relation-constrained
@@ -132,31 +133,14 @@ def validate_coupling(
 
 
 def _northwest(supply: np.ndarray, demand: np.ndarray):
-    """Greedy staircase fill; returns (mass, basis) with m+n-1 basic cells."""
-    m, n = supply.size, demand.size
-    mass = np.zeros((m, n))
-    basis: list[tuple[int, int]] = []
-    i = j = 0
-    rr = float(supply[0])
-    rc = float(demand[0])
-    while True:
-        t = rr if rr <= rc else rc
-        mass[i, j] = t
-        basis.append((i, j))
-        rr -= t
-        rc -= t
-        if i == m - 1 and j == n - 1:
-            break
-        # Ties close the row first, leaving a zero-mass basic cell below;
-        # at the last column the row must advance regardless.
-        if (rr == 0.0 and i < m - 1) or j == n - 1:
-            i += 1
-            rr = float(supply[i])
-        else:
-            j += 1
-            rc = float(demand[j])
-    _fold_defect(mass, supply, demand)
-    return mass, basis
+    """The staircase start: the least-cost fill on the costs i + j.
+
+    In that order the cheapest open cell is always the north-west corner of
+    the open block, so the fill walks the staircase of the north-west
+    corner rule, with its tie and last-line rules.
+    """
+    return _least_cost(supply, demand,
+                       np.add.outer(np.arange(supply.size), np.arange(demand.size)))
 
 
 def _least_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
@@ -165,10 +149,10 @@ def _least_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
     Cells are taken in ascending cost order, ties in row-major order. Each
     taken cell ships as much as its row and column still hold and closes
     one of the two lines, so every line but the last row and column closes
-    on exactly one basic cell and the cells form a spanning tree. As in
-    ``_northwest``, a tie closes the row, leaving the column open for a
-    zero-mass basic cell, and the last open row or column never closes
-    before the other kind's last line.
+    on exactly one basic cell and the cells form a spanning tree. A tie
+    closes the row, leaving the column open for a zero-mass basic cell, and
+    the last open row or column never closes before the other kind's last
+    line. ``_northwest`` is this fill on staircase costs.
     """
     m, n = cost.shape
     mass = np.zeros((m, n))
@@ -383,12 +367,23 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
 def _feasible_on(supply, demand, allowed, warm=None):
     """Phase 1: minimal mass outside ``allowed`` under 0/1 costs.
 
-    Feasible iff that minimum is at most TAU_MASS (a full unit of flow
-    fits inside the allowed arcs). Returns the verdict and the phase-1
-    plan, whose stray dust on forbidden arcs ``_clamped`` removes.
+    Feasible iff that stray mass is at most TAU_MASS and the plan that
+    ``_clamped`` leaves holds a unit of mass to within TAU_MASS, as a
+    ``Coupling`` must; both less the plan's rounding, so that no verdict
+    hangs on last bits that differ with the warm start. Returns the
+    verdict and the phase-1 plan.
     """
     plan = _simplex(supply, demand, np.where(allowed, 0.0, 1.0), warm=warm)
-    return float(plan.mass[~allowed].sum()) <= TAU_MASS, plan
+    stray = float(plan.mass[~allowed].sum())
+    kept = float(_clamped(plan.mass, allowed).sum())
+    room = TAU_MASS - _rounding(allowed.size)
+    return stray <= room and abs(kept - 1.0) <= room, plan
+
+
+def _rounding(cells: int) -> float:
+    """How far a sum over a plan of ``cells`` cells can round: about one
+    ulp of the unit mass per cell."""
+    return cells * 2.0**-52
 
 
 def _clamped(mass: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -447,11 +442,9 @@ def wasserstein_p(
 ) -> TransportResult:
     """p-Wasserstein distance: minimal (sum of cost^p)^(1/p) over couplings."""
     _checked_order(p)
-    cost = _cost_block(metric, lam.ground, mu.ground)
-    powered = cost if p == 1.0 else cost**p
+    powered = _cost_block(metric, lam.ground, mu.ground) ** p
     plan = _simplex(lam.probs, mu.probs, powered)
-    raw = float(np.sum(powered * plan.mass))
-    return _result(lam, mu, plan, raw if p == 1.0 else raw ** (1.0 / p))
+    return _result(lam, mu, plan, float(np.sum(powered * plan.mass)) ** (1.0 / p))
 
 
 def wasserstein_inf(
@@ -471,10 +464,9 @@ def wasserstein_inf(
     values = np.unique(cost)
     mass, basis = _least_cost(supply, demand, cost)
     plan = best = _Plan(mass, set(basis), 0, 0)
-    # Hall's sums and phase 1's sum of forbidden mass each round by up to
-    # about one ulp of the unit mass per cell; the slack keeps a bound from
-    # passing a threshold whose shortfall lies within rounding of TAU_MASS.
-    tol = TAU_MASS + cost.size * 2.0**-52
+    # Hall's sums round too; the slack keeps a bound from passing a
+    # threshold whose shortfall lies within rounding of TAU_MASS.
+    tol = TAU_MASS + _rounding(cost.size)
     lo = max(_hall_index(values, cost, supply - tol, demand),
              _hall_index(values, cost.T, demand - tol, supply))
     hi = int(np.searchsorted(values, cost[mass > 0.0].max()))
@@ -553,21 +545,6 @@ def _checked_order(p: float) -> float:
     return p
 
 
-def _order(order: float | str) -> float:
-    """The order "1", "inf", math.inf or a number p >= 1, as a float."""
-    if order == "inf" or order == math.inf:
-        return math.inf
-    return _checked_order(float(order))
-
-
-def _wasserstein_cost(lam, mu, metric, order: float | str) -> float:
-    """Wasserstein distance at order "1", "inf", math.inf or a number p >= 1."""
-    p = _order(order)
-    if p == math.inf:
-        return wasserstein_inf(lam, mu, metric).cost
-    return wasserstein_p(lam, mu, metric, p=p).cost
-
-
 def _atom(dist: FiniteDistribution) -> int | None:
     """The index of the one label carrying all of ``dist``'s mass (exactly
     1, every other entry exactly 0), or None."""
@@ -578,19 +555,19 @@ def _atom(dist: FiniteDistribution) -> int | None:
 
 
 def _pair_distances(dists, left, right, metric, order: float | str) -> np.ndarray:
-    """Wasserstein distance at ``order`` (as ``_wasserstein_cost`` takes it)
-    from ``dists[left[i]]`` to ``dists[right[i]]``, for every i.
+    """Wasserstein distance from ``dists[left[i]]`` to ``dists[right[i]]``,
+    for every i, at ``order``: "1", "inf", math.inf or a number p >= 1.
 
-    Each distinct ordered pair is computed once, in order of first use.
+    This is the one place that turns an order into a distance. Each
+    distinct ordered pair is computed once, in order of first use.
     W(mu, lam) is not reused for W(lam, mu): the simplex on the transposed
     problem can differ in the last bit. Two point masses delta_a and delta_b
     have one coupling, delta_a x delta_b, which every solve ships on with
     exact 0/1 flows; so their distance takes no solve and is read off the
     cost block with the float operations that end the solver path:
-    cost[a, b] at orders 1 and inf, (cost[a, b] ** p) ** (1 / p) at p.
+    cost[a, b] at order inf, (cost[a, b] ** p) ** (1 / p) at p.
     """
-    p = _order(order)
-    plain = p in (1.0, math.inf)
+    p = math.inf if order in ("inf", math.inf) else _checked_order(float(order))
     atoms = [_atom(dist) for dist in dists]
     pairs = list(zip(left.tolist(), right.tolist()))
     blocks: dict = {}
@@ -598,15 +575,17 @@ def _pair_distances(dists, left, right, metric, order: float | str) -> np.ndarra
     for i, j in dict.fromkeys(pairs):
         lam, mu = dists[i], dists[j]
         a, b = atoms[i], atoms[j]
-        if a is None or b is None:
-            known[i, j] = _wasserstein_cost(lam, mu, metric, p)
-            continue
-        grounds = (lam.ground, mu.ground)
-        if grounds not in blocks:
-            cost = _cost_block(metric, *grounds)
-            blocks[grounds] = cost if plain else cost**p
-        value = float(blocks[grounds][a, b])
-        known[i, j] = value if plain else value ** (1.0 / p)
+        if a is not None and b is not None:
+            grounds = (lam.ground, mu.ground)
+            if grounds not in blocks:
+                cost = _cost_block(metric, *grounds)
+                blocks[grounds] = cost if p == math.inf else cost**p
+            value = float(blocks[grounds][a, b])
+            known[i, j] = value if p == math.inf else value ** (1.0 / p)
+        elif p == math.inf:
+            known[i, j] = wasserstein_inf(lam, mu, metric).cost
+        else:
+            known[i, j] = wasserstein_p(lam, mu, metric, p=p).cost
     return np.array([known[pair] for pair in pairs])
 
 

@@ -36,11 +36,13 @@ from distp import (
     build_coupling_mechanism,
     delta_required,
     lift,
+    stability_check,
     wasserstein_inf,
     wasserstein_p,
 )
 from distp import audit, divergences, finite_prob, transport
 from distp.divergences import _divergence_rows
+from distp.tolerances import TAU_NUM
 from conftest import euclidean_metric, labels, rand_dist, rand_kernel
 
 
@@ -246,14 +248,13 @@ def test_general_pairs_are_solved_once_per_distinct_ordered_pair(rng):
                                     (point, point)])
     for order, distance in (("1", wasserstein_p), ("inf", wasserstein_inf)):
         solved = []
-        real = transport._wasserstein_cost
 
-        def counting(a, b, m, o):
+        def counting(a, b, m, **options):
             solved.append((a, b))
-            return real(a, b, m, o)
+            return distance(a, b, m, **options)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(transport, "_wasserstein_cost", counting)
+            patch.setattr(transport, distance.__name__, counting)
             report = audit_xdistp(kernel, psi, metric, MaxDivergence(),
                                   wasserstein=order)
         # (lam, nu), (nu, lam) and (lam, point); the point pair is read off
@@ -264,3 +265,50 @@ def test_general_pairs_are_solved_once_per_distinct_ordered_pair(rng):
             divergences._per_distance(dp.forward, want))
         assert hexes(report.backward) == hexes(
             divergences._per_distance(dp.backward, want))
+
+
+@pytest.mark.parametrize("order", ["1", 2.0, "inf"])
+def test_stability_check_measures_each_distinct_ordered_pair_once(rng, order):
+    ground = labels(5)
+    metric = euclidean_metric(rng, ground)
+    # a relabelling kernel: the image of a point mass is a point mass
+    kernel = StochasticKernel(ground, ground, np.eye(5)[rng.permutation(5)])
+    lam, nu = rand_dist(rng, ground), rand_dist(rng, ground)
+    twin = FiniteDistribution(ground, lam.probs.copy())
+    a, b = (finite_prob.point_distribution(x, ground) for x in ("x0", "x3"))
+    pairs = [(lam, nu), (nu, lam), (twin, nu), (a, b), DistributionPair(lam, a),
+             (b, a), (lam, nu)]
+    p = {"1": 1.0, 2.0: 2.0, "inf": None}[order]
+    solved = []
+
+    def counting(real):
+        def solve(x, y, m, **options):
+            solved.append((x.probs.tolist(), y.probs.tolist()))
+            return real(x, y, m, **options)
+
+        return solve
+
+    def distance(x, y):
+        if p is None:
+            return wasserstein_inf(x, y, metric).cost
+        return wasserstein_p(x, y, metric, p=p).cost
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "wasserstein_p", counting(wasserstein_p))
+        patch.setattr(transport, "wasserstein_inf", counting(wasserstein_inf))
+        verdicts = [stability_check(kernel, c, pairs=pairs, metric=metric,
+                                    order=order) for c in (0.0, 1.0, 100.0)]
+    # (lam, nu), (nu, lam) and (lam, a), then their images; the twin is lam
+    # by value, and the point-mass pairs and their images are read off
+    general = [(lam, nu), (nu, lam), (lam, a)]
+    images = [(lift(kernel, x), lift(kernel, y)) for x, y in general]
+    want = [(x.probs.tolist(), y.probs.tolist()) for x, y in general + images]
+    assert solved == want * 3
+    for c, verdict in zip((0.0, 1.0, 100.0), verdicts):
+        assert verdict == all(
+            distance(lift(kernel, x), lift(kernel, y))
+            <= c * distance(x, y) + TAU_NUM
+            for x, y in (pair if isinstance(pair, tuple) else
+                         (pair.left, pair.right) for pair in pairs)
+        )
+    assert verdicts[0] is False and verdicts[2] is True
