@@ -13,7 +13,11 @@ each of those once: on a symmetric relation the backward direction of
 (a, b) is the forward direction of (b, a), so it costs one direction, not
 two. A relation's plan is built on its first audit and kept on the frozen
 relation: a label relation's per input ground, a distribution relation's
-per kind of mechanism. A distribution relation interns its distributions
+per kind of mechanism. A kernel keeps a memo of its evaluated row pairs
+per divergence (``finite_prob._row_memo``), which the label audits and
+``geometric_mechanism`` read through, so each ordered pair of kernel rows
+is evaluated once per kernel and divergence, whatever the relation or
+notion asks for it. A distribution relation interns its distributions
 (by exact ground and probabilities), lifts each distinct one once per
 kernel and measures each distinct ordered pair once; two point masses need
 no transport solve, since their one coupling makes the distance the ground
@@ -42,8 +46,8 @@ from .divergences import (
     Divergence,
     MaxDivergence,
     _divergence_columns,
+    _divergence_rows,
     _per_distance,
-    max_divergence,
 )
 from .errors import (
     EmptyRelationError,
@@ -62,6 +66,7 @@ from .finite_prob import (
     _lifted_probs,
     _PairPlan,
     _point_plan,
+    _row_memo,
     pair_label,
 )
 from .mechanisms import CouplingMechanismSpec, KernelFamily, _cp_rows, aux_kernel
@@ -190,10 +195,13 @@ def _audit(
     claimed: float | None,
     *,
     distances: np.ndarray | None = None,
+    memo: dict | None = None,
 ) -> AuditReport:
     """Audit every pair of ``plan`` over the rows of ``table``, in both
-    directions, per unit of ``distances[i]`` if given."""
-    forward, backward = _divergence_columns(divergence, table, plan)
+    directions, per unit of ``distances[i]`` if given; with ``memo``, the
+    row-pair memo kept with ``table``, each ordered row pair that an earlier
+    call evaluated is read from it."""
+    forward, backward = _divergence_columns(divergence, table, plan, memo)
     if distances is not None:
         forward = _per_distance(forward, distances)
         backward = _per_distance(backward, distances)
@@ -209,7 +217,8 @@ def audit_div_dp(
 ) -> AuditReport:
     """Worst divergence between output rows over all related input pairs."""
     plan = _point_plan(phi, kernel)
-    return _audit(NOTION_DP, divergence, plan, kernel.matrix, claimed_eps)
+    return _audit(NOTION_DP, divergence, plan, kernel.matrix, claimed_eps,
+                  memo=_row_memo(kernel))
 
 
 def audit_div_xdp(
@@ -231,7 +240,7 @@ def audit_div_xdp(
         rows[i] = metric.index(kernel.inputs[i])
     distances = metric.cost[rows[left], rows[right]]
     return _audit(NOTION_XDP, divergence, plan, kernel.matrix, claimed_eps,
-                  distances=distances)
+                  distances=distances, memo=_row_memo(kernel))
 
 
 Mechanism = StochasticKernel | KernelFamily | CouplingMechanismSpec
@@ -439,24 +448,31 @@ def check_cp_theorem(
     if missing:
         raise ValidationError(f"actual inputs missing auxiliary values {missing}")
 
-    eps = 0.0
-    outputs = []
-    for entry in spec.entries:
-        lam = actual_inputs[entry.s]
-        level = max(
-            max_divergence(entry.approx_input, lam),
-            max_divergence(lam, entry.approx_input),
-        )
+    # The level of each estimate, both ways round, in one blocked call:
+    # table rows 0..m-1 are the estimates, rows m..2m-1 the true inputs.
+    actual = [actual_inputs[entry.s] for entry in spec.entries]
+    for entry, lam in zip(spec.entries, actual):
+        if lam.ground != entry.approx_input.ground:
+            raise GroundMismatchError("divergence requires a shared ground set")
+    m = len(actual)
+    given = np.stack([entry.approx_input.probs for entry in spec.entries]
+                     + [lam.probs for lam in actual])
+    there, back = np.arange(m), m + np.arange(m)
+    both = _divergence_rows(MaxDivergence(), given,
+                            np.concatenate([there, back]),
+                            np.concatenate([back, there]))
+    levels = np.maximum(both[:m], both[m:])
+    for entry, level in zip(spec.entries, levels.tolist()):
         if not math.isfinite(level):
             raise InfiniteEpsilonError(
                 f"estimate for {entry.s!r} has a different support than the "
                 "true input"
             )
-        eps = max(eps, level)
-        # Inputs the estimate rules out carry no true mass once the level is
-        # finite, so their rows never consult the fallback policy.
-        rows, _ = _cp_rows(spec.target, entry)
-        outputs.append(lam.probs @ rows)
+    eps = max(0.0, *levels.tolist())
+    # Inputs the estimate rules out carry no true mass once the level is
+    # finite, so their rows never consult the fallback policy.
+    outputs = [lam.probs @ _cp_rows(spec.target, entry)[0]
+               for entry, lam in zip(spec.entries, actual)]
 
     aux = spec.aux
     first, second = np.triu_indices(len(aux))
@@ -465,6 +481,7 @@ def check_cp_theorem(
         first, second,
     )
     table = np.stack(outputs)
+    memo: dict = {}  # the "kl" and "f:kl" checks evaluate KL once
 
     growth = math.exp(eps)
     bounds = [("max", MaxDivergence(), 2.0 * eps), ("kl", KL, 2.0 * eps * growth)]
@@ -472,7 +489,8 @@ def check_cp_theorem(
         bound = growth * float(kind(math.exp(2.0 * eps)))
         bounds.append((f"f:{kind.name}", kind, bound))
     checks = tuple(
-        BoundCheck(name, bound, _audit(NOTION_DISTP, divergence, plan, table, bound))
+        BoundCheck(name, bound, _audit(NOTION_DISTP, divergence, plan, table,
+                                       bound, memo=memo))
         for name, divergence, bound in bounds
     )
     return CPTheoremReport(eps, checks)

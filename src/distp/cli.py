@@ -114,13 +114,8 @@ def cmd_emd(args) -> int:
     lhs = _load_distribution(args.lhs, cfg.tau_mass)
     rhs = _load_distribution(args.rhs, cfg.tau_mass)
     metric = fileio.metric_from_csv(args.cost)
-    if args.inf:
-        result = transport.wasserstein_inf(lhs, rhs, metric)
-        order = "inf"
-    else:
-        p = 1.0 if args.p is None else args.p
-        result = transport.wasserstein_p(lhs, rhs, metric, p=p)
-        order = p
+    order = "inf" if args.inf else 1.0 if args.p is None else args.p
+    result = transport._wasserstein(lhs, rhs, metric, order)
     payload = {
         "order": order,
         "cost": result.cost,

@@ -153,73 +153,132 @@ Divergence = FDivergenceKind | MaxDivergence
 
 
 # The row kernel works through (pairs x |Y|) inputs this many cells at a
-# time, which bounds every temporary it allocates whatever the pair count.
-# A float block is 32 KiB. glibc hands the top of the heap back to the
-# system once more than 128 KiB of it is free (its default trim threshold,
-# unless an earlier large allocation raised it); with larger blocks the
-# freed temporaries of one block crossed that line, and the next block
-# faulted the memory in again (about 12,000 minor faults per 60-point
-# audit job at 8,192-cell blocks, about 1 at 4,096).
-_BLOCK_CELLS = 1 << 12
+# time, which bounds every buffer it allocates whatever the pair count.
+# Each blocked call allocates its buffers once, sized to its first block,
+# and reuses them for every later block. Temporaries made afresh for each
+# block faulted their memory in again whenever glibc had handed it back to
+# the system (about 12,000 minor faults per 60-point audit job at 8,192
+# cells). Measured with getrusage ru_minflt on the 60-point geometric
+# audit job, in a loop of jobs: about 115 minor faults per job at 8,192
+# cells, each call faulting its buffers in once (48 in the delta audit,
+# 63 in KL), against about 4 at 4,096 cells with fresh temporaries. At
+# 16,384 cells a 128 KiB temporary (a generator's, or the sort's) meets
+# glibc's mmap threshold: 300 to 1,900 faults per job, depending on the
+# heap's history, and no gain in time.
+_BLOCK_CELLS = 1 << 13
 
 
-def _row_blocks(rows: int, cols: int):
-    """Row slices covering ``rows`` rows of ``cols`` cells, block by block."""
-    step = max(1, _BLOCK_CELLS // cols)
-    return (slice(start, start + step) for start in range(0, rows, step))
+def _buffer(work: dict, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """The array ``name`` of ``work`` at ``shape``, C-contiguous: allocated on
+    first use and reused after. A blocked call's first block is its largest,
+    so later blocks view a prefix of the same memory."""
+    size = math.prod(shape)
+    flat = work.get(name)
+    if flat is None or flat.size < size:
+        flat = work[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
 
 def _row_function(divergence: Divergence):
-    """The function evaluating ``divergence`` on a block of row pairs."""
+    """The function evaluating ``divergence`` on a block of row pairs, with
+    its own buffers, reused from block to block."""
+    work: dict = {}
     if isinstance(divergence, FDivergenceKind):
-        return lambda P, Q: _f_rows(divergence, P, Q)
+        return lambda P, Q: _f_rows(divergence, P, Q, work)
     if isinstance(divergence, MaxDivergence):
         if divergence.delta == 0.0:
-            return _max_rows
-        return lambda P, Q: _prefix_rows(P, Q, divergence.delta)
+            return lambda P, Q: _max_rows(P, Q, work)
+        return lambda P, Q: _prefix_rows(P, Q, divergence.delta, work)
     raise ValidationError(f"unknown divergence descriptor {divergence!r}")
 
 
 def _blocked_rows(rows, table, left, right) -> np.ndarray:
     """``rows`` applied to rows ``left[i]`` and ``right[i]`` of ``table``, for
-    every i. Rows are gathered block by block, so no temporary grows with the
-    pair count."""
-    out = np.empty(len(left))
-    for block in _row_blocks(len(left), table.shape[1]):
-        out[block] = rows(table[left[block]], table[right[block]])
+    every i. Rows are gathered block by block into two buffers of at most
+    one block, so no temporary grows with the pair count."""
+    n, width = len(left), table.shape[1]
+    step = max(1, _BLOCK_CELLS // width)
+    P, Q = np.empty((min(n, step), width)), np.empty((min(n, step), width))
+    out = np.empty(n)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        k = len(out[block])
+        # Row indices are in range, so "clip" never clips; unlike "raise",
+        # it lets ``take`` gather straight into the buffer.
+        np.take(table, left[block], axis=0, out=P[:k], mode="clip")
+        np.take(table, right[block], axis=0, out=Q[:k], mode="clip")
+        out[block] = rows(P[:k], Q[:k])
     return out
 
 
-def _both_directions(rows, table, plan: _PairPlan):
-    """``rows`` on every pair of ``plan`` in both directions: ``(forward,
-    backward)``, entry i evaluated on table rows ``(left[i], right[i])`` and
-    ``(right[i], left[i])``. Each distinct ordered pair of table rows is
-    evaluated once, so a symmetric relation costs one direction; row
-    functions act on each row alone, so the values do not depend on which
-    pairs are evaluated together."""
-    values = _blocked_rows(rows, table, plan.first, plan.second)[plan.inverse]
+def _both_directions(values: np.ndarray, plan: _PairPlan):
+    """``(forward, backward)`` of every pair of ``plan`` from ``values``, the
+    results on its distinct ordered row pairs ``(first[k], second[k])``.
+    Each distinct ordered pair is evaluated once, so a symmetric relation
+    costs one direction; row functions act on each row alone, so the values
+    do not depend on which pairs are evaluated together."""
+    values = values[plan.inverse]
     return values[: len(plan.left)], values[len(plan.left):]
 
 
-def _divergence_rows(divergence, table, left, right) -> np.ndarray:
+# A memo's entry before its first pair: no codes, no values.
+_NOTHING = (np.empty(0, dtype=np.intp), np.empty(0))
+
+
+def _divergence_rows(divergence, table, left, right, memo=None) -> np.ndarray:
     """Divergence of row ``left[i]`` of ``table`` from row ``right[i]``, for
-    every i, equal bit for bit to the one-row call on that pair."""
-    return _blocked_rows(_row_function(divergence), table, left, right)
+    every i, equal bit for bit to the one-row call on that pair.
+
+    ``memo``, a dict kept with ``table`` (a kernel's, ``_row_memo``), holds
+    per divergence the sorted codes ``left * len(table) + right`` of the
+    pairs evaluated so far and their values, so each ordered row pair is
+    evaluated once whatever the calls that ask for it. Its size grows with
+    the distinct pairs evaluated, not with the square of the row count.
+    """
+    rows = _row_function(divergence)
+    try:
+        known = None if memo is None else memo.get(divergence, _NOTHING)
+    except TypeError:  # a custom generator that cannot be hashed
+        known = None
+    if known is None:
+        return _blocked_rows(rows, table, left, right)
+    codes, values = known
+    want = np.asarray(left, dtype=np.intp) * len(table) + right
+    at = np.searchsorted(codes, want)
+    missing = np.ones(len(want), dtype=bool)
+    inside = at < len(codes)
+    missing[inside] = codes[at[inside]] != want[inside]
+    if missing.any():
+        # each new pair once, in code order; not np.unique, whose first
+        # call imports numpy.ma (about 13 ms, numpy 2.4)
+        fresh = np.sort(want[missing])
+        fresh = fresh[np.append(True, fresh[1:] != fresh[:-1])]
+        found = _blocked_rows(rows, table, fresh // len(table),
+                              fresh % len(table))
+        place = np.searchsorted(codes, fresh)
+        codes = np.insert(codes, place, fresh)
+        values = np.insert(values, place, found)
+        memo[divergence] = codes, values
+        at = np.searchsorted(codes, want)
+    return values[at]
 
 
-def _divergence_columns(divergence, table, plan: _PairPlan):
+def _divergence_columns(divergence, table, plan: _PairPlan, memo=None):
     """``_divergence_rows`` of every pair of ``plan`` forward and backward,
-    each distinct ordered row pair evaluated once."""
-    return _both_directions(_row_function(divergence), table, plan)
+    each distinct ordered row pair evaluated once (and through ``memo``)."""
+    return _both_directions(
+        _divergence_rows(divergence, table, plan.first, plan.second, memo), plan)
 
 
-def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    on = Q > TAU_ZERO
-    off = (P > TAU_ZERO) & ~on
-    lost = np.any(off, axis=1)
+def _f_rows(kind: FDivergenceKind, P, Q, work: dict) -> np.ndarray:
+    on = np.greater(Q, TAU_ZERO, out=_buffer(work, "on", P.shape, bool))
+    off = np.greater(P, TAU_ZERO, out=_buffer(work, "off", P.shape, bool))
+    off &= ~on
+    lost = off.any(axis=1)
     inf = lost & (kind.slope == INF)
-    use = on & ~inf[:, None]
-    values = np.asarray(kind(P[use] / Q[use]), dtype=float)
+    use = np.logical_and(on, ~inf[:, None], out=on)  # on is not needed again
+    weights = Q[use]
+    values = np.asarray(kind(P[use] / weights), dtype=float)
     if np.any(np.isnan(values)):
         raise InvalidGeneratorError(
             f"generator {kind.name!r} produced NaN on valid ratios"
@@ -228,8 +287,11 @@ def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     # to the front and summing rows of equal count together groups every
     # sum as ``np.sum`` groups the 1-D array of that row's terms.
     counts = use.sum(axis=1)
-    packed = np.zeros(P.shape)
-    packed[np.arange(P.shape[1]) < counts[:, None]] = Q[use] * values
+    packed = _buffer(work, "packed", P.shape)
+    packed.fill(0.0)
+    front = np.less(np.arange(P.shape[1]), counts[:, None],
+                    out=_buffer(work, "front", P.shape, bool))
+    packed[front] = weights * values
     totals = np.empty(len(P))
     for k in np.flatnonzero(np.bincount(counts)):
         rows = counts == k
@@ -245,35 +307,43 @@ def _f_rows(kind: FDivergenceKind, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _max_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    on = P > TAU_ZERO
-    use = on & (Q > TAU_ZERO)
-    logs = np.full(P.shape, -INF)
-    logs[use] = np.log(P[use] / Q[use])
-    return np.where(np.any(on & ~use, axis=1), INF, logs.max(axis=1))
+def _max_rows(P, Q, work: dict) -> np.ndarray:
+    on = np.greater(P, TAU_ZERO, out=_buffer(work, "on", P.shape, bool))
+    use = np.greater(Q, TAU_ZERO, out=_buffer(work, "use", P.shape, bool))
+    use &= on
+    logs = _buffer(work, "logs", P.shape)
+    logs.fill(-INF)
+    np.divide(P, Q, out=logs, where=use)
+    np.log(logs, out=logs, where=use)
+    lost = np.not_equal(on, use, out=on).any(axis=1)  # on, not use
+    return np.where(lost, INF, logs.max(axis=1))
 
 
 def _support_order(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Indices sorting each row of ``keys`` ascending, in the stable order
-    on the row's first ``counts[i]`` sorted positions.
+    """Indices sorting each row of ``keys`` (C-contiguous) ascending, in the
+    stable order on the row's first ``counts[i]`` sorted positions.
 
+    Support keys are below +inf and the keys off the support are +inf.
     Distinct keys have one sorting permutation, so the default sort already
     gives the stable order on them. Only the rows whose first ``counts[i]``
     sorted keys hold an exact tie (-inf ties included) are sorted again,
-    stably, so that tied entries keep ground order.
+    stably, so that tied entries keep ground order. One comparison of the
+    sorted keys finds the candidate rows; +inf ties off the support are
+    dropped from those alone.
     """
     order = np.argsort(keys, axis=1)
-    ranked = np.take_along_axis(keys, order, axis=1)
-    width = keys.shape[1]
-    tied = (ranked[:, 1:] == ranked[:, :-1]) & (
-        np.arange(2, width + 1) <= counts[:, None])
+    rows, width = keys.shape
+    ranked = np.take(keys, order + width * np.arange(rows)[:, None])
+    tied = ranked[:, 1:] == ranked[:, :-1]
     again = np.flatnonzero(tied.any(axis=1))
     if again.size:
+        inside = (tied[again] & (ranked[again, 1:] < INF)).any(axis=1)
+        again = again[inside]
         order[again] = np.argsort(keys[again], axis=1, kind="stable")
     return order
 
 
-def _prefix_rows(P, Q, delta: float) -> np.ndarray:
+def _prefix_rows(P, Q, delta: float, work: dict) -> np.ndarray:
     """Slack-delta max divergence of each row pair, over prefixes only.
 
     Some prefix of supp(P) sorted by decreasing P/Q attains the largest
@@ -293,27 +363,51 @@ def _prefix_rows(P, Q, delta: float) -> np.ndarray:
     slack is rounding, not mass: at delta = 1, or at a delta equal to the
     support mass, the value is exactly -inf.
     """
-    on = P > TAU_ZERO
-    counts = on.sum(axis=1)
+    rows, width = P.shape
+    on = np.greater(P, TAU_ZERO, out=_buffer(work, "on", P.shape, bool))
+    counts = np.count_nonzero(on, axis=1)
     # Support entries sorted by decreasing likelihood ratio, ties in ground
-    # order, then the entries outside the support.
-    ratios = np.divide(P, Q, out=np.full(P.shape, INF), where=Q > TAU_ZERO)
-    order = _support_order(np.where(on, -ratios, INF), counts)
+    # order, then the entries outside the support: keys -P/Q on the support
+    # (-inf where Q = 0) and +inf off it.
+    finite = np.greater(Q, TAU_ZERO, out=_buffer(work, "mask", P.shape, bool))
+    finite &= on
+    keys = _buffer(work, "keys", P.shape)
+    keys.fill(INF)
+    np.divide(P, Q, out=keys, where=finite)
+    np.negative(keys, out=keys, where=on)
+    order = _support_order(keys, counts)
     # The sorted entries, transposed (one column per row) through one flat
     # index, so that the running sums go down axis 0 for all rows at once;
     # each column is still summed in order, as ``np.cumsum`` sums a row.
-    rows, width = P.shape
-    flat = order.T + width * np.arange(rows)
-    cp = np.add.accumulate(np.take(P, flat), axis=0)
-    cq = np.add.accumulate(np.take(Q, flat), axis=0)
+    # The keys' memory takes the gathered entries, then the slacks; the
+    # running sums of P take the rounding bound, then the best ratios.
+    shape = (width, rows)
+    flat = np.add(order.T, width * np.arange(rows),
+                  out=_buffer(work, "flat", shape, np.intp))
+    gathered = _buffer(work, "keys", shape)
+    cp = np.add.accumulate(np.take(P, flat, out=gathered, mode="clip"), axis=0,
+                           out=_buffer(work, "cp", shape))
+    cq = np.add.accumulate(np.take(Q, flat, out=gathered, mode="clip"), axis=0,
+                           out=_buffer(work, "cq", shape))
     terms = np.arange(1, width + 1)[:, None]
-    valid = (terms <= counts) & (cp - delta > terms * 2.0**-52 * cp)
-    best = np.zeros(cp.shape)
-    np.divide(cp - delta, cq, out=best, where=valid & (cq > TAU_ZERO))
+    slack = np.subtract(cp, delta, out=gathered)
+    valid = np.greater(slack, np.multiply(terms * 2.0**-52, cp, out=cp),
+                       out=_buffer(work, "valid", shape, bool))
+    valid &= terms <= counts
+    ratio = np.greater(cq, TAU_ZERO, out=_buffer(work, "mask", shape, bool))
+    ratio &= valid
+    best = cp
+    best.fill(0.0)
+    np.divide(slack, cq, out=best, where=ratio)
     # The log of the best ratio is the best log (log is monotone); math.log
     # because np.log can differ in the last bit and would move delta goldens.
-    logs = [math.log(t) if t > 0.0 else -INF for t in best.max(axis=0)]
-    return np.where(np.any(valid & (cq <= TAU_ZERO), axis=0), INF, logs)
+    top = best.max(axis=0)
+    logs = np.full(rows, -INF)
+    some = top > 0.0
+    logs[some] = list(map(math.log, top[some].tolist()))
+    # a valid prefix with no Q mass (valid, not ratio) gives +inf
+    logs[np.not_equal(valid, ratio, out=valid).any(axis=0)] = INF
+    return logs
 
 
 def f_divergence(
@@ -369,10 +463,10 @@ def delta_required(
     if epsilon < 0.0:
         raise ValidationError(f"epsilon {epsilon:g} must be nonnegative")
     scale = math.exp(epsilon)
-    forward, backward = _both_directions(
+    forward, backward = _both_directions(_blocked_rows(
         lambda P, Q: np.maximum(0.0, P - scale * Q).sum(axis=1),
-        kernel.matrix, plan,
-    )
+        kernel.matrix, plan.first, plan.second,
+    ), plan)
     return max(0.0, float(forward.max()), float(backward.max()))
 
 

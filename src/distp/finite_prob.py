@@ -339,6 +339,13 @@ def _cached_plan(relation, key, build: Callable[[], object]):
     return plans[key]
 
 
+def _row_memo(kernel: StochasticKernel) -> dict:
+    """The kernel's memo of row-pair divergences, which
+    ``divergences._divergence_rows`` fills: made on first use and kept on
+    the frozen kernel, whose rows, and so their divergences, never change."""
+    return kernel.__dict__.setdefault("_row_memo", {})
+
+
 def _interned(dists: Iterable[FiniteDistribution]):
     """The distinct distributions of ``dists`` in order of first use, and
     the index of each entry among them. Two entries are one distribution

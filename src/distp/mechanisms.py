@@ -32,6 +32,7 @@ from .finite_prob import (
     StochasticKernel,
     _clean_ground,
     _interned,
+    _row_memo,
     lift,
     pair_label,
 )
@@ -99,7 +100,8 @@ def geometric_mechanism(
     kernel = StochasticKernel(ground, ground, matrix)
 
     first, second = np.nonzero(~np.eye(len(ground), dtype=bool))
-    levels = _divergence_rows(MaxDivergence(), kernel.matrix, first, second)
+    levels = _divergence_rows(MaxDivergence(), kernel.matrix, first, second,
+                              _row_memo(kernel))
     scaled = _per_distance(levels, cost[first, second])
     worst = float(np.max(scaled, initial=0.0))
     return GeometricMechanism(kernel, worst)

@@ -554,11 +554,32 @@ def _atom(dist: FiniteDistribution) -> int | None:
     return None
 
 
+def _wasserstein(
+    lam: FiniteDistribution, mu: FiniteDistribution, metric: GroundMetric,
+    order: float | str,
+) -> TransportResult:
+    """The optimal transport of ``lam`` to ``mu`` at ``order``: "1", "inf",
+    math.inf or a number p >= 1. The one place that maps an order to its
+    solver: ``wasserstein_inf`` at infinity, ``wasserstein_p`` at p."""
+    p = _order(order)
+    if p == math.inf:
+        return wasserstein_inf(lam, mu, metric)
+    return wasserstein_p(lam, mu, metric, p=p)
+
+
+def _order(order: float | str) -> float:
+    """The Wasserstein order ``order`` as a float, math.inf for "inf"."""
+    if order in ("inf", math.inf):
+        return math.inf
+    return _checked_order(float(order))
+
+
 def _pair_distances(dists, left, right, metric, order: float | str) -> np.ndarray:
     """Wasserstein distance from ``dists[left[i]]`` to ``dists[right[i]]``,
     for every i, at ``order``: "1", "inf", math.inf or a number p >= 1.
 
-    This is the one place that turns an order into a distance. Each
+    This is the one place that turns an order into a distance, through
+    ``_wasserstein``, or with no solve for two point masses. Each
     distinct ordered pair is computed once, in order of first use.
     W(mu, lam) is not reused for W(lam, mu): the simplex on the transposed
     problem can differ in the last bit. Two point masses delta_a and delta_b
@@ -567,7 +588,7 @@ def _pair_distances(dists, left, right, metric, order: float | str) -> np.ndarra
     cost block with the float operations that end the solver path:
     cost[a, b] at order inf, (cost[a, b] ** p) ** (1 / p) at p.
     """
-    p = math.inf if order in ("inf", math.inf) else _checked_order(float(order))
+    p = _order(order)
     atoms = [_atom(dist) for dist in dists]
     pairs = list(zip(left.tolist(), right.tolist()))
     blocks: dict = {}
@@ -582,10 +603,8 @@ def _pair_distances(dists, left, right, metric, order: float | str) -> np.ndarra
                 blocks[grounds] = cost if p == math.inf else cost**p
             value = float(blocks[grounds][a, b])
             known[i, j] = value if p == math.inf else value ** (1.0 / p)
-        elif p == math.inf:
-            known[i, j] = wasserstein_inf(lam, mu, metric).cost
         else:
-            known[i, j] = wasserstein_p(lam, mu, metric, p=p).cost
+            known[i, j] = _wasserstein(lam, mu, metric, p).cost
     return np.array([known[pair] for pair in pairs])
 
 

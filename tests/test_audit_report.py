@@ -51,8 +51,10 @@ PALETTE = np.array([
 ])
 
 
-def eager_report(notion, divergence, plan, table, claimed, *, distances=None):
-    """The report fields as the auditors built them with eager pairs."""
+def eager_report(notion, divergence, plan, table, claimed, *, distances=None,
+                 memo=None):
+    """The report fields as the auditors built them with eager pairs. The
+    row-pair ``memo`` is not consulted: every value is evaluated afresh."""
     labels, left, right = plan.labels, plan.left, plan.right
     forward = _divergence_rows(divergence, table, left, right)
     backward = _divergence_rows(divergence, table, right, left)

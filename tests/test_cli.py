@@ -122,6 +122,18 @@ def test_emd_higher_order(files):
     assert payload["cost"] == pytest.approx(want, abs=1e-9)
 
 
+def test_emd_orders_share_the_library_dispatch(files):
+    """-p inf is the bottleneck order, as --inf is, and an order below 1 is
+    refused with the library's message."""
+    lhs = files("lam.json", dist_obj(LAM))
+    rhs = files("mu.json", dist_obj(MU))
+    cost = files("d.csv", LINE3_CSV)
+    args = ("emd", "--lhs", lhs, "--rhs", rhs, "--cost", cost)
+    assert run(*args, "-p", "inf").stdout == run(*args, "--inf").stdout
+    refused = run(*args, "-p", 0.5, expect=1)
+    assert "order p must be finite and >= 1" in refused.stderr
+
+
 def test_emd_order_flags_conflict(files):
     lhs = files("lam.json", dist_obj(LAM))
     rhs = files("mu.json", dist_obj(MU))

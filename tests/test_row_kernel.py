@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distp import (
@@ -236,13 +236,14 @@ def tied_row(rng, width):
 
 @contextmanager
 def recorded_orders():
-    """Every (keys, counts, order) that the delta rule sorts with."""
+    """Every (keys, counts, order) that the delta rule sorts with, copied:
+    the kernel reuses its buffers from block to block."""
     seen = []
     sort = divergences._support_order
 
     def recording(keys, counts):
         order = sort(keys, counts)
-        seen.append((keys, counts, order))
+        seen.append((keys.copy(), counts.copy(), order.copy()))
         return order
 
     with pytest.MonkeyPatch.context() as patch:
@@ -254,18 +255,53 @@ def recorded_orders():
 def test_support_order_is_the_stable_order_across_blocks(width, seed):
     """The default sort, sorted again stably only where support keys tie,
     orders every support exactly as a stable sort does, on tie-heavy rows
-    over more pairs than fit in one block."""
+    over more pairs than fit in one block. The first three pairs make sure
+    of each kind of tie: exact finite ties (uniform against uniform), -inf
+    ties (support labels where Q = 0) and +inf keys off the support."""
     rng = np.random.default_rng(seed)
-    table = np.array([tied_row(rng, width) for _ in range(8)])
+    uniform = np.full(width, 1.0 / width)
+    point = np.eye(width)[0]
+    table = np.array([uniform, point] + [tied_row(rng, width) for _ in range(8)])
     n = _BLOCK_CELLS // width + 37
-    a, b = rng.integers(0, 8, n), rng.integers(0, 8, n)
+    a, b = rng.integers(0, len(table), n), rng.integers(0, len(table), n)
+    a[:3], b[:3] = (0, 0, 1), (0, 1, 0)
     with recorded_orders() as seen:
         _divergence_rows(MaxDivergence(0.3), table, a, b)
     assert len(seen) > 1
+    first = seen[0][0][:3]
+    assert np.all(first[0] == -1.0)  # exact ties
+    assert np.sum(first[1] == -INF) == width - 1  # -inf ties on the support
+    assert np.sum(first[2] == INF) == width - 1  # +inf ties off the support
     for keys, counts, order in seen:
         stable = np.argsort(keys, axis=1, kind="stable")
         for row, count in enumerate(counts.tolist()):
             assert order[row, :count].tolist() == stable[row, :count].tolist()
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 24), st.integers(1, 40), st.integers(0, 10**6))
+def test_rows_do_not_depend_on_the_block_size(width, pairs, seed):
+    """Every divergence gives the same bits at 64-cell blocks (a row or a
+    few per block), at 4,096 cells and at the default, on tables of fewer
+    rows than one block (as the lifted tables of distribution audits are)
+    and on pair lists that span several 4,096-cell blocks."""
+    rng = np.random.default_rng(seed)
+    table = np.array([random_row(rng, width) for _ in range(3)])
+    long = (1 << 12) // width + 37
+    shapes = [rng.integers(0, 3, (2, pairs)), rng.integers(0, 3, (2, long))]
+    for divergence in DIVERGENCES:
+        got = {}
+        for cells in (1 << 6, 1 << 12, _BLOCK_CELLS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(divergences, "_BLOCK_CELLS", cells)
+                got[cells] = [
+                    [v.hex() for v in _divergence_rows(divergence, table, a, b).tolist()]
+                    for a, b in shapes
+                ]
+        assert got[1 << 6] == got[1 << 12] == got[_BLOCK_CELLS]
+        one = [ref_value(divergence, table[i], table[j]).hex()
+               for i, j in zip(*shapes[0])]
+        assert got[_BLOCK_CELLS][0] == one
 
 
 @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=40),
