@@ -11,10 +11,10 @@ rows and label of every pair, and the distinct ordered row pairs that its
 two directions need. The blocked row kernel of ``divergences`` evaluates
 each of those once: on a symmetric relation the backward direction of
 (a, b) is the forward direction of (b, a), so it costs one direction, not
-two. A relation's plan is built on its first audit and kept on the frozen
-relation: a label relation's per input ground, a distribution relation's
-per kind of mechanism. A kernel keeps a memo of its evaluated row pairs
-per divergence (``finite_prob._row_memo``), which the label audits and
+two. ``finite_prob._kept`` keeps work on the frozen object it belongs
+to: a relation's plan, built on its first audit per input ground (label
+relation) or kind of mechanism (distribution relation), and a kernel's
+memo of evaluated row pairs per divergence, which the label audits and
 ``geometric_mechanism`` read through, so each ordered pair of kernel rows
 is evaluated once per kernel and divergence, whatever the relation or
 notion asks for it. A distribution relation interns its distributions
@@ -61,12 +61,11 @@ from .finite_prob import (
     GroundMetric,
     PointRelation,
     StochasticKernel,
-    _cached_plan,
     _interned,
+    _kept,
     _lifted_probs,
     _PairPlan,
     _point_plan,
-    _row_memo,
     pair_label,
 )
 from .mechanisms import CouplingMechanismSpec, KernelFamily, _cp_rows, aux_kernel
@@ -218,7 +217,7 @@ def audit_div_dp(
     """Worst divergence between output rows over all related input pairs."""
     plan = _point_plan(phi, kernel)
     return _audit(NOTION_DP, divergence, plan, kernel.matrix, claimed_eps,
-                  memo=_row_memo(kernel))
+                  memo=_kept(kernel, "row memo", dict))
 
 
 def audit_div_xdp(
@@ -240,7 +239,7 @@ def audit_div_xdp(
         rows[i] = metric.index(kernel.inputs[i])
     distances = metric.cost[rows[left], rows[right]]
     return _audit(NOTION_XDP, divergence, plan, kernel.matrix, claimed_eps,
-                  distances=distances, memo=_row_memo(kernel))
+                  distances=distances, memo=_kept(kernel, "row memo", dict))
 
 
 Mechanism = StochasticKernel | KernelFamily | CouplingMechanismSpec
@@ -317,7 +316,7 @@ def _lifted_pairs(mechanism: Mechanism, psi: DistributionPairRelation):
         family, kernels = mechanism, tuple(mechanism.kernels.values())
     inputs = kernels[0].inputs
     key = (inputs, None if family is None else family.labels)
-    plan = _cached_plan(psi, key, lambda: _new_lift_plan(psi, inputs, family))
+    plan = _kept(psi, key, lambda: _new_lift_plan(psi, inputs, family))
     table = np.stack([_lifted_probs(kernels[k], plan.nodes[j])
                       for k, j in plan.lifts])
     return plan, table

@@ -32,6 +32,7 @@ from .finite_prob import (
     StochasticKernel,
     _PairPlan,
     _point_plan,
+    _sorted_distinct,
 )
 from .tolerances import TAU_NUM, TAU_ZERO
 
@@ -229,9 +230,10 @@ def _divergence_rows(divergence, table, left, right, memo=None) -> np.ndarray:
     """Divergence of row ``left[i]`` of ``table`` from row ``right[i]``, for
     every i, equal bit for bit to the one-row call on that pair.
 
-    ``memo``, a dict kept with ``table`` (a kernel's, ``_row_memo``), holds
-    per divergence the sorted codes ``left * len(table) + right`` of the
-    pairs evaluated so far and their values, so each ordered row pair is
+    ``memo``, a dict kept with ``table`` (a kernel's, which
+    ``finite_prob._kept`` keeps on it as ``"row memo"``), holds per
+    divergence the sorted codes ``left * len(table) + right`` of the pairs
+    evaluated so far and their values, so each ordered row pair is
     evaluated once whatever the calls that ask for it. Its size grows with
     the distinct pairs evaluated, not with the square of the row count.
     """
@@ -249,10 +251,7 @@ def _divergence_rows(divergence, table, left, right, memo=None) -> np.ndarray:
     inside = at < len(codes)
     missing[inside] = codes[at[inside]] != want[inside]
     if missing.any():
-        # each new pair once, in code order; not np.unique, whose first
-        # call imports numpy.ma (about 13 ms, numpy 2.4)
-        fresh = np.sort(want[missing])
-        fresh = fresh[np.append(True, fresh[1:] != fresh[:-1])]
+        fresh = _sorted_distinct(want[missing])  # each new pair once
         found = _blocked_rows(rows, table, fresh // len(table),
                               fresh % len(table))
         place = np.searchsorted(codes, fresh)

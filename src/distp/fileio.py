@@ -247,22 +247,6 @@ def relation_from_obj(
     return DistributionPairRelation(pairs)
 
 
-def relation_to_obj(
-    relation: PointRelation | DistributionPairRelation,
-) -> list:
-    if isinstance(relation, PointRelation):
-        return [[a, b] for a, b in relation]
-    out = []
-    for pair in relation:
-        left = distribution_to_dict(pair.left)
-        right = distribution_to_dict(pair.right)
-        if pair.aux is not None:
-            left = {"aux": pair.aux[0], "dist": left}
-            right = {"aux": pair.aux[1], "dist": right}
-        out.append([left, right])
-    return out
-
-
 def metric_from_csv(path: str) -> GroundMetric:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -281,15 +265,6 @@ def metric_from_csv(path: str) -> GroundMetric:
             raise ValidationError(f"{path}: ragged cost matrix row {row!r}")
         cost.append([_as_float(cell.strip(), "cost") for cell in row])
     return GroundMetric(labels, np.array(cost))
-
-
-def metric_to_csv(metric: GroundMetric) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(metric.ground)
-    for row in metric.cost:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
 
 
 def load_labels_csv(path: str, header: str = "x") -> list[str]:

@@ -32,7 +32,7 @@ from .finite_prob import (
     StochasticKernel,
     _clean_ground,
     _interned,
-    _row_memo,
+    _kept,
     lift,
     pair_label,
 )
@@ -101,7 +101,7 @@ def geometric_mechanism(
 
     first, second = np.nonzero(~np.eye(len(ground), dtype=bool))
     levels = _divergence_rows(MaxDivergence(), kernel.matrix, first, second,
-                              _row_memo(kernel))
+                              _kept(kernel, "row memo", dict))
     scaled = _per_distance(levels, cost[first, second])
     worst = float(np.max(scaled, initial=0.0))
     return GeometricMechanism(kernel, worst)
@@ -393,56 +393,37 @@ def stability_check(
         raise ValidationError("relation form needs a nonnegative integer step count")
     nodes: list[FiniteDistribution] = []
 
-    def node_id(dist: FiniteDistribution) -> int | None:
+    def node_id(dist: FiniteDistribution, add: bool = False) -> int | None:
         for i, known in enumerate(nodes):
             if known.is_close(dist, TAU_NUM):
                 return i
-        return None
-
-    def intern(dist: FiniteDistribution) -> int:
-        i = node_id(dist)
-        if i is None:
-            nodes.append(dist)
-            i = len(nodes) - 1
-        return i
-
-    edges: set[tuple[int, int]] = set()
-    pair_ids = []
-    for pair in relation:
-        a = intern(pair.left)
-        b = intern(pair.right)
-        edges.add((a, b))
-        edges.add((b, a))
-        pair_ids.append((a, b))
+        if not add:
+            return None
+        nodes.append(dist)
+        return len(nodes) - 1
 
     neighbors: dict[int, set[int]] = {}
-    for a, b in edges:
+    for pair in relation:
+        a, b = node_id(pair.left, add=True), node_id(pair.right, add=True)
         neighbors.setdefault(a, set()).add(b)
+        neighbors.setdefault(b, set()).add(a)
 
     for pair in relation:
         goal_dist = lift(kernel, pair.left)
         start_dist = lift(kernel, pair.right)
         if goal_dist.is_close(start_dist, TAU_NUM):
             continue
-        start = node_id(start_dist)
-        goal = node_id(goal_dist)
+        start, goal = node_id(start_dist), node_id(goal_dist)
         if start is None or goal is None:
             return False
-        frontier = {start}
-        seen = {start}
-        reached = False
+        frontier, seen = {start}, {start}
         for _ in range(steps):
-            frontier = {
-                nxt
-                for node in frontier
-                for nxt in neighbors.get(node, ())
-                if nxt not in seen
-            }
+            frontier = {nxt for node in frontier for nxt in neighbors[node]
+                        if nxt not in seen}
             seen |= frontier
             if goal in seen:
-                reached = True
                 break
-        if not reached:
+        else:
             return False
     return True
 

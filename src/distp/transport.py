@@ -56,6 +56,7 @@ from .finite_prob import (
     PointRelation,
     _checked_array,
     _clean_ground,
+    _sorted_distinct,
 )
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
 
@@ -348,17 +349,9 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
         # Removing the leaving edge cuts off the subtree below it; the
-        # entering edge hangs it again from whichever end lies outside,
-        # as _hang does.
-        stack = [(ei, m + ej) if low_on_a else (m + ej, ei)]
-        while stack:
-            a, pa = stack.pop()
-            parent[a] = pa
-            depth[a] = depth[pa] + 1
-            pot[a] = (cl[a][pa - m] if a < m else cl[pa][a - m]) - pot[pa]
-            for b in adj[a]:
-                if b != pa:
-                    stack.append((b, a))
+        # entering edge hangs it again from whichever end lies outside.
+        top, above = (ei, m + ej) if low_on_a else (m + ej, ei)
+        _hang(adj, parent, depth, pot, cl, m, top, above)
     raise SolverNonconvergenceError(
         f"pivot budget exhausted on a {m}x{n} instance"
     )
@@ -461,7 +454,7 @@ def wasserstein_inf(
     """
     cost = _cost_block(metric, lam.ground, mu.ground)
     supply, demand = lam.probs, mu.probs
-    values = np.unique(cost)
+    values = _sorted_distinct(cost)
     mass, basis = _least_cost(supply, demand, cost)
     plan = best = _Plan(mass, set(basis), 0, 0)
     # Hall's sums round too; the slack keeps a bound from passing a

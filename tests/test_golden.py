@@ -121,6 +121,11 @@ CASES = {
                           "--northwest"), 0),
     # The coupling printed here is the one the bottleneck search ends on,
     # so it depends on the search path; the cost does not.
+    # The optimal couplings at W1 and W2, each the plan the simplex pivots to.
+    "emd_w1": (("emd", "--lhs", "mu.json", "--rhs", "nu.json", "--cost",
+                "y_metric.csv"), 0),
+    "emd_p2": (("emd", "--lhs", "mu.json", "--rhs", "nu.json", "--cost",
+                "y_metric.csv", "-p", "2"), 0),
     "emd_inf": (("emd", "--lhs", "mu.json", "--rhs", "nu.json", "--cost",
                  "y_metric.csv", "--inf"), 0),
     "obfuscate_kernel": (("obfuscate", *KERNEL, *DATA), 0),

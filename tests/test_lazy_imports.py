@@ -54,6 +54,24 @@ def test_import_distp_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_w_inf_solve_leaves_numpy_ma_unloaded():
+    """The bottleneck search lists the distinct costs without np.unique,
+    whose first plain call in a process imports numpy.ma."""
+    proc = _python("-c", """
+import sys
+import numpy as np
+from distp import FiniteDistribution, GroundMetric, wasserstein_inf
+ground = tuple("abcd")
+lam = FiniteDistribution(ground, np.array([0.5, 0.5, 0.0, 0.0]))
+mu = FiniteDistribution(ground, np.array([0.0, 0.0, 0.5, 0.5]))
+metric = GroundMetric.line(ground, [0.0, 0.5, 2.0, 2.5])
+assert wasserstein_inf(lam, mu, metric).cost == 2.0
+print("numpy.ma" in sys.modules)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_exports_are_their_home_modules_objects():
     for name in distp.__all__:
         home = sys.modules[f"distp.{distp._HOME[name]}"]

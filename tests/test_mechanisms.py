@@ -508,6 +508,35 @@ def test_stability_relation_form_unreachable_image():
     assert stability_check(kernel, 1, relation=psi)
 
 
+def test_stability_relation_form_image_off_the_relation():
+    ground = labels(2)
+    psi = DistributionPairRelation([
+        DistributionPair(
+            point_distribution("x0", ground), point_distribution("x1", ground)
+        )
+    ])
+    # the two images are distinct rows of randomized response, and neither
+    # is a distribution of the relation
+    kernel = randomized_response(ground, 1.0)
+    assert not stability_check(kernel, 1, relation=psi)
+    assert not stability_check(kernel, 5, relation=psi)
+
+
+def test_stability_relation_form_zero_steps():
+    ground = labels(3)
+    d0, d1, d2 = (point_distribution(x, ground) for x in ground)
+    psi = DistributionPairRelation([
+        DistributionPair(d0, d1), DistributionPair(d1, d2)
+    ])
+    identity = StochasticKernel.identity(ground)
+    # distinct images need at least one step, even when they are related
+    assert not stability_check(identity, 0, relation=psi)
+    assert stability_check(identity, 1, relation=psi)
+    # equal images need none
+    collapse = StochasticKernel.constant(ground, d2)
+    assert stability_check(collapse, 0, relation=psi)
+
+
 def test_stability_argument_validation(rng):
     ground = labels(3)
     kernel = StochasticKernel.identity(ground)

@@ -145,11 +145,11 @@ def test_label_plan_errors_are_unchanged_and_not_cached(rng):
         with pytest.raises(UnknownLabelError,
                            match=re.escape(str(lookup.value))):
             call()
-    assert phi._plans == {}
+    assert phi._kept == {}
     # the same relation over a kernel that knows its labels
     wider = rand_kernel(rng, ("x0", "x1", "yy", "zz"), labels(2, "y"))
     assert len(audit_div_dp(wider, phi, KL).labels) == 2
-    assert len(phi._plans) == 1
+    assert len(phi._kept) == 1
 
 
 def test_distribution_plan_errors_are_unchanged_and_not_cached(rng):
@@ -171,7 +171,7 @@ def test_distribution_plan_errors_are_unchanged_and_not_cached(rng):
     with pytest.raises(GroundMismatchError,
                        match="distribution ground does not match kernel inputs"):
         audit_distp(kernel, psi, KL)
-    assert psi._plans == {}
+    assert psi._kept == {}
 
 
 def test_nodes_are_interned_by_identity_then_by_value(rng):

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from distp import (
     Coupling,
     DimensionMismatchError,
+    EmptyRelationError,
     FiniteDistribution,
     GroundMetric,
     GroundMismatchError,
     PointRelation,
+    SolverNonconvergenceError,
+    UnknownLabelError,
     ValidationError,
     coupling_cost,
     diameter,
@@ -324,6 +327,21 @@ def test_emd_deterministic(rng):
     assert first.basis == second.basis
 
 
+@pytest.mark.parametrize("shape, basis, message", [
+    # too few cells for a spanning tree
+    ((2, 2), {(0, 0)}, "not a spanning tree"),
+    # five cells, but a 4-cycle on rows 1-2 and columns 0-1 leaves row 0
+    # cut off from the rest
+    ((3, 3), {(1, 0), (1, 1), (2, 0), (2, 1), (1, 2)}, "not a spanning tree"),
+    # four cells that close a cycle through row 0
+    ((2, 3), {(0, 0), (0, 1), (1, 0), (1, 1)}, "has a cycle"),
+])
+def test_dual_potentials_reject_a_basis_that_is_not_a_tree(shape, basis,
+                                                          message):
+    with pytest.raises(SolverNonconvergenceError, match=message):
+        dual_potentials(basis, np.ones(shape))
+
+
 # ---------------------------------------------------------------------------
 # other orders
 
@@ -473,6 +491,15 @@ def test_lifted_w1_member_rejects_detours():
     phi = PointRelation([("a", "b"), ("b", "a")])
     assert lifted_member(phi, lam, lam)
     assert not lifted_w1_member(phi, lam, lam, metric)
+
+
+def test_lifted_member_rejects_a_relation_outside_the_grounds():
+    with pytest.raises(EmptyRelationError, match="relation has no pairs"):
+        lifted_member(PointRelation([]), LAM, MU)
+    with pytest.raises(UnknownLabelError, match="'4' not in left ground"):
+        lifted_member(PointRelation([("1", "2"), ("4", "1")]), LAM, MU)
+    with pytest.raises(UnknownLabelError, match="'4' not in right ground"):
+        lifted_member(PointRelation([("1", "2"), ("1", "4")]), LAM, MU)
 
 
 # ---------------------------------------------------------------------------
