@@ -72,6 +72,10 @@ CASES = {
     "audit_spec_psi_xdistp_kl": (("audit", *SPEC, "--relation",
                                   "spec_psi.json", "--metric",
                                   "spec_metric.csv", "--divergence", "kl"), 0),
+    "audit_spec_psi_xdistp_winf_max": (("audit", *SPEC, "--relation",
+                                        "spec_psi.json", "--metric",
+                                        "spec_metric.csv", "--divergence",
+                                        "max", "--wasserstein", "inf"), 0),
     "audit_tau_num_default": (("audit", *KERNEL, *PSI, "--divergence", "tv",
                                "--claimed-eps", "0.417"), 2),
     "audit_tau_num_override": (("audit", *KERNEL, *PSI, "--divergence", "tv",
