@@ -13,11 +13,12 @@ each of those once: on a symmetric relation the backward direction of
 (a, b) is the forward direction of (b, a), so it costs one direction, not
 two. ``finite_prob._kept`` keeps work on the frozen object it belongs
 to: a relation's plan, built on its first audit per input ground (label
-relation) or kind of mechanism (distribution relation), and a kernel's
-memo of evaluated row pairs per divergence, which the label audits and
-``geometric_mechanism`` read through, so each ordered pair of kernel rows
-is evaluated once per kernel and divergence, whatever the relation or
-notion asks for it. A distribution relation interns its distributions
+relation) or kind of mechanism (distribution relation); a coupling
+mechanism's kernel family, so that all audits of one spec share its
+kernels; and a kernel's memo of evaluated row pairs per divergence, which
+the label audits and ``geometric_mechanism`` read through, so each ordered
+pair of kernel rows is evaluated once per kernel and divergence, whatever
+the relation or notion asks for it. A distribution relation interns its distributions
 (by exact ground and probabilities), lifts each distinct one once per
 kernel and measures each distinct ordered pair once; two point masses need
 no transport solve, since their one coupling makes the distance the ground
@@ -309,7 +310,7 @@ def _lifted_pairs(mechanism: Mechanism, psi: DistributionPairRelation):
     if len(psi) == 0:
         raise EmptyRelationError("relation has no pairs")
     if isinstance(mechanism, CouplingMechanismSpec):
-        mechanism = aux_kernel(mechanism)
+        mechanism = _kept(mechanism, "aux kernels", lambda: aux_kernel(mechanism))
     if isinstance(mechanism, StochasticKernel):
         family, kernels = None, (mechanism,)
     else:

@@ -331,7 +331,8 @@ class _PairPlan:
 def _kept(obj, key, build: Callable[[], object]):
     """What ``build()`` makes, kept on the frozen ``obj`` under ``key`` so
     that later calls reuse it: a relation's pair plans, a kernel's memo of
-    row-pair divergences. A build that raises keeps nothing."""
+    row-pair divergences, a coupling mechanism's kernel family. A build
+    that raises keeps nothing."""
     kept = obj.__dict__.setdefault("_kept", {})
     if key not in kept:
         kept[key] = build()

@@ -8,11 +8,13 @@ nodes; degenerate basic cells carry an explicit zero mass. Potentials
 (MODI) price the nonbasic cells, and the most negative reduced cost enters
 (Dantzig). A run of more than m + n degenerate pivots switches to Bland's
 rule until mass moves again, so degenerate instances cannot cycle. The
-tree keeps parent and depth arrays: the pivot cycle is the two paths up to
-a common ancestor, and only the subtree that a pivot cuts off is hung
-again and re-priced. The north-west corner rule of ``northwest_corner``
-(the ``"northwest"`` coupling-mechanism mode) is the same fill on the
-staircase costs i + j.
+state is flat: flows, costs and priced costs are indexed by cell i*n + j,
+and each tree node keeps the cell of the edge to its parent beside its
+parent and depth, so the tree's edge cells are the basis. The pivot cycle
+is the two paths up to a common ancestor, and only the subtree that a
+pivot cuts off is hung again and re-priced. The north-west corner rule of
+``northwest_corner`` (the ``"northwest"`` coupling-mechanism mode) is the
+same fill on the staircase costs i + j.
 
 A bounded-variable variant fixes a set of forbidden arcs at zero, which
 gives feasibility tests and restricted optima for relation-constrained
@@ -193,49 +195,54 @@ def _fold_defect(mass: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> No
 
 
 def _tree(basis, cl, m: int, n: int):
-    """Root the basis tree at row 0: adjacency, parents, depths and the
-    potentials u[i] + v[j] = cost[i, j] on basic cells, anchored at u[0] = 0.
+    """Root the basis tree at row 0: adjacency, parents, depths, edge cells
+    and the potentials u[i] + v[j] = cost[i, j] on basic cells, anchored at
+    u[0] = 0.
 
     Nodes 0..m-1 are rows and m..m+n-1 columns; ``cl`` is the cost matrix
-    as nested lists. Potentials come back as one list, rows first.
+    as one flat list, cell (i, j) at i*n + j. ``adj[a]`` lists (neighbour,
+    cell) pairs and ``edge[a]`` is the cell from node a to its parent.
+    Potentials come back as one list, rows first.
     """
     if len(basis) != m + n - 1:
         raise SolverNonconvergenceError("simplex basis is not a spanning tree")
-    adj: list[list[int]] = [[] for _ in range(m + n)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(m + n)]
     for i, j in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    pot = [0.0] * (m + n)
+        c = i * n + j
+        adj[i].append((m + j, c))
+        adj[m + j].append((i, c))
+    tree = adj, [-1] * (m + n), [0] * (m + n), [-1] * (m + n), [0.0] * (m + n)
     reached = 1
-    for child in adj[0]:
-        reached += _hang(adj, parent, depth, pot, cl, m, child, 0)
+    for child, cell in adj[0]:
+        reached += _hang(tree, cl, child, 0, cell)
     if reached != m + n:
         raise SolverNonconvergenceError("simplex basis is not a spanning tree")
-    return adj, parent, depth, pot
+    return tree
 
 
-def _hang(adj, parent, depth, pot, cl, m: int, top: int, above: int) -> int:
-    """Hang the subtree at ``top`` below node ``above``; return its size.
+def _hang(tree, cl, top: int, above: int, cell: int) -> int:
+    """Hang the subtree at ``top`` below ``above`` by edge ``cell``; return its size.
 
     Each node's potential is computed from its parent's along the tree
     edge, so an updated subtree carries the same values as a rebuild.
     More nodes than the tree holds means the edges close a cycle.
     """
-    size = 0
-    stack = [(top, above)]
+    adj, parent, depth, edge, pot = tree
+    parent[top], edge[top] = above, cell
+    size, limit = 0, len(parent)
+    stack = [top]
     while stack:
-        a, pa = stack.pop()
+        a = stack.pop()
         size += 1
-        if size > len(parent):
+        if size > limit:
             raise SolverNonconvergenceError("simplex basis has a cycle")
-        parent[a] = pa
+        pa = parent[a]
         depth[a] = depth[pa] + 1
-        pot[a] = (cl[a][pa - m] if a < m else cl[pa][a - m]) - pot[pa]
-        for b in adj[a]:
+        pot[a] = cl[edge[a]] - pot[pa]
+        for b, c in adj[a]:
             if b != pa:
-                stack.append((b, a))
+                parent[b], edge[b] = a, c
+                stack.append(b)
     return size
 
 
@@ -248,6 +255,11 @@ class _Plan(NamedTuple):
     degenerate_pivots: int
 
 
+def _pivot_budget(m: int, n: int) -> int:
+    """The most pivots one solve of an m x n instance may take."""
+    return 1000 + 50 * (m + n) ** 2
+
+
 def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
     """Minimize sum(cost * mass) over couplings of (supply, demand).
 
@@ -255,50 +267,57 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
     they can never enter the basis and any basic one is capped at zero
     mass, so pivots treat it as a leaving candidate whenever it sits on
     the gaining side of the cycle. ``warm`` restarts from a previous
-    (mass, basis) pair; any basis stays primal-feasible when only the
-    costs or the mask change, so phase-2 solves and W-inf thresholds
-    continue from an earlier plan.
+    (mass, basis) pair, its mass on the basis; any basis stays
+    primal-feasible when only the costs or the mask change, so phase-2
+    solves and W-inf thresholds continue from an earlier plan.
 
     The most negative reduced cost enters (Dantzig), the first minimum in
     row-major order. After more than m + n degenerate pivots in a row the
     first negative cell in row-major order enters instead (Bland) until a
     pivot moves mass again: every non-degenerate pivot lowers the
     objective and Bland's rule cannot cycle, so the loop terminates.
+
+    The state is flat: flows, costs, the mask and the priced costs are
+    indexed by cell i*n + j, and the basis is the set of tree edge cells
+    (``_tree``), turned back into (i, j) pairs only for the returned plan.
     """
     m, n = cost.shape
     mass, basis = _least_cost(supply, demand, cost) if warm is None else warm
-    flow = mass.tolist()
-    basis = set(basis)
-    cl = cost.tolist()
-    al = None if allowed is None else allowed.tolist()
-    adj, parent, depth, pot = _tree(basis, cl, m, n)
+    flow = mass.ravel().tolist()
+    cl = cost.ravel().tolist()
+    al = None if allowed is None else allowed.ravel().tolist()
+    tree = adj, parent, depth, edge, pot = _tree(basis, cl, m, n)
     # the cost with +inf on the cells that may not enter: basic or forbidden
-    priced = cost.copy() if allowed is None else np.where(allowed, cost, np.inf)
-    for c in basis:
-        priced[c] = np.inf
-    reduced = np.empty((m, n))
+    priced = (cost if allowed is None else np.where(allowed, cost, np.inf)).flatten()
+    priced[edge[1:]] = np.inf
+    reduced = np.empty(m * n)
+    uv = np.empty(m + n)
+    u, v = uv[:m, None], uv[m:]
+    priced2, reduced2 = priced.reshape(m, n), reduced.reshape(m, n)
 
     pivots = degenerate = run = 0
-    max_pivots = 1000 + 50 * (m + n) ** 2
+    max_pivots = _pivot_budget(m, n)
     while pivots < max_pivots:
-        uv = np.array(pot)
-        np.subtract(priced, uv[:m, None], out=reduced)
-        np.subtract(reduced, uv[m:], out=reduced)
+        uv[:] = pot
+        np.subtract(priced2, u, out=reduced2)
+        np.subtract(reduced2, v, out=reduced2)
         if run > m + n:
             k = int(np.argmax(reduced < -REDUCED_COST_TOL))
         else:
             k = int(reduced.argmin())
         if not reduced.item(k) < -REDUCED_COST_TOL:
-            return _Plan(np.array(flow), basis, pivots, degenerate)
+            cells = edge[1:]  # nonbasic cells carry no flow
+            mass = np.zeros(m * n)
+            mass[cells] = [flow[c] for c in cells]
+            return _Plan(mass.reshape(m, n), {divmod(c, n) for c in cells},
+                         pivots, degenerate)
         ei, ej = divmod(k, n)
 
         # The cycle closes through the tree paths from row ei and column ej
         # up to their common ancestor. A tree edge is named by its lower
-        # node; edges at even steps from either end lose mass. Each entry
-        # is (cell, lower node, whether the node is on row ei's path).
+        # node; edges at even steps from either end lose mass, odd ones gain.
         a, b = ei, m + ej
-        side_a: list[int] = []
-        side_b: list[int] = []
+        side_a, side_b = [], []
         while depth[a] > depth[b]:
             side_a.append(a)
             a = parent[a]
@@ -310,48 +329,42 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
             a = parent[a]
             side_b.append(b)
             b = parent[b]
-        minus = []
-        plus = []
-        for on_a, side in ((True, side_a), (False, side_b)):
-            for t, x in enumerate(side):
-                cell = (x, parent[x] - m) if x < m else (parent[x], x - m)
-                (plus if t & 1 else minus).append((cell, x, on_a))
+        minus = side_a[::2] + side_b[::2]
+        plus = side_a[1::2] + side_b[1::2]
 
-        blocked = []
-        if al is not None:
-            blocked = [e for e in plus if not al[e[0][0]][e[0][1]]]
-        theta = 0.0 if blocked else min(flow[i][j] for (i, j), _, _ in minus)
-        pool = [e for e in minus if flow[e[0][0]][e[0][1]] <= theta]
+        blocked = [] if al is None else [x for x in plus if not al[edge[x]]]
+        theta = 0.0 if blocked else min([flow[edge[x]] for x in minus])
+        pool = [x for x in minus if flow[edge[x]] <= theta]
         pool.extend(blocked)
         # the least cell index among those that hit their bound leaves
-        (li, lj), low, low_on_a = min(pool)
+        low = min(pool, key=edge.__getitem__)
+        leave = edge[low]
 
         if theta != 0.0:
-            flow[ei][ej] += theta
-            for (i, j), _, _ in plus:
-                flow[i][j] += theta
-            for (i, j), _, _ in minus:
-                flow[i][j] = max(flow[i][j] - theta, 0.0)
+            flow[k] += theta
+            for x in plus:
+                flow[edge[x]] += theta
+            for x in minus:
+                c = edge[x]
+                flow[c] = max(flow[c] - theta, 0.0)
             run = 0
         else:
             degenerate += 1
             run += 1
-        flow[li][lj] = 0.0
+        flow[leave] = 0.0
         pivots += 1
 
-        basis.discard((li, lj))
-        basis.add((ei, ej))
-        priced[li, lj] = cl[li][lj] if al is None or al[li][lj] else np.inf
-        priced[ei, ej] = np.inf
+        priced[leave] = cl[leave] if al is None or al[leave] else np.inf
+        priced[k] = np.inf
         high = parent[low]
-        adj[low].remove(high)
-        adj[high].remove(low)
-        adj[ei].append(m + ej)
-        adj[m + ej].append(ei)
+        adj[low].remove((high, leave))
+        adj[high].remove((low, leave))
+        adj[ei].append((m + ej, k))
+        adj[m + ej].append((ei, k))
         # Removing the leaving edge cuts off the subtree below it; the
         # entering edge hangs it again from whichever end lies outside.
-        top, above = (ei, m + ej) if low_on_a else (m + ej, ei)
-        _hang(adj, parent, depth, pot, cl, m, top, above)
+        top, above = (ei, m + ej) if low in side_a else (m + ej, ei)
+        _hang(tree, cl, top, above, k)
     raise SolverNonconvergenceError(
         f"pivot budget exhausted on a {m}x{n} instance"
     )
@@ -385,6 +398,9 @@ def _clamped(mass: np.ndarray, allowed: np.ndarray) -> np.ndarray:
 
 
 def _cost_block(metric: GroundMetric, rows, cols) -> np.ndarray:
+    """The metric's own costs when rows and cols are its ground, else a copy."""
+    if rows == metric.ground and cols == metric.ground:
+        return metric.cost
     try:
         return metric.submatrix(rows, cols)
     except UnknownLabelError as exc:
@@ -672,7 +688,7 @@ def dual_potentials(
     with equality on basic cells, the optimality certificate for emd.
     """
     m, n = cost.shape
-    pot = _tree(basis, cost.tolist(), m, n)[3]
+    pot = _tree(basis, cost.ravel().tolist(), m, n)[4]
     return np.array(pot[:m]), np.array(pot[m:])
 
 

@@ -43,6 +43,7 @@ from distp import (
     wasserstein_p,
     worst_case_loss,
 )
+from distp import mechanisms
 from conftest import (
     labels,
     phi_member_pair,
@@ -261,6 +262,40 @@ def test_xdistp_numeric_order_accepted(rng):
     d = wasserstein_p(pair.left, pair.right, metric, p=2.0).cost
     got = divergence_value(KL, lift(kernel, pair.left), lift(kernel, pair.right))
     assert report.pairs[0].forward == pytest.approx(got / d, abs=1e-12)
+
+
+def test_audits_of_one_spec_build_its_kernels_once(rng, monkeypatch):
+    # a coupling mechanism keeps its kernel family, so its W1 and W-inf
+    # audits build each auxiliary kernel once between them, with the same
+    # values, bit for bit, as audits of two freshly built specs
+    ground = labels(5)
+    metric = GroundMetric.line(ground)
+    target = rand_dist(rng, ground)
+    approx = {f"s{k}": rand_dist(rng, ground) for k in range(3)}
+    psi = rand_psi(rng, ground, 3)
+    built = []
+    cp_kernel = mechanisms.cp_kernel
+
+    def counted(spec, s):
+        built.append(s)
+        return cp_kernel(spec, s)
+
+    def build():
+        return build_coupling_mechanism(target, approx, "optimal", metric=metric)
+
+    def audited(w1_spec, winf_spec):
+        reports = (audit_xdistp(w1_spec, psi, metric, KL),
+                   audit_xdistp(winf_spec, psi, metric, MaxDivergence(),
+                                wasserstein="inf"))
+        return [[x.hex() for x in column.tolist()] for report in reports
+                for column in (report.forward, report.backward)]
+
+    monkeypatch.setattr(mechanisms, "cp_kernel", counted)
+    spec = build()
+    shared = audited(spec, spec)
+    assert built == ["s0", "s1", "s2"]
+    assert audited(build(), build()) == shared
+    assert len(built) == 9
 
 
 def test_tv_audit_below_max_audit(rng):

@@ -35,11 +35,13 @@ from distp import (
 from distp.tolerances import TAU_MASS, TAU_ZERO
 from distp.transport import (
     _clamped,
+    _cost_block,
     _cut,
     _feasible_on,
     _hall_index,
     _least_cost,
     _northwest,
+    _pivot_budget,
     _simplex,
     _tree,
 )
@@ -511,6 +513,31 @@ def test_coupling_cost_matches_result():
     assert coupling_cost(got.coupling, LINE3) == pytest.approx(got.cost)
 
 
+def test_cost_block_of_the_metric_ground_is_the_metric_cost(rng):
+    metric = euclidean_metric(rng, labels(5))
+    block = _cost_block(metric, metric.ground, tuple(metric.ground))
+    assert block is metric.cost
+    assert not block.flags.writeable
+
+
+def test_cost_block_of_other_grounds_is_a_gathered_copy(rng):
+    metric = euclidean_metric(rng, labels(5))
+    ground = metric.ground
+    for rows, cols in [(ground[::-1], ground), (ground, ground[1:]),
+                       (ground[:2], ground[3:])]:
+        block = _cost_block(metric, rows, cols)
+        assert block is not metric.cost
+        assert not np.shares_memory(block, metric.cost)
+        np.testing.assert_array_equal(
+            block, [[metric.distance(a, b) for b in cols] for a in rows])
+
+
+def test_cost_block_rejects_an_unknown_label(rng):
+    metric = euclidean_metric(rng, labels(5))
+    with pytest.raises(GroundMismatchError, match="does not cover"):
+        _cost_block(metric, metric.ground, (*metric.ground[:4], "y"))
+
+
 # ---------------------------------------------------------------------------
 # solver counters
 
@@ -528,6 +555,28 @@ def test_counters_repeat_exactly(rng):
                           second.search_steps)
         assert first.pivots > 0
     assert first.search_steps >= 1
+
+
+def test_pivot_budget_arithmetic():
+    assert _pivot_budget(1, 1) == 1000 + 50 * 4
+    assert _pivot_budget(16, 16) == 52_200
+    assert _pivot_budget(200, 200) == 8_001_000
+    assert _pivot_budget(3, 5) == _pivot_budget(5, 3) == 4_200
+
+
+def test_pivot_budget_exhausted_raises(monkeypatch):
+    # this cold 16-point Euclidean solve takes 7 pivots (the "emd" case of
+    # tests/test_solver_pins.py); with a budget of two the loop runs out
+    # before it reaches the optimum
+    rng = np.random.default_rng(16)
+    ground = labels(16)
+    metric = euclidean_metric(rng, ground)
+    lam, mu = rand_dist(rng, ground), rand_dist(rng, ground)
+    assert emd(lam, mu, metric).pivots == 7
+    monkeypatch.setattr(transport, "_pivot_budget", lambda m, n: 2)
+    with pytest.raises(SolverNonconvergenceError,
+                       match=r"^pivot budget exhausted on a 16x16 instance$"):
+        emd(lam, mu, metric)
 
 
 def test_bland_fallback_on_tie_heavy_instance():
@@ -588,7 +637,7 @@ def least_cost_cases():
 def test_least_cost_start_is_a_basic_coupling(supply, demand, cost):
     m, n = cost.shape
     mass, basis = _least_cost(supply, demand, cost)
-    _tree(basis, cost.tolist(), m, n)  # raises unless a spanning tree
+    _tree(basis, cost.ravel().tolist(), m, n)  # raises unless a spanning tree
     assert len(set(basis)) == m + n - 1
     off = np.ones((m, n), dtype=bool)
     off[tuple(np.array(basis).T)] = False

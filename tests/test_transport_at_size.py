@@ -1,11 +1,20 @@
-"""The bottleneck distance against two independent oracles at size.
+"""The transport solvers against independent oracles at size.
 
 Marked ``slow`` and left out of the default run (see ``pyproject.toml``);
-run them with ``pytest -m slow``. Each oracle bisects over the distinct
-costs with its own feasibility test: a ``networkx`` maximum flow, which
-must carry all but TAU_MASS of the mass, and a HiGHS feasibility LP. The
-grounds have n = 60 and 120 points under a Euclidean, a discrete and a
-line metric.
+run them with ``pytest -m slow``. The grounds are Euclidean, discrete and
+line metrics.
+
+For the bottleneck distance (n = 60 and 120), each oracle bisects over the
+distinct costs with its own feasibility test: a ``networkx`` maximum flow,
+which must carry all but TAU_MASS of the mass, and a HiGHS feasibility LP.
+
+For W1 (n = 80, 120 and 200), ``emd`` matches the HiGHS optimum to a
+relative 1e-9: HiGHS stops at its own feasibility tolerances, and has
+missed a simplex optimum by 9.4e-12 on a 27-point instance, so the check is
+relative, not an absolute 1e-12. The returned basis also certifies itself:
+its ``dual_potentials`` leave no reduced cost below -1e-12 times the
+largest cost, zero (to that much) on the basic cells, and a dual objective
+equal to the primal cost.
 """
 
 import networkx as nx
@@ -17,6 +26,8 @@ import scipy.sparse
 from distp import (
     FiniteDistribution,
     GroundMetric,
+    dual_potentials,
+    emd,
     uniform_distribution,
     validate_coupling,
     wasserstein_inf,
@@ -38,24 +49,38 @@ def flow_feasible(supply, demand, allowed) -> bool:
     return nx.maximum_flow_value(graph, "s", "t") >= 1.0 - TAU_MASS
 
 
-def lp_feasible(supply, demand, allowed) -> bool:
-    m, n = allowed.shape
-    cells = np.flatnonzero(allowed)
+def marginal_rows(m, n, cells):
+    """The equality rows that fix the marginals of the flows on ``cells``
+    (flat indices into an m x n plan)."""
     rows, cols = np.divmod(cells, n)
     arange = np.arange(cells.size)
-    a_eq = scipy.sparse.vstack([
+    return scipy.sparse.vstack([
         scipy.sparse.csr_matrix((np.ones(cells.size), (rows, arange)),
                                 shape=(m, cells.size)),
         scipy.sparse.csr_matrix((np.ones(cells.size), (cols, arange)),
                                 shape=(n, cells.size)),
     ])
+
+
+def lp_feasible(supply, demand, allowed) -> bool:
+    cells = np.flatnonzero(allowed)
     res = scipy.optimize.linprog(
-        np.zeros(cells.size), A_eq=a_eq,
+        np.zeros(cells.size), A_eq=marginal_rows(*allowed.shape, cells),
         b_eq=np.concatenate([supply, demand]), bounds=(0.0, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10},
     )
     return res.status == 0
+
+
+def lp_w1(supply, demand, cost) -> float:
+    res = scipy.optimize.linprog(
+        cost.ravel(), A_eq=marginal_rows(*cost.shape, np.arange(cost.size)),
+        b_eq=np.concatenate([supply, demand]), bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
 
 
 def threshold_search(supply, demand, cost, feasible) -> float:
@@ -96,3 +121,21 @@ def test_wasserstein_inf_matches_oracle_threshold_search(n, family, oracle):
     assert got.cost == threshold_search(lam.probs, mu.probs, metric.cost, oracle)
     assert validate_coupling(got.coupling, lam, mu)
     assert got.coupling.mass[metric.cost > got.cost].max(initial=0.0) == 0.0
+
+
+@pytest.mark.parametrize("family", ["euclidean", "discrete", "line"])
+@pytest.mark.parametrize("n", [80, 120, 200])
+def test_emd_matches_highs_with_a_dual_certificate(n, family):
+    lam, mu, metric = instance(n, family)
+    got = emd(lam, mu, metric)
+    assert got.cost == pytest.approx(lp_w1(lam.probs, mu.probs, metric.cost),
+                                     rel=1e-9, abs=0.0)
+    assert validate_coupling(got.coupling, lam, mu)
+    cost = metric.cost
+    u, v = dual_potentials(got.basis, cost)
+    reduced = cost - u[:, None] - v[None, :]
+    tol = 1e-12 * cost.max()
+    assert reduced.min() >= -tol
+    assert np.abs(reduced[tuple(np.array(sorted(got.basis)).T)]).max() <= tol
+    assert float(u @ lam.probs + v @ mu.probs) == pytest.approx(
+        got.cost, rel=1e-12, abs=0.0)
