@@ -11,20 +11,20 @@ rows and label of every pair, and the distinct ordered row pairs that its
 two directions need. The blocked row kernel of ``divergences`` evaluates
 each of those once: on a symmetric relation the backward direction of
 (a, b) is the forward direction of (b, a), so it costs one direction, not
-two. ``finite_prob._kept`` keeps work on the frozen object it belongs
-to: a relation's plan, built on its first audit per input ground (label
+two. ``finite_prob._kept`` keeps work on the frozen object it belongs to:
+a relation's plan, built on its first audit per input ground (label
 relation) or kind of mechanism (distribution relation); a coupling
-mechanism's kernel family, so that all audits of one spec share its
-kernels; and a kernel's memo of evaluated row pairs per divergence, which
-the label audits and ``geometric_mechanism`` read through, so each ordered
-pair of kernel rows is evaluated once per kernel and divergence, whatever
-the relation or notion asks for it. A distribution relation interns its distributions
-(by exact ground and probabilities), lifts each distinct one once per
-kernel and measures each distinct ordered pair once; two point masses need
-no transport solve, since their one coupling makes the distance the ground
-cost between the two labels. The report keeps the results as columns and
-builds one object per pair only when asked. DP and XDP are the point-mass
-cases of DistP and XDistP.
+mechanism's kernel family, which all audits of one spec share; and a
+kernel's memo of evaluated row pairs per divergence, which the label
+audits and ``geometric_mechanism`` read through, so each ordered pair of
+kernel rows is evaluated once per kernel and divergence, whatever the
+relation or notion asks for it. A distribution relation interns its
+distributions (by exact ground and probabilities), lifts each distinct one
+once per kernel and measures each distinct ordered pair once; two point
+masses need no transport solve, since their one coupling makes the
+distance the ground cost between the two labels. The report keeps the
+results as columns and builds one object per pair only when asked. DP and
+XDP are the point-mass cases of DistP and XDistP.
 
 Every verdict is taken by ``_verdict``: a value passes iff it is at most
 its bound plus ``tau_num``. ``PairAudit``, ``AuditReport`` and the plain
