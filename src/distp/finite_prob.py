@@ -77,13 +77,20 @@ def _checked_array(
         raise ValidationError(f"{what}: negative entry {arr.min():g}")
     np.clip(arr, 0.0, None, out=arr)
     if tau_mass is not None:
-        sums = arr.sum(axis=1).tolist() if rows is not None else [float(arr.sum())]
-        for i, total in enumerate(sums):
-            if abs(total - 1.0) > tau_mass:
-                where = what if rows is None else f"{what} row {rows[i]!r}"
-                raise ValidationError(f"mass {total:g} outside tolerance ({where})")
+        _check_mass(arr, what, tau_mass, rows)
     arr.setflags(write=False)
     return arr
+
+
+def _check_mass(arr: np.ndarray, what: str, tau_mass: float,
+                rows: tuple[str, ...] | None = None) -> None:
+    """Raise unless ``arr`` sums to 1 within ``tau_mass``; with ``rows``,
+    the labels of the first axis, each row must."""
+    sums = arr.sum(axis=1).tolist() if rows is not None else [float(arr.sum())]
+    for i, total in enumerate(sums):
+        if abs(total - 1.0) > tau_mass:
+            where = what if rows is None else f"{what} row {rows[i]!r}"
+            raise ValidationError(f"mass {total:g} outside tolerance ({where})")
 
 
 @dataclass(frozen=True, eq=False)

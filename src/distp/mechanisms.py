@@ -133,6 +133,28 @@ class CouplingMechanismSpec:
     tau_mass: InitVar[float] = TAU_MASS
 
     def __post_init__(self, tau_mass: float) -> None:
+        self._check(tau_mass)
+
+    @classmethod
+    def _solved(cls, target: FiniteDistribution,
+                entries: tuple[CouplingEntry, ...],
+                fallback: str) -> "CouplingMechanismSpec":
+        """A spec whose couplings the solver built from each estimate to
+        the target; every check runs, but the marginals only where the
+        two totals disagree (see ``_check``)."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "target", target)
+        object.__setattr__(spec, "entries", entries)
+        object.__setattr__(spec, "fallback", fallback)
+        spec._check(TAU_MASS, solved=True)
+        return spec
+
+    def _check(self, tau_mass: float, solved: bool = False) -> None:
+        """The spec's rules. With ``solved`` the couplings are the solver's
+        own, whose marginals miss the inputs' by at most the difference of
+        the two totals, plus rounding; so an entry whose total lies within
+        ``tau_mass / 2`` of the target's skips the marginal check."""
+        total = self.target.probs.sum() if solved else 0.0
         if self.fallback not in _FALLBACKS:
             raise ValidationError(
                 f"fallback must be one of {_FALLBACKS}, got {self.fallback!r}"
@@ -149,6 +171,8 @@ class CouplingMechanismSpec:
                 raise GroundMismatchError(
                     "all estimated inputs must share one ground set"
                 )
+            if solved and abs(entry.approx_input.probs.sum() - total) <= tau_mass / 2:
+                continue
             if not validate_coupling(
                 entry.coupling, entry.approx_input, self.target, tau_mass
             ):
@@ -182,7 +206,8 @@ def build_coupling_mechanism(
 
     Modes: ``"optimal"`` picks the cost-minimal coupling under ``metric``
     (the utility-optimal choice), ``"northwest"`` the staircase coupling,
-    ``"given"`` validates caller-supplied couplings.
+    ``"given"`` validates caller-supplied couplings. The solver's couplings
+    have their marginals by construction and are not checked again.
     """
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -202,7 +227,9 @@ def build_coupling_mechanism(
                 raise ValidationError(f"given mode needs a coupling for {s!r}")
             coupling = couplings[s]
         entries.append(CouplingEntry(s, lam_hat, coupling))
-    return CouplingMechanismSpec(target, tuple(entries), fallback)
+    if mode == MODE_GIVEN:
+        return CouplingMechanismSpec(target, tuple(entries), fallback)
+    return CouplingMechanismSpec._solved(target, tuple(entries), fallback)
 
 
 def _cp_rows(target: FiniteDistribution, entry: CouplingEntry):

@@ -20,8 +20,9 @@ A bounded-variable variant fixes a set of forbidden arcs at zero, which
 gives feasibility tests and restricted optima for relation-constrained
 couplings without big-M costs. Solves that differ only in costs or
 forbidden arcs continue from an earlier basis: the bottleneck search
-across thresholds, and the restricted then unrestricted optimum of a
-lifted-relation membership test.
+across thresholds, and a lifted-relation membership test, whose phase 1
+starts at the least-cost plan of the real costs and whose restricted then
+unrestricted optima follow it.
 
 The bottleneck search brackets its answer before any solve. From above:
 the least-cost start is an exact coupling, so the largest cost it ships on
@@ -56,6 +57,7 @@ from .finite_prob import (
     FiniteDistribution,
     GroundMetric,
     PointRelation,
+    _check_mass,
     _checked_array,
     _clean_ground,
     _sorted_distinct,
@@ -82,6 +84,24 @@ class Coupling:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "mass", mass)
+
+    @classmethod
+    def _solved(cls, rows: tuple[str, ...], cols: tuple[str, ...],
+                mass: np.ndarray) -> "Coupling":
+        """A plan the solver built on two validated grounds, kept as it is.
+
+        The solver's array is fresh, of the grounds' shape, finite and
+        nonnegative by construction, so it is only made read-only. Its
+        total is still checked: the marginals may hold their mass to a
+        looser tolerance than a coupling does.
+        """
+        _check_mass(mass, "coupling", TAU_MASS)
+        mass.setflags(write=False)
+        coupling = object.__new__(cls)
+        object.__setattr__(coupling, "rows", rows)
+        object.__setattr__(coupling, "cols", cols)
+        object.__setattr__(coupling, "mass", mass)
+        return coupling
 
     def row_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=1)
@@ -147,7 +167,15 @@ def _northwest(supply: np.ndarray, demand: np.ndarray):
 
 
 def _least_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
-    """Matrix-minimum fill; returns (mass, basis) with m+n-1 basic cells.
+    """The least-cost fill as a plan: (mass, basis) with m+n-1 basic cells."""
+    m, n = cost.shape
+    flow, cells = _fill(supply, demand, cost)
+    return np.array(flow).reshape(m, n), [divmod(c, n) for c in cells]
+
+
+def _fill(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
+    """Matrix-minimum fill as flat state: the flow of every cell i*n + j,
+    and the m+n-1 basic cells in the order they were filled.
 
     Cells are taken in ascending cost order, ties in row-major order. Each
     taken cell ships as much as its row and column still hold and closes
@@ -158,20 +186,21 @@ def _least_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
     line. ``_northwest`` is this fill on staircase costs.
     """
     m, n = cost.shape
-    mass = np.zeros((m, n))
-    basis: list[tuple[int, int]] = []
+    flow = [0.0] * (m * n)
+    cells: list[int] = []
     rr = supply.tolist()
     rc = demand.tolist()
     row_open = [True] * m
     col_open = [True] * n
     rows_left, cols_left = m, n
-    order = np.divmod(np.argsort(cost, axis=None, kind="stable"), n)
-    for i, j in zip(order[0].tolist(), order[1].tolist()):
+    for c in np.argsort(cost, axis=None, kind="stable").tolist():
+        i = c // n
+        j = c - i * n
         if not (row_open[i] and col_open[j]):
             continue
         t = rr[i] if rr[i] <= rc[j] else rc[j]
-        mass[i, j] = t
-        basis.append((i, j))
+        flow[c] = t
+        cells.append(c)
         rr[i] -= t
         rc[j] -= t
         if rows_left == 1 and cols_left == 1:
@@ -182,33 +211,40 @@ def _least_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
         else:
             col_open[j] = False
             cols_left -= 1
-    _fold_defect(mass, supply, demand)
-    return mass, basis
+    _fold_defect(flow, cells, supply, demand)
+    return flow, cells
 
 
-def _fold_defect(mass: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> None:
-    """Float drift can strand a sliver of mass; fold it into the largest cell."""
+def _fold_defect(flow: list, cells: list, supply: np.ndarray,
+                 demand: np.ndarray) -> None:
+    """Float drift can strand a sliver of mass; fold it into the largest cell.
+
+    The total is numpy's sum over all m*n cells, nonbasic zeros included,
+    so that it rounds as the sum of the plan's mass array does.
+    """
+    mass = np.zeros(len(flow))
+    mass[cells] = [flow[c] for c in cells]
     defect = 0.5 * (float(supply.sum()) + float(demand.sum())) - float(mass.sum())
     if defect != 0.0:
-        k = np.unravel_index(int(np.argmax(mass)), mass.shape)
-        mass[k] += defect
+        flow[int(np.argmax(mass))] += defect
 
 
-def _tree(basis, cl, m: int, n: int):
+def _tree(cells, cl, m: int, n: int):
     """Root the basis tree at row 0: adjacency, parents, depths, edge cells
     and the potentials u[i] + v[j] = cost[i, j] on basic cells, anchored at
     u[0] = 0.
 
-    Nodes 0..m-1 are rows and m..m+n-1 columns; ``cl`` is the cost matrix
-    as one flat list, cell (i, j) at i*n + j. ``adj[a]`` lists (neighbour,
-    cell) pairs and ``edge[a]`` is the cell from node a to its parent.
-    Potentials come back as one list, rows first.
+    Nodes 0..m-1 are rows and m..m+n-1 columns; ``cells`` are the basic
+    cells and ``cl`` the cost matrix as one flat list, cell (i, j) at
+    i*n + j. ``adj[a]`` lists (neighbour, cell) pairs and ``edge[a]`` is
+    the cell from node a to its parent. Potentials come back as one list,
+    rows first.
     """
-    if len(basis) != m + n - 1:
+    if len(cells) != m + n - 1:
         raise SolverNonconvergenceError("simplex basis is not a spanning tree")
     adj: list[list[tuple[int, int]]] = [[] for _ in range(m + n)]
-    for i, j in basis:
-        c = i * n + j
+    for c in cells:
+        i, j = divmod(c, n)
         adj[i].append((m + j, c))
         adj[m + j].append((i, c))
     tree = adj, [-1] * (m + n), [0] * (m + n), [-1] * (m + n), [0.0] * (m + n)
@@ -280,13 +316,18 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
     The state is flat: flows, costs, the mask and the priced costs are
     indexed by cell i*n + j, and the basis is the set of tree edge cells
     (``_tree``), turned back into (i, j) pairs only for the returned plan.
+    A cold solve takes its flows and basic cells from ``_fill`` as they are.
     """
     m, n = cost.shape
-    mass, basis = _least_cost(supply, demand, cost) if warm is None else warm
-    flow = mass.ravel().tolist()
+    if warm is None:
+        flow, cells = _fill(supply, demand, cost)
+    else:
+        mass, basis = warm
+        flow = mass.ravel().tolist()
+        cells = [i * n + j for i, j in basis]
     cl = cost.ravel().tolist()
     al = None if allowed is None else allowed.ravel().tolist()
-    tree = adj, parent, depth, edge, pot = _tree(basis, cl, m, n)
+    tree = adj, parent, depth, edge, pot = _tree(cells, cl, m, n)
     # the cost with +inf on the cells that may not enter: basic or forbidden
     priced = (cost if allowed is None else np.where(allowed, cost, np.inf)).flatten()
     priced[edge[1:]] = np.inf
@@ -416,7 +457,7 @@ def northwest_corner(lam: FiniteDistribution, mu: FiniteDistribution) -> Couplin
     cost-compatible order; the caller owns that ordering.
     """
     mass, _ = _northwest(lam.probs, mu.probs)
-    return Coupling(lam.ground, mu.ground, mass)
+    return Coupling._solved(lam.ground, mu.ground, mass)
 
 
 def is_submodular(metric: GroundMetric, tol: float = TAU_NUM) -> bool:
@@ -495,8 +536,8 @@ def wasserstein_inf(
     support = mass > TAU_ZERO
     value = float(cost[support].max()) if np.any(support) else 0.0
     return TransportResult(
-        Coupling(lam.ground, mu.ground, mass), value, frozenset(best.basis),
-        pivots, degenerate, steps,
+        Coupling._solved(lam.ground, mu.ground, mass), value,
+        frozenset(best.basis), pivots, degenerate, steps,
     )
 
 
@@ -509,14 +550,15 @@ def _hall_index(values, reach, need, demand) -> int:
     falls short of its need, so no coupling fits (Hall's condition).
     """
     live = need > 0.0
-    if not live.any():
-        return 0
-    reach, need = reach[live], need[live]
+    if not live.all():
+        if not live.any():
+            return 0
+        reach, need = reach[live], need[live]
     order = np.argsort(reach, axis=1, kind="stable")
     covered = np.cumsum(demand[order], axis=1) >= need[:, None]
     # a set that no threshold covers keeps its cheapest cost, still a bound
-    first = covered.argmax(axis=1)
-    least = np.take_along_axis(reach, order, axis=1)[np.arange(first.size), first]
+    sets = np.arange(need.size)
+    least = reach[sets, order[sets, covered.argmax(axis=1)]]
     return int(np.searchsorted(values, least.max()))
 
 
@@ -543,8 +585,8 @@ def _cut(values, cost, supply, demand, allowed, mass, lo: int, tol: float) -> in
 
 def _result(lam, mu, plan: _Plan, value: float) -> TransportResult:
     return TransportResult(
-        Coupling(lam.ground, mu.ground, plan.mass), value, frozenset(plan.basis),
-        plan.pivots, plan.degenerate_pivots,
+        Coupling._solved(lam.ground, mu.ground, plan.mass), value,
+        frozenset(plan.basis), plan.pivots, plan.degenerate_pivots,
     )
 
 
@@ -662,15 +704,19 @@ def lifted_w1_member(
     """True iff some cost-minimal coupling of the pair lives inside ``phi``.
 
     Equivalent test: the phi-restricted transport problem is feasible and
-    its optimum matches the unrestricted one within TAU_NUM. The restricted
-    optimum continues from the phase-1 plan, and the unrestricted one from
-    the restricted optimum.
+    its optimum matches the unrestricted one within TAU_NUM. Phase 1
+    starts from the least-cost plan of the metric's costs, as the
+    bottleneck search does, so the plan it ends on is already cheap; the
+    restricted optimum continues from the phase-1 plan, and the
+    unrestricted one from the restricted optimum. The metric must cover
+    both grounds even when no coupling fits ``phi``.
     """
     mask = _relation_mask(phi, lam0, lam1)
-    ok, plan = _feasible_on(lam0.probs, lam1.probs, mask)
+    cost = _cost_block(metric, lam0.ground, lam1.ground)
+    ok, plan = _feasible_on(lam0.probs, lam1.probs, mask,
+                            warm=_least_cost(lam0.probs, lam1.probs, cost))
     if not ok:
         return False
-    cost = _cost_block(metric, lam0.ground, lam1.ground)
     inside = _simplex(
         lam0.probs, lam1.probs, cost, allowed=mask,
         warm=(_clamped(plan.mass, mask), plan.basis),
@@ -688,7 +734,8 @@ def dual_potentials(
     with equality on basic cells, the optimality certificate for emd.
     """
     m, n = cost.shape
-    pot = _tree(basis, cost.ravel().tolist(), m, n)[4]
+    cells = [i * n + j for i, j in basis]
+    pot = _tree(cells, cost.ravel().tolist(), m, n)[4]
     return np.array(pot[:m]), np.array(pot[m:])
 
 

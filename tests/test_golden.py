@@ -123,6 +123,12 @@ CASES = {
                            "given", "--couplings", "cm_couplings.json"), 0),
     "couple_northwest": (("couple", "--lhs", "mu.json", "--rhs", "full.json",
                           "--northwest"), 0),
+    # Solver-made couplings: the W1 plan of a pair, and a mechanism whose
+    # couplings are the W1 plans of each estimate to the target.
+    "couple_optimal": (("couple", "--lhs", "mu.json", "--rhs", "nu.json",
+                        "--cost", "y_metric.csv"), 0),
+    "couple_mech_optimal": (("couple-mech", "build", *CM_INPUTS, "--mode",
+                             "optimal", "--cost", "cm_metric.csv"), 0),
     # The coupling printed here is the one the bottleneck search ends on,
     # so it depends on the search path; the cost does not.
     # The optimal couplings at W1 and W2, each the plan the simplex pivots to.

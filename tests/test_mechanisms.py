@@ -213,6 +213,24 @@ def test_given_mode_checks_marginals():
         build_coupling_mechanism(MU, {"s": LAM}, mode="given", couplings={"s": wrong})
 
 
+@pytest.mark.parametrize("mode", ["optimal", "northwest"])
+def test_solver_modes_check_marginals_when_the_totals_disagree(mode):
+    # each input holds a unit of mass to within TAU_MASS, but the totals
+    # differ by 1.8 TAU_MASS, and a solver coupling misses a marginal by
+    # that much
+    ground = ("x0", "x1", "x2", "x3")
+    target = FiniteDistribution(("y0", "y1", "y2"), [0.5, 0.25, 0.25 + 9e-10])
+    metric = GroundMetric.line(ground + target.ground)
+    lam = FiniteDistribution(ground, [0.25, 0.25, 0.25, 0.25 - 9e-10])
+    with pytest.raises(InvalidCouplingError, match="declared marginals"):
+        build_coupling_mechanism(target, {"s": lam}, mode, metric=metric)
+    # within TAU_MASS / 2 the marginals are not summed; the full check of
+    # the same entries agrees
+    lam = FiniteDistribution(ground, [0.25, 0.25, 0.25, 0.25 + 6e-10])
+    spec = build_coupling_mechanism(target, {"s": lam}, mode, metric=metric)
+    assert CouplingMechanismSpec(spec.target, spec.entries).entries == spec.entries
+
+
 def test_spec_rejects_duplicate_aux():
     entry = CouplingEntry("s", LAM, northwest_corner(LAM, MU))
     with pytest.raises(ValidationError, match="duplicate"):

@@ -7,7 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from distp import (
+    MODE_NORTHWEST,
+    MODE_OPTIMAL,
     Coupling,
+    CouplingEntry,
+    CouplingMechanismSpec,
     DimensionMismatchError,
     EmptyRelationError,
     FiniteDistribution,
@@ -17,6 +21,7 @@ from distp import (
     SolverNonconvergenceError,
     UnknownLabelError,
     ValidationError,
+    build_coupling_mechanism,
     coupling_cost,
     diameter,
     dual_potentials,
@@ -32,7 +37,7 @@ from distp import (
     wasserstein_inf,
     wasserstein_p,
 )
-from distp.tolerances import TAU_MASS, TAU_ZERO
+from distp.tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
 from distp.transport import (
     _clamped,
     _cost_block,
@@ -42,6 +47,7 @@ from distp.transport import (
     _least_cost,
     _northwest,
     _pivot_budget,
+    _relation_mask,
     _simplex,
     _tree,
 )
@@ -637,7 +643,8 @@ def least_cost_cases():
 def test_least_cost_start_is_a_basic_coupling(supply, demand, cost):
     m, n = cost.shape
     mass, basis = _least_cost(supply, demand, cost)
-    _tree(basis, cost.ravel().tolist(), m, n)  # raises unless a spanning tree
+    # raises unless a spanning tree
+    _tree([i * n + j for i, j in basis], cost.ravel().tolist(), m, n)
     assert len(set(basis)) == m + n - 1
     off = np.ones((m, n), dtype=bool)
     off[tuple(np.array(basis).T)] = False
@@ -816,6 +823,59 @@ def test_wasserstein_inf_on_a_stranded_sliver_row(instance):
     assert got.coupling.mass[sliver].sum() > 0.0
 
 
+def mass_hexes(spec) -> list[str]:
+    """Every float of a spec, each as float.hex: the target, then per
+    entry the estimate and the coupling."""
+    values = spec.target.probs.tolist()
+    for entry in spec.entries:
+        values += entry.approx_input.probs.tolist()
+        values += entry.coupling.mass.ravel().tolist()
+    return [float.hex(x) for x in values]
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2),
+       st.integers(0, 3), st.integers(0, 10**6))
+def test_solver_plans_pass_the_checks_they_skip(m, n, family, zeros, seed):
+    """A solver's coupling is not validated again; each one passes what
+    that would check. ``Coupling`` accepts the read-only plan and stores
+    the same bytes, its marginals are the inputs', and a spec built from
+    solver couplings equals one that ``CouplingMechanismSpec`` checks in
+    full. Rectangular grounds, with zero-mass labels when ``zeros``."""
+    lam, mu, metric = bottleneck_instance(m, n, family, zeros, None, seed)
+    for plan in (emd(lam, mu, metric).coupling,
+                 wasserstein_p(lam, mu, metric, p=2).coupling,
+                 wasserstein_inf(lam, mu, metric).coupling,
+                 northwest_corner(lam, mu)):
+        assert not plan.mass.flags.writeable
+        again = Coupling(plan.rows, plan.cols, plan.mass)
+        assert again.mass.tobytes() == plan.mass.tobytes()
+        assert validate_coupling(plan, lam, mu)
+    other = rand_dist(np.random.default_rng(seed), lam.ground, zeros=zeros)
+    for mode in (MODE_OPTIMAL, MODE_NORTHWEST):
+        spec = build_coupling_mechanism(mu, {"s0": lam, "s1": other}, mode,
+                                        metric=metric)
+        checked = CouplingMechanismSpec(spec.target, tuple(
+            CouplingEntry(e.s, e.approx_input,
+                          Coupling(e.coupling.rows, e.coupling.cols,
+                                   e.coupling.mass))
+            for e in spec.entries), spec.fallback)
+        assert mass_hexes(checked) == mass_hexes(spec)
+
+
+def test_solver_plans_keep_an_off_mass_check():
+    # marginals loaded at a looser tolerance than a coupling's: the plan
+    # holds their mass, so building it still fails as a Coupling would
+    ground = ("a", "b", "c")
+    lam = FiniteDistribution(ground, [0.5, 0.3, 0.2 - 1e-7], tau_mass=1e-6)
+    mu = FiniteDistribution(ground, [0.2, 0.3, 0.5], tau_mass=1e-6)
+    metric = GroundMetric.line(ground)
+    for solve in (emd, wasserstein_inf):
+        with pytest.raises(ValidationError, match="outside tolerance"):
+            solve(lam, mu, metric)
+    with pytest.raises(ValidationError, match="outside tolerance"):
+        northwest_corner(lam, mu)
+
+
 def test_cut_without_forbidden_flow_moves_one_index():
     # every row ships on allowed arcs only, so the residual search starts
     # from no row and finds no Hall set
@@ -946,3 +1006,66 @@ def test_lifted_w1_member_matches_lp_gap(rng):
         assert got == (restricted <= free + 1e-9)
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def cold_w1_member(phi, lam0, lam1, metric) -> bool:
+    """The membership rule with a cold phase 1, as it was before phase 1
+    started at the least-cost plan: phase 1 from its own least-cost fill
+    of the 0/1 costs, then the restricted and free optima as now."""
+    mask = _relation_mask(phi, lam0, lam1)
+    ok, plan = _feasible_on(lam0.probs, lam1.probs, mask)
+    if not ok:
+        return False
+    cost = _cost_block(metric, lam0.ground, lam1.ground)
+    inside = _simplex(lam0.probs, lam1.probs, cost, allowed=mask,
+                      warm=(_clamped(plan.mass, mask), plan.basis))
+    free = _simplex(lam0.probs, lam1.probs, cost,
+                    warm=(inside.mass, inside.basis))
+    return (float(np.sum(cost * inside.mass))
+            <= float(np.sum(cost * free.mass)) + TAU_NUM)
+
+
+def membership_instance(rng, family):
+    """(phi, lam0, lam1, metric) of 4 to 14 labels.
+
+    ``euclidean``: random points and marginals. ``discrete``: the discrete
+    metric, uniform against a multinomial, so optimal plans tie. ``zeros``:
+    Euclidean with zero-mass labels on both sides, which phi leaves out.
+    Half the relations hold an optimal plan's support plus random arcs,
+    so that both verdicts occur; the rest are radius or random relations.
+    """
+    n = int(rng.integers(4, 15))
+    ground = labels(n)
+    zeros = n // 4 if family == "zeros" else 0
+    if family == "discrete":
+        metric = GroundMetric.discrete(ground)
+        lam0 = uniform_distribution(ground)
+        lam1 = FiniteDistribution(ground,
+                                  rng.multinomial(n, np.ones(n) / n) / n)
+    else:
+        metric = euclidean_metric(rng, ground)
+        lam0 = rand_dist(rng, ground, zeros=zeros)
+        lam1 = rand_dist(rng, ground, zeros=zeros)
+    if rng.random() < 0.5:
+        mask = emd(lam0, lam1, metric).coupling.mass > 0.0
+        mask |= rng.random((n, n)) < 0.3
+    elif family == "discrete":
+        mask = rng.random((n, n)) < 0.5
+    else:
+        mask = metric.cost <= rng.uniform(0.3, 0.8)
+    if family == "zeros":
+        mask &= (lam0.probs > 0.0)[:, None] & (lam1.probs > 0.0)[None, :]
+    phi = PointRelation((ground[i], ground[j]) for i, j in zip(*np.nonzero(mask)))
+    return phi, lam0, lam1, metric
+
+
+@pytest.mark.parametrize("family", ["euclidean", "discrete", "zeros"])
+def test_lifted_w1_member_matches_the_cold_phase_one_rule(family):
+    rng = np.random.default_rng(["euclidean", "discrete", "zeros"].index(family))
+    verdicts = []
+    for _ in range(60):
+        phi, lam0, lam1, metric = membership_instance(rng, family)
+        got = lifted_w1_member(phi, lam0, lam1, metric)
+        assert got == cold_w1_member(phi, lam0, lam1, metric)
+        verdicts.append(got)
+    assert 0 < sum(verdicts) < len(verdicts)
