@@ -209,6 +209,24 @@ class StochasticKernel:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_in_index", {x: i for i, x in enumerate(inputs)})
 
+    @classmethod
+    def _trusted(cls, inputs: tuple[str, ...], outputs: tuple[str, ...],
+                 matrix: np.ndarray) -> "StochasticKernel":
+        """A kernel built from validated parts, kept as it is.
+
+        The grounds are already clean and the matrix is fresh, of their
+        shape, finite and nonnegative by construction, so it is only made
+        read-only. Each row's mass is still checked.
+        """
+        _check_mass(matrix, "kernel", TAU_MASS, inputs)
+        matrix.setflags(write=False)
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "inputs", inputs)
+        object.__setattr__(kernel, "outputs", outputs)
+        object.__setattr__(kernel, "matrix", matrix)
+        object.__setattr__(kernel, "_in_index", {x: i for i, x in enumerate(inputs)})
+        return kernel
+
     def input_index(self, label: str) -> int:
         try:
             return self._in_index[label]  # type: ignore[attr-defined]

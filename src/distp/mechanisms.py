@@ -248,7 +248,8 @@ def cp_kernel(spec: CouplingMechanismSpec, s: str) -> StochasticKernel:
     """The mechanism's kernel for auxiliary value ``s``.
 
     Row x is the coupling row conditioned on x. Inputs the estimate
-    declares impossible are served by the fallback policy.
+    declares impossible are served by the fallback policy. The rows are
+    quotients of validated arrays, so only their mass is checked.
     """
     entry = spec.entry_for(s)
     ground = entry.approx_input.ground
@@ -258,7 +259,7 @@ def cp_kernel(spec: CouplingMechanismSpec, s: str) -> StochasticKernel:
             f"input {ground[int(np.argmax(ruled_out))]!r} has zero estimated "
             "mass and fallback is 'error'"
         )
-    return StochasticKernel(ground, spec.target.ground, rows)
+    return StochasticKernel._trusted(ground, spec.target.ground, rows)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
 KERNEL = ("--mech", "kernel.json")
+FULL = ("--mech", "kernel_full.json")
 PHI = ("--relation", "phi.json")
 PSI = ("--relation", "psi.json")
 METRIC = ("--metric", "metric.csv")
@@ -34,6 +35,12 @@ CASES = {
     "audit_dp_max_delta": (("audit", *KERNEL, *PHI, "--divergence",
                             "max-delta", "--delta", "0.1"), 0),
     "audit_dp_kl": (("audit", *KERNEL, *PHI, "--divergence", "kl"), 0),
+    # Every cell of this kernel is above 0, so every row pair of these
+    # audits is on both supports.
+    "audit_full_max": (("audit", *FULL, *PHI, "--divergence", "max"), 0),
+    "audit_full_max_delta": (("audit", *FULL, *PHI, "--divergence",
+                              "max-delta", "--delta", "0.1"), 0),
+    "audit_full_kl": (("audit", *FULL, *PHI, "--divergence", "kl"), 0),
     "audit_dp_max_csv": (("audit", *KERNEL, *PHI, "--divergence", "max",
                           "--claimed-eps", "2.0", "--format", "csv"), 2),
     "audit_dp_max_delta_csv": (("audit", *KERNEL, *PHI, "--divergence",

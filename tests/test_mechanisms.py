@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from distp import (
+    Coupling,
     CouplingEntry,
     CouplingMechanismSpec,
     FiniteDistribution,
@@ -44,6 +45,7 @@ from distp import (
     uniform_distribution,
 )
 from distp.finite_prob import DistributionPair, DistributionPairRelation
+from distp.mechanisms import _cp_rows
 from conftest import labels, rand_dist, rand_kernel
 
 GROUND3 = ("1", "2", "3")
@@ -161,6 +163,42 @@ def test_cp_target_invariance(ki, ko, seed):
     spec = build_coupling_mechanism(target, {"s": lam_hat}, mode="northwest")
     out = lift(cp_kernel(spec, "s"), lam_hat)
     np.testing.assert_allclose(out.probs, target.probs, atol=1e-9)
+
+
+@given(st.integers(2, 6), st.integers(2, 6), st.integers(0, 10**6))
+def test_cp_kernel_equals_the_validated_kernel_of_its_rows(ki, ko, seed):
+    rng = np.random.default_rng(seed)
+    lam_hat = rand_dist(rng, labels(ki))
+    target = rand_dist(rng, labels(ko, "y"))
+    metric = GroundMetric.line(lam_hat.ground + target.ground)
+    for mode in ("northwest", "optimal"):
+        spec = build_coupling_mechanism(target, {"s": lam_hat}, mode,
+                                        metric=metric)
+        kernel = cp_kernel(spec, "s")
+        rows, _ = _cp_rows(target, spec.entry_for("s"))
+        checked = StochasticKernel(lam_hat.ground, target.ground, rows)
+        assert (kernel.inputs, kernel.outputs) == (checked.inputs, checked.outputs)
+        assert kernel.matrix.tobytes() == checked.matrix.tobytes()
+        assert not kernel.matrix.flags.writeable
+        assert kernel.row("x1").probs.tolist() == checked.row("x1").probs.tolist()
+
+
+def test_cp_kernel_checks_row_mass_as_a_validated_kernel_does():
+    # The given coupling meets both marginals within TAU_MASS, but row "b",
+    # conditioned on an estimate of 1e-6, misses a unit of mass by 5e-4.
+    target = FiniteDistribution(("y0", "y1"), [0.5, 0.5])
+    lam = FiniteDistribution(("a", "b"), [1.0 - 1e-6, 1e-6])
+    mass = np.array([[0.5 - 1e-6, 0.5 - 5e-10], [1e-6, 5e-10]])
+    coupling = Coupling(lam.ground, target.ground, mass)
+    spec = build_coupling_mechanism(target, {"s": lam}, mode="given",
+                                    couplings={"s": coupling})
+    rows, _ = _cp_rows(target, spec.entry_for("s"))
+    with pytest.raises(ValidationError) as checked:
+        StochasticKernel(lam.ground, target.ground, rows)
+    with pytest.raises(ValidationError) as built:
+        cp_kernel(spec, "s")
+    assert "kernel row 'b'" in str(checked.value)
+    assert str(built.value) == str(checked.value)
 
 
 def test_cp_point_mass_estimate_rows_are_target():

@@ -22,7 +22,9 @@ from distp import (
     REVERSE_KL,
     STANDARD_KINDS,
     TOTAL_VARIATION,
+    FDivergenceKind,
     GroundMetric,
+    InvalidGeneratorError,
     MaxDivergence,
     PointRelation,
     StochasticKernel,
@@ -128,6 +130,86 @@ def test_rows_equal_scalar_definitions_across_blocks(width, seed):
         assert got.tolist() == [want[i, j] for i, j in zip(a, b)]
     values = _divergence_rows(MaxDivergence(), distinct, a, b).tolist()
     assert values[0] == 0.0 and values[1] == 0.0
+
+
+def full_row(rng, width):
+    """A probability row with every entry well above TAU_ZERO, often tied."""
+    row = rng.dirichlet(np.full(width, rng.choice([0.3, 1.0, 5.0]))) + 1e-3
+    if rng.random() < 0.5:
+        row = np.round(row * 8.0) + 1.0
+    return row / row.sum()
+
+
+def sparse_row(rng, width):
+    """A probability row with at least one exact zero."""
+    row = random_row(rng, width)
+    k = rng.integers(width)
+    row[k] = 0.0
+    if row.sum() == 0.0:
+        row[(k + 1) % width] = 1.0
+    return row / row.sum()
+
+
+@contextmanager
+def recorded_paths():
+    """Whether each block of row pairs took the full-support path."""
+    seen = []
+    full = divergences._full
+
+    def recording(*blocks):
+        taken = full(*blocks)
+        seen.append(taken)
+        return taken
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(divergences, "_full", recording)
+        yield seen
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 24), st.integers(0, 10**6))
+def test_full_support_blocks_equal_scalar_definitions(width, seed):
+    """One call over four blocks: pairs of full-support rows, pairs of
+    sparse rows, a mix of the two, and full-support rows against a row
+    whose only entry off its support is 1e-13, at or below TAU_ZERO but not
+    zero. Only the first block takes the full-support path, and every block
+    gives the bits of the scalar definitions."""
+    rng = np.random.default_rng(seed)
+    near = full_row(rng, width)
+    near[1] += near[0] - 1e-13
+    near[0] = 1e-13
+    table = np.array([full_row(rng, width) for _ in range(4)]
+                     + [sparse_row(rng, width) for _ in range(4)] + [near])
+    step = _BLOCK_CELLS // width
+    full, sparse, both = np.arange(4), np.arange(4, 8), np.arange(8)
+    a = np.concatenate([rng.choice(full, step), rng.choice(sparse, step),
+                        rng.choice(both, step), rng.choice(full, 37)])
+    b = np.concatenate([rng.choice(full, step), rng.choice(sparse, step),
+                        rng.choice(both, step), np.full(37, 8)])
+    a[2 * step], b[2 * step] = 0, 4  # the mixed block holds a sparse row
+    for divergence in [*STANDARD_KINDS, MaxDivergence(), MaxDivergence(0.3)]:
+        want = {
+            (i, j): ref_value(divergence, table[i], table[j])
+            for i in range(len(table))
+            for j in range(len(table))
+        }
+        with recorded_paths() as seen:
+            got = _divergence_rows(divergence, table, a, b)
+        assert seen == [True, False, False, False]
+        assert got.tolist() == [want[i, j] for i, j in zip(a, b)]
+
+
+def test_generator_nan_raises_on_full_support_blocks():
+    table = np.array([[0.25, 0.75], [0.5, 0.5]])
+    nan = FDivergenceKind("nan", lambda t: np.full_like(t, np.nan))
+    # -inf and +inf terms in one row sum to NaN
+    split = FDivergenceKind("split", lambda t: np.where(t > 1.0, INF, -INF))
+    with recorded_paths() as seen, np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidGeneratorError, match="NaN on valid ratios"):
+            _divergence_rows(nan, table, [0, 1], [1, 0])
+        with pytest.raises(InvalidGeneratorError, match="summing to NaN"):
+            _divergence_rows(split, table, [0, 1], [1, 0])
+    assert seen == [True, True]
 
 
 @given(st.integers(1, 24), st.integers(0, 10**6))
@@ -237,14 +319,19 @@ def tied_row(rng, width):
 @contextmanager
 def recorded_orders():
     """Every (keys, counts, order) that the delta rule sorts with, copied:
-    the kernel reuses its buffers from block to block."""
+    the kernel reuses its buffers from block to block. The support count of
+    a row is its number of keys below +inf, and its order is read back from
+    the transposed flat index that the sort returns."""
     seen = []
     sort = divergences._support_order
 
-    def recording(keys, counts):
-        order = sort(keys, counts)
-        seen.append((keys.copy(), counts.copy(), order.copy()))
-        return order
+    def recording(keys, work, full):
+        flat = sort(keys, work, full)
+        rows, width = keys.shape
+        order = (flat - width * np.arange(rows)).T
+        counts = np.count_nonzero(keys < INF, axis=1)
+        seen.append((keys.copy(), counts, order.copy()))
+        return flat
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(divergences, "_support_order", recording)
