@@ -65,6 +65,7 @@ from .finite_prob import (
     _interned,
     _kept,
     _lifted_probs,
+    _pair_labels,
     _PairPlan,
     _point_plan,
     pair_label,
@@ -476,10 +477,8 @@ def check_cp_theorem(
 
     aux = spec.aux
     first, second = np.triu_indices(len(aux))
-    plan = _PairPlan(
-        tuple(pair_label(aux[i], aux[j]) for i, j in zip(first, second)),
-        first, second,
-    )
+    plan = _PairPlan(_pair_labels(aux, first.tolist(), second.tolist()),
+                     first, second)
     table = np.stack(outputs)
     memo: dict = {}  # the "kl" and "f:kl" checks evaluate KL once
 

@@ -18,6 +18,7 @@ pairs at once; the scalar functions here are its one-row case. A block whose
 every cell is above TAU_ZERO on both sides, as the geometric mechanism's
 rows are, is evaluated whole, with no support masks, gathers or packing;
 it gives the bits the masked path gives, which every other block takes.
+A table with no cell at or below TAU_ZERO is tested once, not per block.
 """
 
 from __future__ import annotations
@@ -193,22 +194,28 @@ def _buffer(work: dict, name: str, shape: tuple, dtype=float) -> np.ndarray:
 
 def _row_function(divergence: Divergence):
     """The function evaluating ``divergence`` on a block of row pairs, with
-    its own buffers, reused from block to block."""
+    its own buffers, reused from block to block. Its third argument says
+    that every cell of the block is known to be above TAU_ZERO; if false,
+    the block is tested."""
     work: dict = {}
     if isinstance(divergence, FDivergenceKind):
-        return lambda P, Q: _f_rows(divergence, P, Q, work)
+        return lambda P, Q, full: _f_rows(divergence, P, Q, work, full)
     if isinstance(divergence, MaxDivergence):
         if divergence.delta == 0.0:
-            return lambda P, Q: _max_rows(P, Q, work)
-        return lambda P, Q: _prefix_rows(P, Q, divergence.delta, work)
+            return lambda P, Q, full: _max_rows(P, Q, work, full)
+        return lambda P, Q, full: _prefix_rows(P, Q, divergence.delta, work,
+                                               full)
     raise ValidationError(f"unknown divergence descriptor {divergence!r}")
 
 
 def _blocked_rows(rows, table, left, right) -> np.ndarray:
     """``rows`` applied to rows ``left[i]`` and ``right[i]`` of ``table``, for
     every i. Rows are gathered block by block into two buffers of at most
-    one block, so no temporary grows with the pair count."""
+    one block, so no temporary grows with the pair count; ``rows`` may
+    overwrite both. A table whose every cell is above TAU_ZERO, as a
+    geometric mechanism's is, tells ``rows`` so once for all its blocks."""
     n, width = len(left), table.shape[1]
+    full = bool(table.min() > TAU_ZERO)
     step = max(1, _BLOCK_CELLS // width)
     P, Q = np.empty((min(n, step), width)), np.empty((min(n, step), width))
     out = np.empty(n)
@@ -217,9 +224,9 @@ def _blocked_rows(rows, table, left, right) -> np.ndarray:
         k = len(out[block])
         # Row indices are in range, so "clip" never clips; unlike "raise",
         # it lets ``take`` gather straight into the buffer.
-        np.take(table, left[block], axis=0, out=P[:k], mode="clip")
-        np.take(table, right[block], axis=0, out=Q[:k], mode="clip")
-        out[block] = rows(P[:k], Q[:k])
+        table.take(left[block], axis=0, out=P[:k], mode="clip")
+        table.take(right[block], axis=0, out=Q[:k], mode="clip")
+        out[block] = rows(P[:k], Q[:k], full)
     return out
 
 
@@ -257,6 +264,12 @@ def _divergence_rows(divergence, table, left, right, memo=None) -> np.ndarray:
         return _blocked_rows(rows, table, left, right)
     codes, values = known
     want = np.asarray(left, dtype=np.intp) * len(table) + right
+    if not len(codes) and (want[1:] > want[:-1]).all():
+        # A first batch of sorted, distinct pairs, as a pair plan lists
+        # them, is the memo as it stands; the caller gets its own copy.
+        found = _blocked_rows(rows, table, left, right)
+        memo[divergence] = want, found
+        return found.copy()
     at = np.searchsorted(codes, want)
     missing = np.ones(len(want), dtype=bool)
     inside = at < len(codes)
@@ -280,15 +293,16 @@ def _divergence_columns(divergence, table, plan: _PairPlan, memo=None):
         _divergence_rows(divergence, table, plan.first, plan.second, memo), plan)
 
 
-def _full(*blocks) -> bool:
-    """Whether every cell of every block is above TAU_ZERO, on its support."""
-    return all(block.min() > TAU_ZERO for block in blocks)
+def _full(known: bool, *blocks) -> bool:
+    """Whether every cell of every block is above TAU_ZERO, on its support:
+    ``known`` says so for a block of a full table, with no test."""
+    return known or all(block.min() > TAU_ZERO for block in blocks)
 
 
 def _generated(kind: FDivergenceKind, ratios) -> np.ndarray:
     """The generator's values on ``ratios``, which must not be NaN."""
     values = np.asarray(kind(ratios), dtype=float)
-    if np.any(np.isnan(values)):
+    if np.isnan(values).any():
         raise InvalidGeneratorError(
             f"generator {kind.name!r} produced NaN on valid ratios"
         )
@@ -297,16 +311,16 @@ def _generated(kind: FDivergenceKind, ratios) -> np.ndarray:
 
 def _summed(kind: FDivergenceKind, totals: np.ndarray) -> np.ndarray:
     """``totals``, the row sums of the generator's terms, unless one is NaN."""
-    if np.any(np.isnan(totals)):
+    if np.isnan(totals).any():
         raise InvalidGeneratorError(
             f"generator {kind.name!r} produced values summing to NaN"
         )
     return totals
 
 
-def _f_rows(kind: FDivergenceKind, P, Q, work: dict) -> np.ndarray:
+def _f_rows(kind: FDivergenceKind, P, Q, work: dict, full: bool) -> np.ndarray:
     terms = _buffer(work, "terms", P.shape)
-    if _full(Q):
+    if _full(full, Q):
         # Every label is on supp(Q): each row's terms are all its cells, in
         # ground order, and are summed as ``np.sum`` sums that row alone.
         flat = np.divide(P, Q, out=terms).reshape(-1)
@@ -340,9 +354,9 @@ def _f_rows(kind: FDivergenceKind, P, Q, work: dict) -> np.ndarray:
     return totals
 
 
-def _max_rows(P, Q, work: dict) -> np.ndarray:
+def _max_rows(P, Q, work: dict, full: bool) -> np.ndarray:
     logs = _buffer(work, "logs", P.shape)
-    if _full(P, Q):
+    if _full(full, P, Q):
         np.divide(P, Q, out=logs)
         return np.log(logs, out=logs).max(axis=1)
     on = np.greater(P, TAU_ZERO, out=_buffer(work, "on", P.shape, bool))
@@ -375,7 +389,7 @@ def _support_order(keys: np.ndarray, work: dict, full: bool) -> np.ndarray:
     flat = np.add(np.argsort(keys, axis=1).T, base,
                   out=_buffer(work, "flat", shape, np.intp))
     # the running sums of Q take this memory after the sort
-    ranked = np.take(keys, flat, out=_buffer(work, "cq", shape), mode="clip")
+    ranked = keys.take(flat, out=_buffer(work, "cq", shape), mode="clip")
     tied = ranked[1:] == ranked[:-1]
     again = np.flatnonzero(tied.any(axis=0))
     if again.size and not full:
@@ -386,7 +400,7 @@ def _support_order(keys: np.ndarray, work: dict, full: bool) -> np.ndarray:
     return flat
 
 
-def _prefix_rows(P, Q, delta: float, work: dict) -> np.ndarray:
+def _prefix_rows(P, Q, delta: float, work: dict, full: bool) -> np.ndarray:
     """Slack-delta max divergence of each row pair, over prefixes only.
 
     Some prefix of supp(P) sorted by decreasing P/Q attains the largest
@@ -411,7 +425,7 @@ def _prefix_rows(P, Q, delta: float, work: dict) -> np.ndarray:
     # order, then the entries outside the support: keys -P/Q on the support
     # (-inf where Q = 0) and +inf off it.
     keys = _buffer(work, "keys", P.shape)
-    full = _full(P, Q)
+    full = _full(full, P, Q)
     if full:
         np.negative(np.divide(P, Q, out=keys), out=keys)
     else:
@@ -430,9 +444,9 @@ def _prefix_rows(P, Q, delta: float, work: dict) -> np.ndarray:
     shape = (width, rows)
     flat = _support_order(keys, work, full)
     gathered = _buffer(work, "keys", shape)
-    cp = np.add.accumulate(np.take(P, flat, out=gathered, mode="clip"), axis=0,
+    cp = np.add.accumulate(P.take(flat, out=gathered, mode="clip"), axis=0,
                            out=_buffer(work, "cp", shape))
-    cq = np.add.accumulate(np.take(Q, flat, out=gathered, mode="clip"), axis=0,
+    cq = np.add.accumulate(Q.take(flat, out=gathered, mode="clip"), axis=0,
                            out=_buffer(work, "cq", shape))
     terms = np.arange(1, width + 1)[:, None]
     slack = np.subtract(cp, delta, out=gathered)
@@ -441,16 +455,17 @@ def _prefix_rows(P, Q, delta: float, work: dict) -> np.ndarray:
     if full:
         # every prefix lies in both supports, so each has Q mass
         ratio = valid
+        best = np.divide(slack, cq, out=cp)
     else:
         valid &= terms <= counts
         ratio = np.greater(cq, TAU_ZERO, out=_buffer(work, "mask", shape, bool))
         ratio &= valid
-    best = cp
-    best.fill(0.0)
-    np.divide(slack, cq, out=best, where=ratio)
-    # The log of the best ratio is the best log (log is monotone); math.log
-    # because np.log can differ in the last bit and would move delta goldens.
-    top = best.max(axis=0)
+        best = np.divide(slack, cq, out=cp, where=ratio)
+    # The best ratio of a valid prefix, 0 if none (every such ratio is
+    # positive). The log of the best ratio is the best log (log is
+    # monotone); math.log because np.log can differ in the last bit and
+    # would move delta goldens.
+    top = best.max(axis=0, where=ratio, initial=0.0)
     logs = np.full(rows, -INF)
     some = top > 0.0
     logs[some] = list(map(math.log, top[some].tolist()))
@@ -513,10 +528,14 @@ def delta_required(
     if epsilon < 0.0:
         raise ValidationError(f"epsilon {epsilon:g} must be nonnegative")
     scale = math.exp(epsilon)
+
+    def excess(P, Q, full):
+        # max(0, P - scale * Q), written over the gathered rows of Q
+        np.subtract(P, np.multiply(scale, Q, out=Q), out=Q)
+        return np.maximum(0.0, Q, out=Q).sum(axis=1)
+
     forward, backward = _both_directions(_blocked_rows(
-        lambda P, Q: np.maximum(0.0, P - scale * Q).sum(axis=1),
-        kernel.matrix, plan.first, plan.second,
-    ), plan)
+        excess, kernel.matrix, plan.first, plan.second), plan)
     return max(0.0, float(forward.max()), float(backward.max()))
 
 
@@ -527,4 +546,4 @@ def divergence_value(
     rows = _row_function(divergence)
     if mu.ground != nu.ground:
         raise GroundMismatchError("divergence requires a shared ground set")
-    return float(rows(mu.probs[None, :], nu.probs[None, :])[0])
+    return float(rows(mu.probs[None, :], nu.probs[None, :], False)[0])

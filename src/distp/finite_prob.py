@@ -42,6 +42,14 @@ def pair_label(a: str, b: str) -> str:
     return "[" + encode_basestring_ascii(a) + "," + encode_basestring_ascii(b) + "]"
 
 
+def _pair_labels(names, first, second) -> tuple[str, ...]:
+    """``pair_label(names[i], names[j])`` for each i of ``first`` and j of
+    ``second``, each name encoded once."""
+    quoted = [encode_basestring_ascii(x) for x in names]
+    return tuple("[" + quoted[i] + "," + quoted[j] + "]"
+                 for i, j in zip(first, second))
+
+
 def split_pair_label(label: str) -> tuple[str, str]:
     """Inverse of :func:`pair_label`."""
     try:
@@ -460,6 +468,12 @@ class DistributionPairRelation:
         return len(self.pairs)
 
 
+# The triangle check's buffers hold this many cells: below the 128 KiB at
+# which glibc maps an allocation afresh, so a check faults in no memory once
+# the heap has grown to hold them.
+_TRIANGLE_CELLS = 1 << 13
+
+
 @dataclass(frozen=True, eq=False)
 class GroundMetric:
     """A nonnegative cost table over a ground set with zero diagonal.
@@ -506,10 +520,21 @@ class GroundMetric:
 
     def satisfies_triangle(self, tol: float = TAU_NUM) -> bool:
         c = self.cost
-        # require c[i, k] <= c[i, j] + c[j, k] + tol, one middle j at a time
-        # so memory stays at n^2 floats
-        for j in range(c.shape[0]):
-            if not np.all(c <= c[:, [j]] + c[[j], :] + tol):
+        n = len(c)
+        # require c[i, k] <= c[i, j] + c[j, k] + tol, for a block of middles
+        # j per pass: slab jj of ``via`` holds the sums through middle
+        # j + jj. A block fills _TRIANGLE_CELLS cells, or is one middle (n^2
+        # cells) where that is more.
+        step = min(n, max(1, _TRIANGLE_CELLS // (n * n)))
+        into = c.T.copy()  # into[j, i] = c[i, j]
+        via = np.empty((step, n, n))
+        within = np.empty((step, n, n), dtype=bool)
+        for j in range(0, n, step):
+            k = min(step, n - j)
+            sums = np.add(into[j:j + k, :, None], c[j:j + k, None, :],
+                          out=via[:k])
+            sums += tol
+            if not np.less_equal(c, sums, out=within[:k]).all():
                 return False
         return True
 

@@ -53,6 +53,7 @@ from conftest import (
     tilted,
     w1_member_pair,
 )
+from distp.finite_prob import split_pair_label
 
 GROUND3 = ("1", "2", "3")
 LAM = FiniteDistribution(GROUND3, np.array([0.2, 0.5, 0.3]))
@@ -480,6 +481,23 @@ def test_cp_theorem_tilted_estimates(rng):
     assert 0.0 < report.epsilon <= 0.2
     for name in SOUND_BOUNDS:
         assert report.check(name).passed, name
+
+
+def test_cp_theorem_labels_are_pair_labels(rng):
+    """Aux names that JSON must escape or that hold its own punctuation
+    label the cp-theorem pairs exactly as ``pair_label`` does."""
+    ground = labels(4, "y")
+    aux = ('say "hi"', "a,b", "back\\slash", "[0]", "\u00e9t\u00e9", "\U0001f600", "")
+    approx = {s: rand_dist(rng, ground) for s in aux}
+    spec = build_coupling_mechanism(rand_dist(rng, ground), approx, "northwest")
+    assert sorted(spec.aux) == sorted(aux)
+    report = check_cp_theorem(spec, {s: tilted(rng, lam, 0.05)
+                                     for s, lam in approx.items()})
+    pairs = [(a, b) for i, a in enumerate(spec.aux) for b in spec.aux[i:]]
+    for check in report.checks:
+        got = [p.pair for p in check.report.pairs]
+        assert got == [pair_label(a, b) for a, b in pairs]
+        assert [split_pair_label(label) for label in got] == pairs
 
 
 def test_cp_theorem_epsilon_is_max_log_ratio(rng):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,10 @@ from distp import (
     randomized_response,
     uniform_distribution,
 )
+from distp.fileio import kernel_from_dict, load_json
 from conftest import labels, rand_dist, rand_kernel, subset_oracle
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def dist(*probs):
@@ -353,6 +357,23 @@ def test_delta_required_brute(rng):
             if i != j
         )
         assert delta_required(kernel, phi, epsilon) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["kernel.json", "kernel_full.json"])
+@pytest.mark.parametrize("epsilon", [0.0, 1.0])
+def test_delta_required_equals_each_pair_apart(name, epsilon):
+    """Bit for bit against one ``np.maximum(0.0, p - scale * q).sum()`` per
+    ordered pair, on a kernel with zero cells and on one with none."""
+    kernel = kernel_from_dict(load_json(str(INPUTS / name)))
+    m, scale = kernel.matrix, math.exp(epsilon)
+    want = max(
+        float(np.maximum(0.0, m[i] - scale * m[j]).sum())
+        for i in range(len(m))
+        for j in range(len(m))
+        if i != j
+    )
+    got = delta_required(kernel, PointRelation.full(kernel.inputs), epsilon)
+    assert got.hex() == max(0.0, want).hex()
 
 
 def test_delta_required_validation():

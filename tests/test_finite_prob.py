@@ -26,6 +26,7 @@ from distp import (
     split_pair_label,
     uniform_distribution,
 )
+from distp.tolerances import TAU_NUM
 from conftest import euclidean_metric, labels, rand_dist, rand_kernel
 
 
@@ -319,6 +320,53 @@ class TestGroundMetric:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @staticmethod
+    def one_middle(c, tol):
+        """The middles j whose route breaks c[i, k] <= c[i, j] + c[j, k] + tol."""
+        return [j for j in range(len(c))
+                if not np.all(c <= c[:, [j]] + c[[j], :] + tol)]
+
+    @staticmethod
+    def near_uniform(rng, n):
+        """Symmetric costs in [1, 1.2]: every route through a third point
+        is at least 2, so the triangle inequality holds with room."""
+        cost = rng.uniform(1.0, 1.2, (n, n))
+        cost = np.minimum(cost, cost.T)
+        np.fill_diagonal(cost, 0.0)
+        return cost
+
+    @pytest.mark.parametrize("n", [3, 25, 30])
+    def test_triangle_blocks_find_a_violation_at_each_middle(self, rng, n):
+        # blocks of 13 middles at n = 25 and 9 at n = 30 (8,192 cells),
+        # so the last block is partial in both
+        for tol in (0.0, TAU_NUM, 0.25):
+            cost = self.near_uniform(rng, n)
+            assert self.one_middle(cost, tol) == []
+            assert GroundMetric(labels(n), cost).satisfies_triangle(tol)
+            for j in range(n):
+                i, k = rng.choice([m for m in range(n) if m != j], 2,
+                                  replace=False)
+                planted = cost.copy()
+                planted[i, j] = planted[j, i] = planted[j, k] = planted[k, j] = 0.4
+                # one ulp past the route through j; exactly on it passes
+                edge = (planted[i, j] + planted[j, k]) + tol
+                planted[i, k] = planted[k, i] = np.nextafter(edge, np.inf)
+                assert self.one_middle(planted, tol) == [j]
+                assert not GroundMetric(labels(n), planted).satisfies_triangle(tol)
+                planted[i, k] = planted[k, i] = edge
+                assert self.one_middle(planted, tol) == []
+                assert GroundMetric(labels(n), planted).satisfies_triangle(tol)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_triangle_on_one_and_two_points(self, rng, n):
+        cost = rng.uniform(0.5, 2.0, (n, n))
+        np.fill_diagonal(cost, 0.0)
+        d = GroundMetric(labels(n), cost)
+        for tol in (0.0, TAU_NUM, -1e-300, -0.1):
+            assert d.satisfies_triangle(tol) == (self.one_middle(d.cost, tol) == [])
+        assert d.satisfies_triangle()
+        assert not d.satisfies_triangle(-0.1)
 
     def test_submatrix(self):
         d = GroundMetric.line(("a", "b", "c"))

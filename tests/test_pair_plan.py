@@ -60,9 +60,9 @@ def counters():
             super().__post_init__()
 
     def rows(fn, table, left, right):
-        def wrapped(P, Q):
+        def wrapped(P, Q, full):
             seen["rows"] += len(P)
-            return fn(P, Q)
+            return fn(P, Q, full)
 
         return blocked(wrapped, table, left, right)
 

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distp import (
@@ -38,7 +38,7 @@ from distp import (
 )
 from distp import divergences
 from distp.divergences import _BLOCK_CELLS, _divergence_columns, _divergence_rows
-from distp.finite_prob import _point_plan
+from distp.finite_prob import _point_plan, _sorted_distinct
 from conftest import labels, rand_dist, rand_kernel, tilted
 
 DIVERGENCES = STANDARD_KINDS + (MaxDivergence(), MaxDivergence(0.1))
@@ -60,9 +60,9 @@ def counted():
     blocked = divergences._blocked_rows
 
     def counting(rows, table, left, right):
-        def wrapped(P, Q):
+        def wrapped(P, Q, full):
             seen[0] += len(P)
-            return rows(P, Q)
+            return rows(P, Q, full)
 
         return blocked(wrapped, table, left, right)
 
@@ -279,3 +279,43 @@ def test_a_kind_that_cannot_be_hashed_is_evaluated_without_the_memo(rng):
     got = audit_div_dp(kernel, phi, kind)
     assert hexes(got.forward) == hexes(want.forward)
     assert hexes(got.backward) == hexes(want.backward)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.lists(st.tuples(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                min_size=1, max_size=10), st.booleans()),
+             min_size=1, max_size=4),
+)
+def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
+    """Batches of ordered row pairs into one memo: fresh, disjoint,
+    overlapping and repeated, each in the order drawn or in the sorted,
+    distinct order a pair plan gives (which a first batch stores as it
+    comes). After every call the memo's codes are sorted and distinct, every
+    value it holds and every value returned equals a plain call bit for bit,
+    +inf and -inf rows of PALETTE included, and overwriting a returned array
+    leaves the memo as it was."""
+    rng = np.random.default_rng(seed)
+    if full:
+        table = rng.dirichlet(np.ones(3), 6) + 1e-3
+        table /= table.sum(axis=1, keepdims=True)
+    else:
+        table = PALETTE[rng.integers(0, 4, 6)]
+    n = len(table)
+    memo: dict = {}
+    for pairs, plan_order in batches:
+        left, right = np.array(pairs, dtype=np.intp).T
+        if plan_order:
+            codes = _sorted_distinct(left * n + right)
+            left, right = codes // n, codes % n
+        for divergence in DIVERGENCES + (MaxDivergence(1.0),):
+            got = _divergence_rows(divergence, table, left, right, memo)
+            assert hexes(got) == hexes(_divergence_rows(divergence, table,
+                                                        left, right))
+            got.fill(np.nan)
+            codes, values = memo[divergence]
+            assert np.all(codes[1:] > codes[:-1])
+            assert hexes(values) == hexes(_divergence_rows(
+                divergence, table, codes // n, codes % n))
