@@ -42,10 +42,7 @@ DIVERGENCE_CHOICES = ("kl", "rkl", "tv", "chi2", "hellinger", "max",
 
 
 class RunConfig(namedtuple("RunConfig",
-                           ("seed", "exact_subsets", "tau_mass", "tau_num",
-                            "format"),
-                           defaults=(DEFAULT_SEED, False, TAU_MASS, TAU_NUM,
-                                     "json"))):
+                           ("seed", "tau_mass", "tau_num", "format"))):
     """Settings echoed into every JSON report."""
 
     def to_dict(self) -> dict:
@@ -61,16 +58,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        exact_subsets=getattr(args, "exact_subsets", False),
-        tau_mass=args.tau_mass,
-        tau_num=args.tau_num,
-        format=getattr(args, "format", "json"),
-    )
 
 
 def _write(text: str, out: str | None = None) -> None:
@@ -99,8 +86,7 @@ def _resolve_divergence(args):
     return divergences.KIND_BY_NAME[args.divergence]
 
 
-def cmd_divergence(args) -> int:
-    cfg = _config(args)
+def cmd_divergence(args, cfg: RunConfig) -> int:
     lhs = _load_distribution(args.lhs, cfg.tau_mass)
     rhs = _load_distribution(args.rhs, cfg.tau_mass)
     divergence = _resolve_divergence(args)
@@ -109,8 +95,7 @@ def cmd_divergence(args) -> int:
     return 0
 
 
-def cmd_emd(args) -> int:
-    cfg = _config(args)
+def cmd_emd(args, cfg: RunConfig) -> int:
     lhs = _load_distribution(args.lhs, cfg.tau_mass)
     rhs = _load_distribution(args.rhs, cfg.tau_mass)
     metric = fileio.metric_from_csv(args.cost)
@@ -125,8 +110,7 @@ def cmd_emd(args) -> int:
     return 0
 
 
-def cmd_couple(args) -> int:
-    cfg = _config(args)
+def cmd_couple(args, cfg: RunConfig) -> int:
     lhs = _load_distribution(args.lhs, cfg.tau_mass)
     rhs = _load_distribution(args.rhs, cfg.tau_mass)
     metric = fileio.metric_from_csv(args.cost) if args.cost else None
@@ -150,8 +134,7 @@ def _object_map(data, load, tau_mass: float, message: str) -> dict:
     return {str(key): load(obj, tau_mass) for key, obj in data.items()}
 
 
-def cmd_couple_mech(args) -> int:
-    cfg = _config(args)
+def cmd_couple_mech(args, cfg: RunConfig) -> int:
     target = _load_distribution(args.target, cfg.tau_mass)
     approx = _object_map(fileio.load_json(args.inputs),
                          fileio.distribution_from_dict, cfg.tau_mass,
@@ -176,10 +159,9 @@ def cmd_couple_mech(args) -> int:
     return 0
 
 
-def cmd_obfuscate(args) -> int:
+def cmd_obfuscate(args, cfg: RunConfig) -> int:
     import numpy as np
 
-    cfg = _config(args)
     mechanism = fileio.load_mechanism(args.mech, cfg.tau_mass)
     if isinstance(mechanism, mechanisms.CouplingMechanismSpec):
         if args.aux is None:
@@ -210,8 +192,7 @@ def _audit_csv(report: audit.AuditReport, tau_num: float) -> str:
     return buf.getvalue()
 
 
-def cmd_audit(args) -> int:
-    cfg = _config(args)
+def cmd_audit(args, cfg: RunConfig) -> int:
     mechanism = fileio.load_mechanism(args.mech, cfg.tau_mass)
     relation = fileio.relation_from_obj(fileio.load_json(args.relation),
                                         cfg.tau_mass)
@@ -259,8 +240,7 @@ def _load_second_stage(path: str, tau_mass: float):
     return fileio.kernel_from_dict(data, tau_mass)
 
 
-def cmd_compose(args) -> int:
-    cfg = _config(args)
+def cmd_compose(args, cfg: RunConfig) -> int:
     first = fileio.kernel_from_dict(fileio.load_json(args.first), cfg.tau_mass)
     if args.op == "post":
         second = fileio.kernel_from_dict(fileio.load_json(args.second),
@@ -289,8 +269,6 @@ def _divergence_flags(sub: argparse.ArgumentParser) -> None:
                      help="divergence kind")
     sub.add_argument("--delta", type=float, default=None,
                      help="slack for the max-delta divergence")
-    sub.add_argument("--exact-subsets", action="store_true",
-                     help="no effect; the prefix rule is exact; kept for compatibility")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,8 +367,10 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         getattr(args, "help_parser", parser).print_help(sys.stderr)
         return 1
+    cfg = RunConfig(args.seed, args.tau_mass, args.tau_num,
+                    getattr(args, "format", "json"))
     try:
-        return args.func(args)
+        return args.func(args, cfg)
     except (DistpError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

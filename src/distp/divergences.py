@@ -14,11 +14,11 @@ Natural logarithms throughout. +inf is a legal value, never an exception.
 
 Each divergence has one implementation: a row kernel that evaluates stacked
 pairs of distributions block by block. The auditors call it on all their
-pairs at once; the scalar functions here are its one-row case. A block whose
-every cell is above TAU_ZERO on both sides, as the geometric mechanism's
-rows are, is evaluated whole, with no support masks, gathers or packing;
-it gives the bits the masked path gives, which every other block takes.
-A table with no cell at or below TAU_ZERO is tested once, not per block.
+pairs at once; the scalar functions here are its one-pair case. The path is
+chosen once per table: when every cell of the table is above TAU_ZERO, as
+the geometric mechanism's rows are, every block is evaluated whole, with no
+support masks, gathers or packing; otherwise every block takes the masked
+path. Both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ Divergence = FDivergenceKind | MaxDivergence
 # 63 in KL), against about 4 at 4,096 cells with fresh temporaries. At
 # 16,384 cells a 128 KiB temporary (a generator's, or the sort's) meets
 # glibc's mmap threshold: 300 to 1,900 faults per job, depending on the
-# heap's history, and no gain in time. Full-support blocks need no masks
+# heap's history, and no gain in time. Blocks of a full table need no masks
 # and write their ratios, keys and sorted keys into these buffers too. With
 # them the same job (seed 11) takes 0 minor faults in every job after the
 # warm-up, over 12 runs of 20 or 40 jobs. With the masked path on every
@@ -195,8 +195,8 @@ def _buffer(work: dict, name: str, shape: tuple, dtype=float) -> np.ndarray:
 def _row_function(divergence: Divergence):
     """The function evaluating ``divergence`` on a block of row pairs, with
     its own buffers, reused from block to block. Its third argument says
-    that every cell of the block is known to be above TAU_ZERO; if false,
-    the block is tested."""
+    that every cell of the table the rows come from is above TAU_ZERO,
+    which selects the full path; the block is not tested again."""
     work: dict = {}
     if isinstance(divergence, FDivergenceKind):
         return lambda P, Q, full: _f_rows(divergence, P, Q, work, full)
@@ -212,8 +212,9 @@ def _blocked_rows(rows, table, left, right) -> np.ndarray:
     """``rows`` applied to rows ``left[i]`` and ``right[i]`` of ``table``, for
     every i. Rows are gathered block by block into two buffers of at most
     one block, so no temporary grows with the pair count; ``rows`` may
-    overwrite both. A table whose every cell is above TAU_ZERO, as a
-    geometric mechanism's is, tells ``rows`` so once for all its blocks."""
+    overwrite both. Whether every cell of ``table`` is above TAU_ZERO, as a
+    geometric mechanism's are, is tested once and given to ``rows`` with
+    every block: the path is the same for all of them."""
     n, width = len(left), table.shape[1]
     full = bool(table.min() > TAU_ZERO)
     step = max(1, _BLOCK_CELLS // width)
@@ -293,12 +294,6 @@ def _divergence_columns(divergence, table, plan: _PairPlan, memo=None):
         _divergence_rows(divergence, table, plan.first, plan.second, memo), plan)
 
 
-def _full(known: bool, *blocks) -> bool:
-    """Whether every cell of every block is above TAU_ZERO, on its support:
-    ``known`` says so for a block of a full table, with no test."""
-    return known or all(block.min() > TAU_ZERO for block in blocks)
-
-
 def _generated(kind: FDivergenceKind, ratios) -> np.ndarray:
     """The generator's values on ``ratios``, which must not be NaN."""
     values = np.asarray(kind(ratios), dtype=float)
@@ -320,7 +315,7 @@ def _summed(kind: FDivergenceKind, totals: np.ndarray) -> np.ndarray:
 
 def _f_rows(kind: FDivergenceKind, P, Q, work: dict, full: bool) -> np.ndarray:
     terms = _buffer(work, "terms", P.shape)
-    if _full(full, Q):
+    if full:
         # Every label is on supp(Q): each row's terms are all its cells, in
         # ground order, and are summed as ``np.sum`` sums that row alone.
         flat = np.divide(P, Q, out=terms).reshape(-1)
@@ -356,17 +351,21 @@ def _f_rows(kind: FDivergenceKind, P, Q, work: dict, full: bool) -> np.ndarray:
 
 def _max_rows(P, Q, work: dict, full: bool) -> np.ndarray:
     logs = _buffer(work, "logs", P.shape)
-    if _full(full, P, Q):
+    if full:
         np.divide(P, Q, out=logs)
         return np.log(logs, out=logs).max(axis=1)
+    # The same divide and log on every cell; then the cells off supp(P)
+    # read -inf, and the support cells off supp(Q) +inf, whatever the
+    # quotient or its log gave there (0/0, x/0, a huge x/tiny).
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(P, Q, out=logs)
+        np.log(logs, out=logs)
     on = np.greater(P, TAU_ZERO, out=_buffer(work, "on", P.shape, bool))
-    use = np.greater(Q, TAU_ZERO, out=_buffer(work, "use", P.shape, bool))
-    use &= on
-    logs.fill(-INF)
-    np.divide(P, Q, out=logs, where=use)
-    np.log(logs, out=logs, where=use)
-    lost = np.not_equal(on, use, out=on).any(axis=1)  # on, not use
-    return np.where(lost, INF, logs.max(axis=1))
+    off = np.less_equal(Q, TAU_ZERO, out=_buffer(work, "off", P.shape, bool))
+    off &= on
+    logs[~on] = -INF
+    logs[off] = INF
+    return logs.max(axis=1)
 
 
 def _support_order(keys: np.ndarray, work: dict, full: bool) -> np.ndarray:
@@ -425,7 +424,6 @@ def _prefix_rows(P, Q, delta: float, work: dict, full: bool) -> np.ndarray:
     # order, then the entries outside the support: keys -P/Q on the support
     # (-inf where Q = 0) and +inf off it.
     keys = _buffer(work, "keys", P.shape)
-    full = _full(full, P, Q)
     if full:
         np.negative(np.divide(P, Q, out=keys), out=keys)
     else:
@@ -525,7 +523,7 @@ def delta_required(
     value. Zero means the multiplicative bound alone already holds.
     """
     plan = _point_plan(phi, kernel)
-    if epsilon < 0.0:
+    if not epsilon >= 0.0:  # NaN too
         raise ValidationError(f"epsilon {epsilon:g} must be nonnegative")
     scale = math.exp(epsilon)
 
@@ -546,4 +544,5 @@ def divergence_value(
     rows = _row_function(divergence)
     if mu.ground != nu.ground:
         raise GroundMismatchError("divergence requires a shared ground set")
-    return float(rows(mu.probs[None, :], nu.probs[None, :], False)[0])
+    table = np.stack([mu.probs, nu.probs])
+    return float(_blocked_rows(rows, table, [0], [1])[0])

@@ -10,6 +10,8 @@ entries are finite, entries below -TAU_ZERO are rejected and the rest
 clipped to 0, and the mass (in total, or per kernel row) is within
 ``tau_mass`` of 1, never renormalized. The stored copy is read-only. A cost
 table also rejects any entry below 0 and a diagonal entry above TAU_NUM.
+Parts valid by construction (solver plans, lifts, kernel rows) are built
+through ``_trusted``, which keeps only the mass check, at TAU_MASS.
 """
 
 from __future__ import annotations
@@ -99,6 +101,25 @@ def _check_mass(arr: np.ndarray, what: str, tau_mass: float,
         if abs(total - 1.0) > tau_mass:
             where = what if rows is None else f"{what} row {rows[i]!r}"
             raise ValidationError(f"mass {total:g} outside tolerance ({where})")
+
+
+def _trusted(cls, fields: dict, array: str | None = None, what: str = "",
+             rows: tuple[str, ...] | None = None):
+    """An instance of the frozen class ``cls`` holding ``fields`` as given.
+
+    For parts that are valid by construction: clean grounds, and arrays
+    that are fresh (or views of read-only ones), of the grounds' shape,
+    finite and nonnegative, so nothing is copied, scanned or clipped. With
+    ``array``, the name of such a field, that array's mass is still checked
+    at TAU_MASS (each row's, with ``rows``) and the array made read-only.
+    """
+    if array is not None:
+        _check_mass(fields[array], what, TAU_MASS, rows)
+        fields[array].setflags(write=False)
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,20 +241,12 @@ class StochasticKernel:
     @classmethod
     def _trusted(cls, inputs: tuple[str, ...], outputs: tuple[str, ...],
                  matrix: np.ndarray) -> "StochasticKernel":
-        """A kernel built from validated parts, kept as it is.
-
-        The grounds are already clean and the matrix is fresh, of their
-        shape, finite and nonnegative by construction, so it is only made
-        read-only. Each row's mass is still checked.
-        """
-        _check_mass(matrix, "kernel", TAU_MASS, inputs)
-        matrix.setflags(write=False)
-        kernel = object.__new__(cls)
-        object.__setattr__(kernel, "inputs", inputs)
-        object.__setattr__(kernel, "outputs", outputs)
-        object.__setattr__(kernel, "matrix", matrix)
-        object.__setattr__(kernel, "_in_index", {x: i for i, x in enumerate(inputs)})
-        return kernel
+        """A kernel built from validated parts; each row's mass is still
+        checked (see ``_trusted``)."""
+        return _trusted(cls, {"inputs": inputs, "outputs": outputs,
+                              "matrix": matrix,
+                              "_in_index": {x: i for i, x in enumerate(inputs)}},
+                        "matrix", "kernel", inputs)
 
     def input_index(self, label: str) -> int:
         try:
@@ -245,7 +258,7 @@ class StochasticKernel:
         return self.row_by_index(self.input_index(label))
 
     def row_by_index(self, i: int) -> FiniteDistribution:
-        return FiniteDistribution(self.outputs, self.matrix[i])
+        return _distribution(self.outputs, self.matrix[i])
 
     @classmethod
     def identity(cls, ground: Iterable[str]) -> "StochasticKernel":
@@ -273,7 +286,15 @@ def lift(kernel: StochasticKernel, lam: FiniteDistribution) -> FiniteDistributio
     Returns the output distribution y -> sum_x lam[x] * kernel(x)[y]. The
     input ground must match the kernel's input ground exactly (same order).
     """
-    return FiniteDistribution(kernel.outputs, _lifted_probs(kernel, lam))
+    return _distribution(kernel.outputs, _lifted_probs(kernel, lam))
+
+
+def _distribution(ground: tuple[str, ...], probs: np.ndarray) -> FiniteDistribution:
+    """A distribution of probabilities valid by construction over a clean
+    ground; only its mass is checked (see ``_trusted``)."""
+    return _trusted(FiniteDistribution, {
+        "ground": ground, "probs": probs,
+        "_index": {x: i for i, x in enumerate(ground)}}, "probs", "distribution")
 
 
 def _lifted_probs(kernel: StochasticKernel, lam: FiniteDistribution) -> np.ndarray:
@@ -573,6 +594,10 @@ class GroundMetric:
         n = len(ground)
         cost = np.zeros((n, n))
         idx = {x: i for i, x in enumerate(ground)}
-        for (a, b), value in entries.items():
-            cost[idx[str(a)], idx[str(b)]] = value
+        try:
+            for (a, b), value in entries.items():
+                cost[idx[str(a)], idx[str(b)]] = value
+        except KeyError as exc:
+            raise UnknownLabelError(
+                f"label {exc.args[0]!r} not in metric ground") from None
         return cls(ground, cost)

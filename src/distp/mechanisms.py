@@ -33,6 +33,7 @@ from .finite_prob import (
     _clean_ground,
     _interned,
     _kept,
+    _trusted,
     lift,
     pair_label,
 )
@@ -142,10 +143,8 @@ class CouplingMechanismSpec:
         """A spec whose couplings the solver built from each estimate to
         the target; every check runs, but the marginals only where the
         two totals disagree (see ``_check``)."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "target", target)
-        object.__setattr__(spec, "entries", entries)
-        object.__setattr__(spec, "fallback", fallback)
+        spec = _trusted(cls, {"target": target, "entries": entries,
+                              "fallback": fallback})
         spec._check(TAU_MASS, solved=True)
         return spec
 
@@ -405,7 +404,7 @@ def stability_check(
     if relation is None:
         if pairs is None or metric is None:
             raise ValidationError("metric form needs both pairs and metric")
-        if c < 0.0:
+        if not c >= 0.0:  # NaN too
             raise ValidationError("expansion factor c must be nonnegative")
         sides = [(p.left, p.right) if hasattr(p, "left") else p for p in pairs]
         nodes, ids = _interned(d for a, b in sides for d in (a, b))
@@ -416,9 +415,9 @@ def stability_check(
         after = _pair_distances(images, image[left], image[right], metric, order)
         return not np.any(after > c * before + TAU_NUM)
 
-    steps = int(c)
-    if steps < 0 or steps != c:
+    if not (math.isfinite(c) and c >= 0 and c == int(c)):
         raise ValidationError("relation form needs a nonnegative integer step count")
+    steps = int(c)
     nodes: list[FiniteDistribution] = []
 
     def node_id(dist: FiniteDistribution, add: bool = False) -> int | None:

@@ -57,10 +57,10 @@ from .finite_prob import (
     FiniteDistribution,
     GroundMetric,
     PointRelation,
-    _check_mass,
     _checked_array,
     _clean_ground,
     _sorted_distinct,
+    _trusted,
 )
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
 
@@ -88,20 +88,11 @@ class Coupling:
     @classmethod
     def _solved(cls, rows: tuple[str, ...], cols: tuple[str, ...],
                 mass: np.ndarray) -> "Coupling":
-        """A plan the solver built on two validated grounds, kept as it is.
-
-        The solver's array is fresh, of the grounds' shape, finite and
-        nonnegative by construction, so it is only made read-only. Its
-        total is still checked: the marginals may hold their mass to a
-        looser tolerance than a coupling does.
-        """
-        _check_mass(mass, "coupling", TAU_MASS)
-        mass.setflags(write=False)
-        coupling = object.__new__(cls)
-        object.__setattr__(coupling, "rows", rows)
-        object.__setattr__(coupling, "cols", cols)
-        object.__setattr__(coupling, "mass", mass)
-        return coupling
+        """A plan the solver built on two validated grounds (see
+        ``finite_prob._trusted``). Its total is still checked: the marginals
+        may hold their mass to a looser tolerance than a coupling does."""
+        return _trusted(cls, {"rows": rows, "cols": cols, "mass": mass},
+                        "mass", "coupling")
 
     def row_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=1)
@@ -479,9 +470,7 @@ def emd(
     lam: FiniteDistribution, mu: FiniteDistribution, metric: GroundMetric
 ) -> TransportResult:
     """Minimal expected cost over couplings (1-Wasserstein distance)."""
-    cost = _cost_block(metric, lam.ground, mu.ground)
-    plan = _simplex(lam.probs, mu.probs, cost)
-    return _result(lam, mu, plan, float(np.sum(cost * plan.mass)))
+    return wasserstein_p(lam, mu, metric, 1.0)
 
 
 def wasserstein_p(
@@ -494,7 +483,11 @@ def wasserstein_p(
     _checked_order(p)
     powered = _cost_block(metric, lam.ground, mu.ground) ** p
     plan = _simplex(lam.probs, mu.probs, powered)
-    return _result(lam, mu, plan, float(np.sum(powered * plan.mass)) ** (1.0 / p))
+    return TransportResult(
+        Coupling._solved(lam.ground, mu.ground, plan.mass),
+        float(np.sum(powered * plan.mass)) ** (1.0 / p),
+        frozenset(plan.basis), plan.pivots, plan.degenerate_pivots,
+    )
 
 
 def wasserstein_inf(
@@ -581,13 +574,6 @@ def _cut(values, cost, supply, demand, allowed, mass, lo: int, tol: float) -> in
             return max(lo + 1, cut)
         rows = grown
     return lo + 1
-
-
-def _result(lam, mu, plan: _Plan, value: float) -> TransportResult:
-    return TransportResult(
-        Coupling._solved(lam.ground, mu.ground, plan.mass), value,
-        frozenset(plan.basis), plan.pivots, plan.degenerate_pivots,
-    )
 
 
 def _checked_order(p: float) -> float:

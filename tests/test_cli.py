@@ -175,6 +175,19 @@ def test_divergence_slack_needs_delta(files):
         ).stdout
     )
     assert payload["kind"] == "max(delta=0.1)"
+    assert sorted(payload["config"]) == ["format", "seed", "tau_mass",
+                                         "tau_num", "tool_version"]
+
+
+def test_exact_subsets_flag_is_rejected(files):
+    """The prefix rule is the only delta evaluation, so there is no flag to
+    choose another."""
+    lhs = files("a.json", dist_obj(LAM))
+    rhs = files("b.json", dist_obj(MU))
+    proc = run("divergence", "--lhs", lhs, "--rhs", rhs, "--divergence",
+               "max-delta", "--delta", "0.05", "--exact-subsets", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: unrecognized arguments: --exact-subsets")
 
 
 def test_malformed_mass_message(files):

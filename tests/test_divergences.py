@@ -257,8 +257,7 @@ def test_prefix_matches_subset_oracle(rng, delta):
 @pytest.mark.parametrize("delta", [0.0, 0.1, 0.3])
 def test_exact_subsets_keyword_is_rejected(rng, delta):
     """The prefix rule is the only delta evaluation, so the library takes no
-    ``exact_subsets`` keyword; the CLI flag alone remains, echoed in the
-    report configuration."""
+    ``exact_subsets`` keyword (and the CLI no ``--exact-subsets`` flag)."""
     ground = labels(4)
     mu, nu = rand_dist(rng, ground), rand_dist(rng, ground)
     kernel = rand_kernel(rng, ground, labels(3, "y"))
@@ -380,6 +379,13 @@ def test_delta_required_validation():
     kernel = randomized_response(labels(2), 1.0)
     with pytest.raises(ValidationError):
         delta_required(kernel, PointRelation.full(labels(2)), -0.5)
+
+
+def test_delta_required_rejects_nan():
+    """NaN passes a sign test, and would report that no slack is needed."""
+    kernel = randomized_response(labels(2), 1.0)
+    with pytest.raises(ValidationError, match="nonnegative"):
+        delta_required(kernel, PointRelation.full(labels(2)), math.nan)
 
 
 # ---------------------------------------------------------------------------

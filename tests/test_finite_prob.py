@@ -270,6 +270,10 @@ class TestGroundMetric:
         )
         assert not d.is_symmetric()
 
+    def test_from_mapping_names_an_unknown_label(self):
+        with pytest.raises(UnknownLabelError, match="'c' not in metric ground"):
+            GroundMetric.from_mapping(("a", "b"), {("a", "c"): 1.0})
+
     def test_rejects_negative_cost(self):
         with pytest.raises(ValidationError):
             GroundMetric(("a", "b"), np.array([[0.0, -1.0], [1.0, 0.0]]))

@@ -611,6 +611,27 @@ def test_stability_argument_validation(rng):
         stability_check(kernel, -1.0, pairs=[], metric=GroundMetric.line(ground))
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_stability_relation_form_rejects_non_integer_counts(c):
+    ground = labels(3)
+    psi = DistributionPairRelation([
+        DistributionPair(uniform_distribution(ground), uniform_distribution(ground))
+    ])
+    with pytest.raises(ValidationError, match="integer"):
+        stability_check(StochasticKernel.identity(ground), c, relation=psi)
+
+
+def test_stability_metric_form_rejects_nan():
+    """A NaN factor would pass every pair, since no comparison with NaN is
+    true."""
+    ground = labels(3)
+    pairs = [(point_distribution("x0", ground), point_distribution("x1", ground))]
+    collapse = StochasticKernel.constant(ground, uniform_distribution(ground))
+    with pytest.raises(ValidationError, match="nonnegative"):
+        stability_check(collapse, math.nan, pairs=pairs,
+                        metric=GroundMetric.line(ground))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

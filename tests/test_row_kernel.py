@@ -152,28 +152,36 @@ def sparse_row(rng, width):
 
 @contextmanager
 def recorded_paths():
-    """Whether each block of row pairs took the full-support path."""
+    """The ``full`` flag that the row function receives with each block:
+    whether the block takes the full-support path."""
     seen = []
-    full = divergences._full
+    make = divergences._row_function
 
-    def recording(*blocks):
-        taken = full(*blocks)
-        seen.append(taken)
-        return taken
+    def recording(divergence):
+        rows = make(divergence)
+
+        def recorded(P, Q, full):
+            seen.append(full)
+            return rows(P, Q, full)
+
+        return recorded
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(divergences, "_full", recording)
+        patch.setattr(divergences, "_row_function", recording)
         yield seen
 
 
 @settings(max_examples=30)
 @given(st.integers(2, 24), st.integers(0, 10**6))
 def test_full_support_blocks_equal_scalar_definitions(width, seed):
-    """One call over four blocks: pairs of full-support rows, pairs of
-    sparse rows, a mix of the two, and full-support rows against a row
-    whose only entry off its support is 1e-13, at or below TAU_ZERO but not
-    zero. Only the first block takes the full-support path, and every block
-    gives the bits of the scalar definitions."""
+    """The path is chosen per table. One call over four blocks of a mixed
+    table: pairs of full-support rows, pairs of sparse rows, a mix of the
+    two, and full-support rows against a row whose only entry off its
+    support is 1e-13, at or below TAU_ZERO but not zero. The table has
+    cells at or below TAU_ZERO, so every block takes the masked path, the
+    first one too. A second call, on a table of the full-support rows
+    alone, takes the full path in both of its blocks. Every block gives the
+    bits of the scalar definitions."""
     rng = np.random.default_rng(seed)
     near = full_row(rng, width)
     near[1] += near[0] - 1e-13
@@ -187,6 +195,7 @@ def test_full_support_blocks_equal_scalar_definitions(width, seed):
     b = np.concatenate([rng.choice(full, step), rng.choice(sparse, step),
                         rng.choice(both, step), np.full(37, 8)])
     a[2 * step], b[2 * step] = 0, 4  # the mixed block holds a sparse row
+    full_a, full_b = rng.choice(full, (2, step + 37))
     for divergence in [*STANDARD_KINDS, MaxDivergence(), MaxDivergence(0.3)]:
         want = {
             (i, j): ref_value(divergence, table[i], table[j])
@@ -195,8 +204,33 @@ def test_full_support_blocks_equal_scalar_definitions(width, seed):
         }
         with recorded_paths() as seen:
             got = _divergence_rows(divergence, table, a, b)
-        assert seen == [True, False, False, False]
+            only = _divergence_rows(divergence, table[full], full_a, full_b)
+        assert seen == [False, False, False, False, True, True]
         assert got.tolist() == [want[i, j] for i, j in zip(a, b)]
+        assert only.tolist() == [want[i, j] for i, j in zip(full_a, full_b)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_cells_below_tau_zero_warn_nothing():
+    """Cells in (0, TAU_ZERO] on either side of a pair, exact zeros on both
+    sides (0/0) and quotients past the float range (1 over the least
+    subnormal) take the masked path, give the scalar definitions' bits and
+    raise no RuntimeWarning: the max divergence divides and takes logs on
+    every cell, then sets the cells off either support."""
+    tiny = 5e-324
+    table = np.array([
+        [1.0 - 2e-13, 1e-13, 1e-13, 0.0],
+        [1.0 - 1e-12 - tiny, tiny, 1e-12, 0.0],
+        [0.5, 0.5 - tiny, tiny, 0.0],
+        [tiny, 1e-12, 0.5, 0.5 - 1e-12 - tiny],
+    ])
+    a, b = np.divmod(np.arange(len(table) ** 2), len(table))
+    for divergence in DIVERGENCES:
+        with recorded_paths() as seen:
+            got = _divergence_rows(divergence, table, a, b)
+        assert seen == [False]
+        assert got.tolist() == [ref_value(divergence, table[i], table[j])
+                                for i, j in zip(a, b)]
 
 
 def test_generator_nan_raises_on_full_support_blocks():
