@@ -7,16 +7,16 @@ exceptions are reserved for malformed inputs.
 
 All auditors and the coupling-mechanism theorem check share one core,
 ``_audit``, which takes a pair plan (``finite_prob._PairPlan``): the table
-rows and label of every pair, and the distinct ordered row pairs that its
-two directions need. The blocked row kernel of ``divergences`` evaluates
-each of those once: on a symmetric relation the backward direction of
-(a, b) is the forward direction of (b, a), so it costs one direction, not
-two. ``finite_prob._kept`` keeps work on the frozen object it belongs to:
-a relation's plan, built on its first audit per input ground (label
-relation) or kind of mechanism (distribution relation); a coupling
-mechanism's kernel family, which all audits of one spec share; and a
-kernel's memo of evaluated row pairs per divergence, which the label
-audits and ``geometric_mechanism`` read through, so each ordered pair of
+rows and label of every pair, and the distinct unordered row pairs that
+its two directions read. The blocked row kernel of ``divergences``
+evaluates each of those once, in both orders, from one gather of its two
+rows: the forward and backward directions of (a, b), and of (b, a), read
+the same evaluation. ``finite_prob._kept`` keeps work on the frozen object
+it belongs to: a relation's plan, built on its first audit per input
+ground (label relation) or kind of mechanism (distribution relation); a
+coupling mechanism's kernel family, which all audits of one spec share;
+and a kernel's memo of evaluated row pairs per divergence, which the label
+audits and ``geometric_mechanism`` read through, so each unordered pair of
 kernel rows is evaluated once per kernel and divergence, whatever the
 relation or notion asks for it. A distribution relation interns its
 distributions (by exact ground and probabilities), lifts each distinct one
@@ -47,7 +47,7 @@ from .divergences import (
     Divergence,
     MaxDivergence,
     _divergence_columns,
-    _divergence_rows,
+    _divergence_pairs,
     _per_distance,
 )
 from .errors import (
@@ -200,8 +200,8 @@ def _audit(
 ) -> AuditReport:
     """Audit every pair of ``plan`` over the rows of ``table``, in both
     directions, per unit of ``distances[i]`` if given; with ``memo``, the
-    row-pair memo kept with ``table``, each ordered row pair that an earlier
-    call evaluated is read from it."""
+    row-pair memo kept with ``table``, each pair of rows that an earlier
+    call evaluated, in either order, is read from it."""
     forward, backward = _divergence_columns(divergence, table, plan, memo)
     if distances is not None:
         forward = _per_distance(forward, distances)
@@ -458,11 +458,8 @@ def check_cp_theorem(
     m = len(actual)
     given = np.stack([entry.approx_input.probs for entry in spec.entries]
                      + [lam.probs for lam in actual])
-    there, back = np.arange(m), m + np.arange(m)
-    both = _divergence_rows(MaxDivergence(), given,
-                            np.concatenate([there, back]),
-                            np.concatenate([back, there]))
-    levels = np.maximum(both[:m], both[m:])
+    levels = np.maximum(*_divergence_pairs(MaxDivergence(), given,
+                                           np.arange(m), m + np.arange(m)))
     for entry, level in zip(spec.entries, levels.tolist()):
         if not math.isfinite(level):
             raise InfiniteEpsilonError(

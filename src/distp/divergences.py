@@ -13,17 +13,27 @@ Two families are provided:
 Natural logarithms throughout. +inf is a legal value, never an exception.
 
 Each divergence has one implementation: a row kernel that evaluates stacked
-pairs of distributions block by block. The auditors call it on all their
-pairs at once; the scalar functions here are its one-pair case. The path is
-chosen once per table: when every cell of the table is above TAU_ZERO, as
-the geometric mechanism's rows are, every block is evaluated whole, with no
-support masks, gathers or packing; otherwise every block takes the masked
-path. Both paths give the same bits.
+unordered pairs of distributions {a, b} block by block and returns both
+orders, D(a || b) and D(b || a), from one gather of the two rows. The
+auditors call it on all their pairs at once, each unordered pair once; the
+scalar functions here are the first order of its one-pair case. The path
+is chosen once per table: when every cell of the table is above TAU_ZERO,
+as the geometric mechanism's rows are, every block is evaluated whole,
+with no support masks, gathers or packing; otherwise every block takes the
+masked path. Both paths give the same bits.
+
+The slack-delta rule sorts each unordered pair once, with one int64 sort of
+packed keys (the ratio's bits above, the column below) and a stable re-sort
+of any row that comes out unsorted. Decreasing A/B is increasing B/A, so
+the first order, reversed, also serves the second wherever it sorts B/A
+strictly. ``COUNTS`` records, per divergence, the row pairs evaluated and
+the memo hits.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,23 +171,38 @@ class MaxDivergence:
 Divergence = FDivergenceKind | MaxDivergence
 
 
-# The row kernel works through (pairs x |Y|) inputs this many cells at a
-# time, which bounds every buffer it allocates whatever the pair count.
-# Each blocked call allocates its buffers once, sized to its first block,
-# and reuses them for every later block. Temporaries made afresh for each
-# block faulted their memory in again whenever glibc had handed it back to
-# the system (about 12,000 minor faults per 60-point audit job at 8,192
-# cells). Measured with getrusage ru_minflt on the 60-point geometric
-# audit job, in a loop of jobs: about 115 minor faults per job at 8,192
-# cells, each call faulting its buffers in once (48 in the delta audit,
-# 63 in KL), against about 4 at 4,096 cells with fresh temporaries. At
-# 16,384 cells a 128 KiB temporary (a generator's, or the sort's) meets
-# glibc's mmap threshold: 300 to 1,900 faults per job, depending on the
-# heap's history, and no gain in time. Blocks of a full table need no masks
-# and write their ratios, keys and sorted keys into these buffers too. With
-# them the same job (seed 11) takes 0 minor faults in every job after the
-# warm-up, over 12 runs of 20 or 40 jobs. With the masked path on every
-# block, the median per job was 100 to 111 in 9 of 12 such runs, 0 in 3.
+# Deterministic counters of the row kernel, kept for the life of the
+# process; the library never resets them. ``COUNTS["pairs", name]`` is the
+# number of unordered row pairs evaluated for the divergence called
+# ``name`` (``delta_required``'s rule counts as "delta_required"), each
+# giving both of its orders, and ``COUNTS["memo hits", name]`` the
+# requested pairs read from a kernel's memo instead. Each blocked call and
+# each memo lookup adds to them once, whatever its size.
+COUNTS: Counter = Counter()
+
+# The row kernel works through its pairs this many cells of each order
+# (pairs x |Y|) at a time, which bounds every buffer it allocates whatever
+# the pair count. A block holds unordered row pairs {a, b}: rows a and b are
+# gathered once, stacked in one buffer, and both orders D(a || b) and
+# D(b || a) are evaluated from that gather, mostly by numpy calls over the
+# whole stack (2 x pairs x |Y|). Each blocked call allocates its buffers
+# once, sized to its first block, and reuses them for every later block.
+# Temporaries made afresh for each block faulted their memory in again
+# whenever glibc had handed it back to the system (about 12,000 minor
+# faults per 60-point audit job at 8,192 cells). Measured with getrusage
+# ru_minflt on the 60-point geometric audit job, in a loop of jobs: about
+# 115 minor faults per job at 8,192 cells, each call faulting its buffers
+# in once (48 in the delta audit, 63 in KL), against about 4 at 4,096
+# cells with fresh temporaries. At 16,384 cells a 128 KiB temporary (a
+# generator's, or the sort's) meets glibc's mmap threshold: 300 to 1,900
+# faults per job, depending on the heap's history, and no gain in time.
+# Blocks of a full table need no masks and write their ratios, sort keys
+# and gathered entries into these buffers too. With one order per block
+# the same job (seed 11) took 0 minor faults per job after the first. With
+# both orders stacked it takes 95 (3 runs of 30 to 40 jobs, in the KL and
+# delta calls), since each call's stacked buffers and generator temporary
+# are twice as large; stacked blocks of half as many pairs take 0 but made
+# KL 8% slower.
 _BLOCK_CELLS = 1 << 13
 
 
@@ -193,68 +218,69 @@ def _buffer(work: dict, name: str, shape: tuple, dtype=float) -> np.ndarray:
 
 
 def _row_function(divergence: Divergence):
-    """The function evaluating ``divergence`` on a block of row pairs, with
-    its own buffers, reused from block to block. Its third argument says
-    that every cell of the table the rows come from is above TAU_ZERO,
-    which selects the full path; the block is not tested again."""
+    """The function evaluating ``divergence`` on a block of unordered row
+    pairs, with its own buffers, reused from block to block. It takes the
+    gathered rows stacked as X (2 x pairs x |Y|), rows A over rows B, and
+    returns the (2 x pairs) values D(A || B) over D(B || A). Read as P = X
+    and Q = X[::-1], the stack is both orders' numerators over both orders'
+    denominators, so one elementwise numpy call serves both orders. Its
+    second argument says that every cell of the table the rows come from is
+    above TAU_ZERO, which selects the full path; the block is not tested
+    again."""
     work: dict = {}
     if isinstance(divergence, FDivergenceKind):
-        return lambda P, Q, full: _f_rows(divergence, P, Q, work, full)
+        return lambda X, full: _f_rows(divergence, X, work, full)
     if isinstance(divergence, MaxDivergence):
         if divergence.delta == 0.0:
-            return lambda P, Q, full: _max_rows(P, Q, work, full)
-        return lambda P, Q, full: _prefix_rows(P, Q, divergence.delta, work,
-                                               full)
+            return lambda X, full: _max_rows(X, work, full)
+        return lambda X, full: _prefix_rows(X, divergence.delta, work, full)
     raise ValidationError(f"unknown divergence descriptor {divergence!r}")
 
 
-def _blocked_rows(rows, table, left, right) -> np.ndarray:
-    """``rows`` applied to rows ``left[i]`` and ``right[i]`` of ``table``, for
-    every i. Rows are gathered block by block into two buffers of at most
-    one block, so no temporary grows with the pair count; ``rows`` may
-    overwrite both. Whether every cell of ``table`` is above TAU_ZERO, as a
-    geometric mechanism's are, is tested once and given to ``rows`` with
-    every block: the path is the same for all of them."""
+def _blocked_rows(rows, table, left, right, name: str) -> np.ndarray:
+    """``rows`` applied to rows ``left[i]`` and ``right[i]`` of ``table``,
+    for every i: a (2 x pairs) array, the values of each pair in its given
+    order over those in the other. Rows are gathered block by block, each
+    once, into one buffer of at most one block, so no temporary grows with
+    the pair count; ``rows`` may overwrite it. Whether every cell
+    of ``table`` is above TAU_ZERO, as a geometric mechanism's are, is
+    tested once and given to ``rows`` with every block: the path is the
+    same for all of them. The pairs count once under ``name`` in
+    ``COUNTS``."""
     n, width = len(left), table.shape[1]
+    COUNTS["pairs", name] += n
     full = bool(table.min() > TAU_ZERO)
     step = max(1, _BLOCK_CELLS // width)
-    P, Q = np.empty((min(n, step), width)), np.empty((min(n, step), width))
-    out = np.empty(n)
+    gathered = np.empty(2 * min(n, step) * width)
+    out = np.empty((2, n))
     for start in range(0, n, step):
         block = slice(start, start + step)
-        k = len(out[block])
+        k = len(out[0, block])
+        X = gathered[: 2 * k * width].reshape(2, k, width)
         # Row indices are in range, so "clip" never clips; unlike "raise",
         # it lets ``take`` gather straight into the buffer.
-        table.take(left[block], axis=0, out=P[:k], mode="clip")
-        table.take(right[block], axis=0, out=Q[:k], mode="clip")
-        out[block] = rows(P[:k], Q[:k], full)
+        table.take(left[block], axis=0, out=X[0], mode="clip")
+        table.take(right[block], axis=0, out=X[1], mode="clip")
+        out[:, block] = rows(X, full)
     return out
 
 
-def _both_directions(values: np.ndarray, plan: _PairPlan):
-    """``(forward, backward)`` of every pair of ``plan`` from ``values``, the
-    results on its distinct ordered row pairs ``(first[k], second[k])``.
-    Each distinct ordered pair is evaluated once, so a symmetric relation
-    costs one direction; row functions act on each row alone, so the values
-    do not depend on which pairs are evaluated together."""
-    values = values[plan.inverse]
-    return values[: len(plan.left)], values[len(plan.left):]
-
-
 # A memo's entry before its first pair: no codes, no values.
-_NOTHING = (np.empty(0, dtype=np.intp), np.empty(0))
+_NOTHING = (np.empty(0, dtype=np.intp), np.empty((2, 0)))
 
 
-def _divergence_rows(divergence, table, left, right, memo=None) -> np.ndarray:
-    """Divergence of row ``left[i]`` of ``table`` from row ``right[i]``, for
-    every i, equal bit for bit to the one-row call on that pair.
+def _divergence_pairs(divergence, table, left, right, memo=None) -> np.ndarray:
+    """The divergence of row ``left[i]`` of ``table`` from row ``right[i]``,
+    over that of ``right[i]`` from ``left[i]``, for every i (2 x pairs),
+    each equal bit for bit to the one-pair call in that order.
 
     ``memo``, a dict kept with ``table`` (a kernel's, which
     ``finite_prob._kept`` keeps on it as ``"row memo"``), holds per
-    divergence the sorted codes ``left * len(table) + right`` of the pairs
-    evaluated so far and their values, so each ordered row pair is
-    evaluated once whatever the calls that ask for it. Its size grows with
-    the distinct pairs evaluated, not with the square of the row count.
+    divergence the sorted codes ``lo * len(table) + hi`` (lo <= hi) of the
+    unordered row pairs evaluated so far, with D(lo || hi) over
+    D(hi || lo), so each unordered pair is evaluated once whatever the
+    calls, or the orders, that ask for it. Its size grows with the distinct
+    pairs evaluated, not with the square of the row count.
     """
     rows = _row_function(divergence)
     try:
@@ -262,36 +288,45 @@ def _divergence_rows(divergence, table, left, right, memo=None) -> np.ndarray:
     except TypeError:  # a custom generator that cannot be hashed
         known = None
     if known is None:
-        return _blocked_rows(rows, table, left, right)
+        return _blocked_rows(rows, table, left, right, divergence.name)
+    n = len(table)
+    left = np.asarray(left, dtype=np.intp)
+    right = np.asarray(right, dtype=np.intp)
+    swap = left > right
+    want = np.where(swap, right, left) * n + np.where(swap, left, right)
     codes, values = known
-    want = np.asarray(left, dtype=np.intp) * len(table) + right
-    if not len(codes) and (want[1:] > want[:-1]).all():
+    if not len(codes) and not swap.any() and (want[1:] > want[:-1]).all():
         # A first batch of sorted, distinct pairs, as a pair plan lists
         # them, is the memo as it stands; the caller gets its own copy.
-        found = _blocked_rows(rows, table, left, right)
+        found = _blocked_rows(rows, table, left, right, divergence.name)
         memo[divergence] = want, found
         return found.copy()
     at = np.searchsorted(codes, want)
     missing = np.ones(len(want), dtype=bool)
     inside = at < len(codes)
     missing[inside] = codes[at[inside]] != want[inside]
+    COUNTS["memo hits", divergence.name] += len(want) - int(missing.sum())
     if missing.any():
         fresh = _sorted_distinct(want[missing])  # each new pair once
-        found = _blocked_rows(rows, table, fresh // len(table),
-                              fresh % len(table))
+        found = _blocked_rows(rows, table, fresh // n, fresh % n,
+                              divergence.name)
         place = np.searchsorted(codes, fresh)
         codes = np.insert(codes, place, fresh)
-        values = np.insert(values, place, found)
+        values = np.insert(values, place, found, axis=1)
         memo[divergence] = codes, values
         at = np.searchsorted(codes, want)
-    return values[at]
+    values = values[:, at]
+    return np.where(swap, values[::-1], values) if swap.any() else values
 
 
 def _divergence_columns(divergence, table, plan: _PairPlan, memo=None):
-    """``_divergence_rows`` of every pair of ``plan`` forward and backward,
-    each distinct ordered row pair evaluated once (and through ``memo``)."""
-    return _both_directions(
-        _divergence_rows(divergence, table, plan.first, plan.second, memo), plan)
+    """``(forward, backward)`` of every pair of ``plan``, each distinct
+    unordered row pair evaluated once (and through ``memo``): a pair and its
+    mirror image read one evaluation. Row functions act on each row alone,
+    so the values do not depend on which pairs are evaluated together."""
+    values = _divergence_pairs(divergence, table, plan.first, plan.second,
+                               memo).reshape(-1)[plan.inverse]
+    return values[: len(plan.left)], values[len(plan.left):]
 
 
 def _generated(kind: FDivergenceKind, ratios) -> np.ndarray:
@@ -313,32 +348,34 @@ def _summed(kind: FDivergenceKind, totals: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _f_rows(kind: FDivergenceKind, P, Q, work: dict, full: bool) -> np.ndarray:
-    terms = _buffer(work, "terms", P.shape)
+def _f_rows(kind: FDivergenceKind, X, work: dict, full: bool) -> np.ndarray:
+    P, Q = X, X[::-1]
+    terms = _buffer(work, "terms", X.shape)
     if full:
         # Every label is on supp(Q): each row's terms are all its cells, in
         # ground order, and are summed as ``np.sum`` sums that row alone.
-        flat = np.divide(P, Q, out=terms).reshape(-1)
-        np.multiply(Q.reshape(-1), _generated(kind, flat), out=flat)
-        return _summed(kind, terms.sum(axis=1))
-    on = np.greater(Q, TAU_ZERO, out=_buffer(work, "on", P.shape, bool))
-    off = np.greater(P, TAU_ZERO, out=_buffer(work, "off", P.shape, bool))
-    off &= ~on
-    lost = off.any(axis=1)
+        values = _generated(kind, np.divide(P, Q, out=terms).reshape(-1))
+        np.multiply(Q, values.reshape(X.shape), out=terms)
+        return _summed(kind, terms.sum(axis=2))
+    on = np.greater(X, TAU_ZERO, out=_buffer(work, "on", X.shape, bool))
+    # on supp(P) and off supp(Q), whose support is on[::-1]
+    off = np.greater(on, on[::-1], out=_buffer(work, "off", X.shape, bool))
+    lost = off.any(axis=2)
     inf = lost & (kind.slope == INF)
-    use = np.logical_and(on, ~inf[:, None], out=on)  # on is not needed again
+    use = np.logical_and(on[::-1], ~inf[..., None],
+                         out=_buffer(work, "use", X.shape, bool))
     weights = Q[use]
     values = _generated(kind, P[use] / weights)
     # Pairwise summation groups terms by position: packing each row's terms
     # to the front and summing rows of equal count together groups every
     # sum as ``np.sum`` groups the 1-D array of that row's terms.
-    counts = use.sum(axis=1)
+    counts = use.sum(axis=2)
     terms.fill(0.0)
-    front = np.less(np.arange(P.shape[1]), counts[:, None],
-                    out=_buffer(work, "front", P.shape, bool))
+    front = np.less(np.arange(X.shape[2]), counts[..., None],
+                    out=_buffer(work, "front", X.shape, bool))
     terms[front] = weights * values
-    totals = np.empty(len(P))
-    for k in np.flatnonzero(np.bincount(counts)):
+    totals = np.empty(counts.shape)
+    for k in np.flatnonzero(np.bincount(counts.reshape(-1))):
         rows = counts == k
         totals[rows] = terms[rows, :k].sum(axis=1)
     _summed(kind, totals)
@@ -349,58 +386,85 @@ def _f_rows(kind: FDivergenceKind, P, Q, work: dict, full: bool) -> np.ndarray:
     return totals
 
 
-def _max_rows(P, Q, work: dict, full: bool) -> np.ndarray:
-    logs = _buffer(work, "logs", P.shape)
+def _max_rows(X, work: dict, full: bool) -> np.ndarray:
+    P, Q = X, X[::-1]
+    logs = _buffer(work, "logs", X.shape)
     if full:
         np.divide(P, Q, out=logs)
-        return np.log(logs, out=logs).max(axis=1)
-    # The same divide and log on every cell; then the cells off supp(P)
-    # read -inf, and the support cells off supp(Q) +inf, whatever the
-    # quotient or its log gave there (0/0, x/0, a huge x/tiny).
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        np.divide(P, Q, out=logs)
-        np.log(logs, out=logs)
-    on = np.greater(P, TAU_ZERO, out=_buffer(work, "on", P.shape, bool))
-    off = np.less_equal(Q, TAU_ZERO, out=_buffer(work, "off", P.shape, bool))
-    off &= on
+        return np.log(logs, out=logs).max(axis=2)
+    # The log of P / Q on both supports; then the cells off supp(P) read
+    # -inf, and the support cells off supp(Q) +inf. Every other cell holds 1
+    # when the log is taken, so it meets no 0, infinity or NaN: numpy's log
+    # takes several times longer on a block that holds them, and gives the
+    # same bits on its other cells.
+    on = np.greater(X, TAU_ZERO, out=_buffer(work, "on", X.shape, bool))
+    logs.fill(1.0)
+    np.divide(P, Q, out=logs,
+              where=np.logical_and(on, on[::-1],
+                                   out=_buffer(work, "both", X.shape, bool)))
+    np.log(logs, out=logs)
     logs[~on] = -INF
+    off = np.greater(on, on[::-1], out=_buffer(work, "off", X.shape, bool))
     logs[off] = INF
-    return logs.max(axis=1)
+    return logs.max(axis=2)
 
 
-def _support_order(keys: np.ndarray, work: dict, full: bool) -> np.ndarray:
-    """Flat indices into ``keys`` (C-contiguous) that gather each row sorted
-    ascending, transposed: column i of the (width x rows) result sorts row
-    i, in the stable order on the row's support keys.
+def _support_order(ratios: np.ndarray, work: dict) -> np.ndarray:
+    """Flat indices into ``ratios`` (C-contiguous, rows x width) that gather
+    each row by decreasing ratio, ties in ground order, transposed: column
+    i of the (width x rows) result orders row i. This is the stable order.
+    Ratios are nonnegative, +inf included, or -inf, which marks an entry
+    off the support and so comes last.
 
-    Support keys are below +inf and the keys off the support are +inf;
-    with ``full`` there are none off the support. Distinct keys have one
-    sorting permutation, so the default sort already gives the stable
-    order on them. Only the rows whose sorted support keys hold an exact
-    tie (-inf ties included) are sorted again, stably, so that tied entries
-    keep ground order. One comparison of the keys gathered through the
-    result finds the candidate rows; +inf ties off the support are dropped
-    from those alone.
+    The bits of such a float, read as an int64, are ordered as its value,
+    and their complement the other way round. Each ratio's complement has
+    its low ceil(log2 width) bits replaced by the entry's column, and each
+    row of these ints is sorted. Exact ties then come out in column order.
+    Ratios that differ only in the replaced bits come out in column order
+    too, whatever their values: a row where that misorders them is found by
+    its ratios gathered through the result, which then rise somewhere, and
+    is sorted again stably. In every other row the gathered ratios never
+    rise and equal ones are in column order, which is the stable order.
     """
-    rows, width = keys.shape
+    rows, width = ratios.shape
+    low = (width - 1).bit_length()
+    mask = (1 << low) - 1
+    # (bits & ~mask) ^ (~mask ^ column): the complement above, the column below
+    packed = _buffer(work, "packed", ratios.shape, np.int64)
+    np.bitwise_and(ratios.view(np.int64), ~mask, out=packed)
+    packed ^= np.arange(width, dtype=np.int64) ^ ~mask
+    packed.sort(axis=1)
     shape = (width, rows)
     base = width * np.arange(rows)
-    flat = np.add(np.argsort(keys, axis=1).T, base,
-                  out=_buffer(work, "flat", shape, np.intp))
-    # the running sums of Q take this memory after the sort
-    ranked = keys.take(flat, out=_buffer(work, "cq", shape), mode="clip")
-    tied = ranked[1:] == ranked[:-1]
-    again = np.flatnonzero(tied.any(axis=0))
-    if again.size and not full:
-        again = again[(tied[:, again] & (ranked[1:, again] < INF)).any(axis=0)]
-    if again.size:
-        stable = np.argsort(keys[again], axis=1, kind="stable")
+    flat = np.bitwise_and(packed.T, mask,
+                          out=_buffer(work, "flat", shape, np.intp))
+    flat += base
+    # the running sums of Q and the prefix mask take this memory later
+    ranked = ratios.take(flat, out=_buffer(work, "cq", shape), mode="clip")
+    rising = np.greater(ranked[1:], ranked[:-1],
+                        out=_buffer(work, "valid", (width - 1, rows), bool))
+    if rising.any():
+        again = np.flatnonzero(rising.any(axis=0))
+        stable = np.argsort(np.negative(ratios[again]), axis=1, kind="stable")
         flat[:, again] = stable.T + base[again]
     return flat
 
 
-def _prefix_rows(P, Q, delta: float, work: dict, full: bool) -> np.ndarray:
-    """Slack-delta max divergence of each row pair, over prefixes only.
+def _ratios(P, Q, out, on_p=None, on_both=None) -> np.ndarray:
+    """P / Q per cell, into ``out``: on the full path the quotient; else the
+    quotient on both supports, +inf on supp(P) off supp(Q), and -inf off
+    supp(P)."""
+    if on_p is None:
+        return np.divide(P, Q, out=out)
+    out.fill(INF)
+    np.divide(P, Q, out=out, where=on_both)
+    out[~on_p] = -INF
+    return out
+
+
+def _prefix_rows(X, delta: float, work: dict, full: bool) -> np.ndarray:
+    """Slack-delta max divergence of each row pair of X = (A, B) both ways
+    round, over prefixes only: D(A || B) over D(B || A).
 
     Some prefix of supp(P) sorted by decreasing P/Q attains the largest
     ln((P[R] - delta) / Q[R]) (Dinkelbach's fractional-programming
@@ -412,45 +476,71 @@ def _prefix_rows(P, Q, delta: float, work: dict, full: bool) -> np.ndarray:
     with Q = 0 head the order: +inf when their mass exceeds delta. With no
     event of mass above delta the value is -inf.
 
-    A prefix of k labels counts as above delta only when its running sum
-    exceeds delta by more than k * 2**-52 times that sum. Summing k terms
-    rounds by up to about k * 2**-53 times the sum, and the entries of a
-    row normalized by division carry about as much again, so a smaller
-    slack is rounding, not mass: at delta = 1, or at a delta equal to the
-    support mass, the value is exactly -inf.
+    The support is sorted by decreasing ratio, ties in ground order (the
+    stable order, which fixes the running sums' bits), once per unordered
+    pair: decreasing A/B is increasing B/A, so the first order reversed
+    sorts the ratios B/A too, except where those tie. The second order
+    reads the first one's gathered entries backwards on every row where
+    B/A, gathered in the first order, rises strictly (but for a head of
+    -inf, off supp(B), whose order no prefix reads); the other rows are
+    sorted on their own.
     """
-    rows, width = P.shape
-    # Support entries sorted by decreasing likelihood ratio, ties in ground
-    # order, then the entries outside the support: keys -P/Q on the support
-    # (-inf where Q = 0) and +inf off it.
-    keys = _buffer(work, "keys", P.shape)
-    if full:
-        np.negative(np.divide(P, Q, out=keys), out=keys)
-    else:
-        on = np.greater(P, TAU_ZERO, out=_buffer(work, "on", P.shape, bool))
-        counts = np.count_nonzero(on, axis=1)
-        finite = np.greater(Q, TAU_ZERO, out=_buffer(work, "mask", P.shape, bool))
-        finite &= on
-        keys.fill(INF)
-        np.divide(P, Q, out=keys, where=finite)
-        np.negative(keys, out=keys, where=on)
-    # The sorted entries, transposed (one column per row) through one flat
-    # index, so that the running sums go down axis 0 for all rows at once;
-    # each column is still summed in order, as ``np.cumsum`` sums a row.
-    # The keys' memory takes the gathered entries, then the slacks; the
-    # running sums of P take the rounding bound, then the best ratios.
+    A, B = X
+    rows, width = A.shape
     shape = (width, rows)
-    flat = _support_order(keys, work, full)
-    gathered = _buffer(work, "keys", shape)
-    cp = np.add.accumulate(P.take(flat, out=gathered, mode="clip"), axis=0,
-                           out=_buffer(work, "cp", shape))
-    cq = np.add.accumulate(Q.take(flat, out=gathered, mode="clip"), axis=0,
-                           out=_buffer(work, "cq", shape))
+    ratios = _buffer(work, "ratios", A.shape)
+    if full:
+        on_a = on_b = both = counts_a = counts_b = None
+    else:
+        on_a, on_b = np.greater(X, TAU_ZERO,
+                                out=_buffer(work, "on", X.shape, bool))
+        both = np.logical_and(on_a, on_b,
+                              out=_buffer(work, "both", A.shape, bool))
+        counts_a = np.count_nonzero(on_a, axis=1)
+        counts_b = np.count_nonzero(on_b, axis=1)
+    order = _support_order(_ratios(A, B, ratios, on_a, both), work)
+    gathered_a = A.take(order, out=_buffer(work, "a", shape), mode="clip")
+    gathered_b = B.take(order, out=_buffer(work, "b", shape), mode="clip")
+    there = _prefix_best(gathered_a, gathered_b, delta, counts_a, work)
+    ranked = _ratios(B, A, ratios, on_b, both).take(
+        order, out=_buffer(work, "cp", shape), mode="clip")
+    rising = np.less(ranked[:-1], ranked[1:],
+                     out=_buffer(work, "valid", (width - 1, rows), bool))
+    if not full:
+        rising |= ranked[:-1] == -INF
+    sorted_b, sorted_a = gathered_b[::-1], gathered_a[::-1]
+    if not rising.all():
+        again = np.flatnonzero(~rising.all(axis=0))
+        own = _support_order(ratios[again], work.setdefault("again", {}))
+        sorted_b, sorted_a = sorted_b.copy(), sorted_a.copy()
+        sorted_b[:, again] = B[again].take(own, mode="clip")
+        sorted_a[:, again] = A[again].take(own, mode="clip")
+    back = _prefix_best(sorted_b, sorted_a, delta, counts_b, work)
+    # The log of the best ratio is the best log (log is monotone), -inf
+    # where no prefix is valid; math.log because np.log can differ in the
+    # last bit and would move delta goldens.
+    return np.array([math.log(t) if t > 0.0 else -INF
+                     for t in there.tolist() + back.tolist()]).reshape(2, rows)
+
+
+def _prefix_best(P, Q, delta: float, counts, work: dict) -> np.ndarray:
+    """The best ratio (P[R] - delta) / Q[R] over the valid prefixes R of
+    each row, given the entries of P and of Q in the row's sorted order,
+    transposed (width x rows, one column per row): 0 if none is valid
+    (every valid ratio is positive), +inf if a valid one has no Q mass.
+    ``counts``, the support sizes, is None on the full path."""
+    # The running sums go down axis 0 for all rows at once; each column is
+    # still summed in order, as ``np.cumsum`` sums a row. The ratios' memory
+    # takes the slacks; the running sums of P take the rounding bound, then
+    # the best ratios.
+    width, shape = len(P), P.shape
+    cp = np.add.accumulate(P, axis=0, out=_buffer(work, "cp", shape))
+    cq = np.add.accumulate(Q, axis=0, out=_buffer(work, "cq", shape))
     terms = np.arange(1, width + 1)[:, None]
-    slack = np.subtract(cp, delta, out=gathered)
+    slack = np.subtract(cp, delta, out=_buffer(work, "ratios", shape))
     valid = np.greater(slack, np.multiply(terms * 2.0**-52, cp, out=cp),
                        out=_buffer(work, "valid", shape, bool))
-    if full:
+    if counts is None:
         # every prefix lies in both supports, so each has Q mass
         ratio = valid
         best = np.divide(slack, cq, out=cp)
@@ -459,18 +549,11 @@ def _prefix_rows(P, Q, delta: float, work: dict, full: bool) -> np.ndarray:
         ratio = np.greater(cq, TAU_ZERO, out=_buffer(work, "mask", shape, bool))
         ratio &= valid
         best = np.divide(slack, cq, out=cp, where=ratio)
-    # The best ratio of a valid prefix, 0 if none (every such ratio is
-    # positive). The log of the best ratio is the best log (log is
-    # monotone); math.log because np.log can differ in the last bit and
-    # would move delta goldens.
     top = best.max(axis=0, where=ratio, initial=0.0)
-    logs = np.full(rows, -INF)
-    some = top > 0.0
-    logs[some] = list(map(math.log, top[some].tolist()))
-    if not full:
+    if counts is not None:
         # a valid prefix with no Q mass (valid, not ratio) gives +inf
-        logs[np.not_equal(valid, ratio, out=valid).any(axis=0)] = INF
-    return logs
+        top[np.not_equal(valid, ratio, out=valid).any(axis=0)] = INF
+    return top
 
 
 def f_divergence(
@@ -525,16 +608,27 @@ def delta_required(
     plan = _point_plan(phi, kernel)
     if not epsilon >= 0.0:  # NaN too
         raise ValidationError(f"epsilon {epsilon:g} must be nonnegative")
-    scale = math.exp(epsilon)
+    try:
+        scale = math.exp(epsilon)
+    except OverflowError:
+        scale = INF
+    work: dict = {}
 
-    def excess(P, Q, full):
-        # max(0, P - scale * Q), written over the gathered rows of Q
-        np.subtract(P, np.multiply(scale, Q, out=Q), out=Q)
-        return np.maximum(0.0, Q, out=Q).sum(axis=1)
+    def excess(X, full):
+        P, Q = X, X[::-1]
+        out = _buffer(work, "excess", X.shape)
+        if scale == INF:
+            # e^epsilon past the float range: e^epsilon * Q exceeds every
+            # P <= 1 where Q > 0 (for every Q of at least 2**-1022), so the
+            # excess is P's mass where Q = 0.
+            return np.multiply(P, np.equal(Q, 0.0), out=out).sum(axis=2)
+        # max(0, P - scale * Q)
+        np.subtract(P, np.multiply(scale, Q, out=out), out=out)
+        return np.maximum(0.0, out, out=out).sum(axis=2)
 
-    forward, backward = _both_directions(_blocked_rows(
-        excess, kernel.matrix, plan.first, plan.second), plan)
-    return max(0.0, float(forward.max()), float(backward.max()))
+    values = _blocked_rows(excess, kernel.matrix, plan.first, plan.second,
+                           "delta_required")
+    return max(0.0, float(values.max()))
 
 
 def divergence_value(
@@ -545,4 +639,4 @@ def divergence_value(
     if mu.ground != nu.ground:
         raise GroundMismatchError("divergence requires a shared ground set")
     table = np.stack([mu.probs, nu.probs])
-    return float(_blocked_rows(rows, table, [0], [1])[0])
+    return float(_blocked_rows(rows, table, [0], [1], divergence.name)[0, 0])

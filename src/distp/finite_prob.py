@@ -356,9 +356,12 @@ class _PairPlan:
     audit of them shares.
 
     Pair i, named ``labels[i]``, compares row ``left[i]`` of a table with
-    row ``right[i]``. ``first[k]`` and ``second[k]`` list every ordered row
-    pair that the two directions need, each once, and ``inverse`` maps the
-    forward directions, then the backward ones, onto that list.
+    row ``right[i]``. ``first[k] <= second[k]`` list every unordered row
+    pair that the pairs name, each once, sorted. The row kernel evaluates
+    each of them in both orders, ``first`` from ``second`` and back, and
+    ``inverse`` maps the forward directions, then the backward ones, onto
+    those values: the first orders of all the unordered pairs, then the
+    second orders.
     """
 
     labels: tuple[str, ...]
@@ -371,9 +374,12 @@ class _PairPlan:
     def __post_init__(self) -> None:
         left = np.array(self.left, dtype=np.intp)
         right = np.array(self.right, dtype=np.intp)
-        width = int(max(left.max(), right.max())) + 1
-        codes = np.concatenate([left * width + right, right * width + left])
-        distinct, inverse = np.unique(codes, return_inverse=True)
+        low, high = np.minimum(left, right), np.maximum(left, right)
+        width = int(high.max()) + 1
+        distinct, place = np.unique(low * width + high, return_inverse=True)
+        swapped = (left > right) * len(distinct)
+        inverse = np.concatenate([place + swapped,
+                                  place + len(distinct) - swapped])
         columns = {"left": left, "right": right, "first": distinct // width,
                    "second": distinct % width, "inverse": inverse}
         for name, column in columns.items():

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .divergences import MaxDivergence, _divergence_rows, _per_distance
+from .divergences import MaxDivergence, _divergence_pairs, _per_distance
 from .errors import (
     GroundMismatchError,
     InvalidCouplingError,
@@ -100,10 +100,11 @@ def geometric_mechanism(
     matrix = weights / weights.sum(axis=1, keepdims=True)
     kernel = StochasticKernel(ground, ground, matrix)
 
-    first, second = np.nonzero(~np.eye(len(ground), dtype=bool))
-    levels = _divergence_rows(MaxDivergence(), kernel.matrix, first, second,
-                              _kept(kernel, "row memo", dict))
-    scaled = _per_distance(levels, cost[first, second])
+    first, second = np.triu_indices(len(ground), 1)
+    levels = _divergence_pairs(MaxDivergence(), kernel.matrix, first, second,
+                               _kept(kernel, "row memo", dict))
+    scaled = _per_distance(levels, np.stack([cost[first, second],
+                                             cost[second, first]]))
     worst = float(np.max(scaled, initial=0.0))
     return GeometricMechanism(kernel, worst)
 
@@ -450,6 +451,8 @@ def stability_check(
             seen |= frontier
             if goal in seen:
                 break
+            if not frontier:  # every node within reach is seen
+                return False
         else:
             return False
     return True

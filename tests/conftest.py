@@ -17,6 +17,7 @@ from distp import (
     GroundMetric,
     PointRelation,
     StochasticKernel,
+    divergences,
 )
 
 settings.register_profile(
@@ -34,6 +35,22 @@ SEED = 12345
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+def one_way(divergence, table, left, right, memo=None):
+    """The divergence of row ``left[i]`` of ``table`` from row ``right[i]``,
+    for every i: the first of the two orders the row kernel returns."""
+    return divergences._divergence_pairs(divergence, table, left, right,
+                                         memo)[0]
+
+
+def kernel_count(kind="pairs", name=None):
+    """The row kernel's counter ``kind`` so far in this process: "pairs",
+    the unordered row pairs evaluated, or "memo hits", the pairs read from
+    a kernel's memo; for the divergence called ``name``, or summed over all
+    of them."""
+    return sum(count for (k, n), count in divergences.COUNTS.items()
+               if k == kind and name in (None, n))
 
 
 def labels(k, prefix="x"):

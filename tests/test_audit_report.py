@@ -37,9 +37,9 @@ from distp import (
     pair_label,
 )
 from distp import audit as core
-from distp.divergences import _divergence_rows, _per_distance
+from distp.divergences import _per_distance
 from distp.tolerances import TAU_NUM
-from conftest import labels, rand_dist, rand_kernel, tilted
+from conftest import labels, one_way, rand_dist, rand_kernel, tilted
 
 DIVERGENCES = STANDARD_KINDS + (MaxDivergence(), MaxDivergence(0.1))
 # Rows reused across inputs, so that many pairs tie exactly; the zero in the
@@ -56,8 +56,8 @@ def eager_report(notion, divergence, plan, table, claimed, *, distances=None,
     """The report fields as the auditors built them with eager pairs. The
     row-pair ``memo`` is not consulted: every value is evaluated afresh."""
     labels, left, right = plan.labels, plan.left, plan.right
-    forward = _divergence_rows(divergence, table, left, right)
-    backward = _divergence_rows(divergence, table, right, left)
+    forward = one_way(divergence, table, left, right)
+    backward = one_way(divergence, table, right, left)
     if distances is not None:
         forward = _per_distance(forward, distances)
         backward = _per_distance(backward, distances)

@@ -21,6 +21,7 @@ from distp import (
     InvalidGeneratorError,
     MaxDivergence,
     PointRelation,
+    StochasticKernel,
     ValidationError,
     approx_max_divergence,
     audit_distp,
@@ -373,6 +374,39 @@ def test_delta_required_equals_each_pair_apart(name, epsilon):
     )
     got = delta_required(kernel, PointRelation.full(kernel.inputs), epsilon)
     assert got.hex() == max(0.0, want).hex()
+
+
+def overflow_kernel():
+    """Rows with zeros. The mass of row a where row b is 0 is 0.75 for row
+    x2 against row x0, and at most 0.5 for every other ordered pair."""
+    return StochasticKernel(labels(3), labels(3, "y"), np.array([
+        [0.5, 0.5, 0.0],
+        [0.2, 0.3, 0.5],
+        [0.25, 0.0, 0.75],
+    ]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_delta_required_past_the_float_range_of_e_to_the_epsilon():
+    """At epsilon = 800, e^epsilon overflows a float; the slack is still
+    the definition's value, the largest mass of P where Q = 0, with no
+    exception. A large finite scale gives the same."""
+    kernel = overflow_kernel()
+    phi = PointRelation.full(kernel.inputs)
+    assert delta_required(kernel, phi, 800.0) == 0.75
+    assert delta_required(kernel, phi, 700.0) == 0.75
+
+
+@pytest.mark.filterwarnings("error")
+def test_delta_required_at_infinite_epsilon_warns_nothing():
+    """e^inf times a zero cell of Q would be NaN; the slack is P's mass
+    where Q = 0, with no RuntimeWarning."""
+    kernel = overflow_kernel()
+    assert delta_required(kernel, PointRelation.full(kernel.inputs),
+                          math.inf) == 0.75
+    identity = StochasticKernel.identity(labels(2))
+    assert delta_required(identity, PointRelation.full(labels(2)),
+                          math.inf) == 1.0
 
 
 def test_delta_required_validation():

@@ -593,6 +593,22 @@ def test_stability_relation_form_zero_steps():
     assert stability_check(collapse, 0, relation=psi)
 
 
+def test_stability_relation_form_stops_when_nothing_is_left_to_reach():
+    """The walk ends once every node within reach of the start is seen, so
+    a step count of 10**18 on an unreachable goal returns False at once; a
+    walk that took all of its steps would not finish."""
+    ground = labels(4)
+    d0, d1, d2, d3 = (point_distribution(x, ground) for x in ground)
+    # two components, d0 - d1 and d2 - d3; x1 jumps to x2, so the image of
+    # (d0, d1) is (d0, d2), whose ends lie in different components
+    jump = StochasticKernel(ground, ground, np.eye(4)[[0, 2, 2, 3]])
+    psi = DistributionPairRelation([
+        DistributionPair(d0, d1), DistributionPair(d2, d3)
+    ])
+    assert not stability_check(jump, 10**18, relation=psi)
+    assert not stability_check(jump, 1, relation=psi)
+
+
 def test_stability_argument_validation(rng):
     ground = labels(3)
     kernel = StochasticKernel.identity(ground)

@@ -1,13 +1,14 @@
 """One pair plan per relation, and each distinct piece of work done once.
 
-A label relation's plan (kernel rows, pair labels, the distinct ordered row
-pairs of both directions) is built on the first audit over a kernel input
-ground and kept on the relation. A distribution relation interns its
-distributions, lifts each distinct one once per kernel, and measures each
-distinct ordered pair once; a pair of point masses takes no solve. The
-counters below wrap the plan constructor, the row kernel, the lift and the
-simplex. Values are compared bit for bit (``float.hex``) with per-pair
-calls of the public functions.
+A label relation's plan (kernel rows, pair labels, the distinct unordered
+row pairs that both directions read) is built on the first audit over a
+kernel input ground and kept on the relation. A distribution relation
+interns its distributions, lifts each distinct one once per kernel, and
+measures each distinct ordered pair once; a pair of point masses takes no
+solve. The counters below wrap the plan constructor, the lift and the
+simplex, and read the row pairs evaluated from the row kernel's own
+counter record. Values are compared bit for bit (``float.hex``) with
+per-pair calls of the public functions.
 """
 
 import re
@@ -41,30 +42,31 @@ from distp import (
     wasserstein_p,
 )
 from distp import audit, divergences, finite_prob, transport
-from distp.divergences import _divergence_rows
 from distp.tolerances import TAU_NUM
-from conftest import euclidean_metric, labels, rand_dist, rand_kernel
+from conftest import (
+    euclidean_metric,
+    kernel_count,
+    labels,
+    one_way,
+    rand_dist,
+    rand_kernel,
+)
 
 
 @contextmanager
 def counters():
-    """Counts plans built, table rows evaluated, lifts and simplex solves
-    while the block is open."""
+    """Counts plans built, lifts and simplex solves while the block is
+    open, and on leaving it the unordered row pairs the row kernel
+    evaluated, read from its counter record."""
     seen = {"plans": 0, "rows": 0, "lifts": 0, "solves": 0}
-    plan, blocked = finite_prob._PairPlan, divergences._blocked_rows
-    lifted, simplex = audit._lifted_probs, transport._simplex
+    plan, lifted = finite_prob._PairPlan, audit._lifted_probs
+    simplex = transport._simplex
+    rows = kernel_count()
 
     class CountedPlan(plan):
         def __post_init__(self):
             seen["plans"] += 1
             super().__post_init__()
-
-    def rows(fn, table, left, right):
-        def wrapped(P, Q, full):
-            seen["rows"] += len(P)
-            return fn(P, Q, full)
-
-        return blocked(wrapped, table, left, right)
 
     def lifting(*args):
         seen["lifts"] += 1
@@ -77,10 +79,10 @@ def counters():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(finite_prob, "_PairPlan", CountedPlan)
         patch.setattr(audit, "_PairPlan", CountedPlan)
-        patch.setattr(divergences, "_blocked_rows", rows)
         patch.setattr(audit, "_lifted_probs", lifting)
         patch.setattr(transport, "_simplex", solving)
         yield seen
+    seen["rows"] = kernel_count() - rows
 
 
 def hexes(values):
@@ -186,8 +188,9 @@ def test_nodes_are_interned_by_identity_then_by_value(rng):
         report = audit_distp(family, psi, KL)
     # two distinct distributions, each lifted once per kernel of the family
     assert seen["lifts"] == 4
-    # per kernel, (lam, nu) and (nu, lam) in both directions, and (lam, lam)
-    assert seen["rows"] == 2 * 3
+    # per kernel, the unordered pairs {lam, nu} and {lam, lam}, each in
+    # both orders
+    assert seen["rows"] == 2 * 2
     for i, pair in enumerate(psi):
         for j, s in enumerate(family.labels):
             k = family.kernels[s]
@@ -220,9 +223,10 @@ def test_point_mass_pairs_take_no_solve(order):
         report = audit_xdistp(spec, psi, metric, KL, wasserstein=order)
     assert seen["solves"] == 0
     # 240 pairs, 3 auxiliary values: 720 report rows, whose two directions
-    # are the 720 distinct ordered pairs of lifted point masses
+    # are the 720 distinct ordered pairs of lifted point masses, 360
+    # unordered ones
     assert len(report.labels) == 720
-    assert seen["rows"] == 720
+    assert seen["rows"] == 360
     distance = {"1": wasserstein_p, "inf": wasserstein_inf,
                 2.0: lambda a, b, m: wasserstein_p(a, b, m, p=2.0)}[order]
     kernels = audit.aux_kernel(spec).kernels
@@ -231,7 +235,7 @@ def test_point_mass_pairs_take_no_solve(order):
         for j, s in enumerate(spec.aux):
             table = np.stack([lift(kernels[s], pair.left).probs,
                               lift(kernels[s], pair.right).probs])
-            values = _divergence_rows(KL, table, np.array([0, 1]),
+            values = one_way(KL, table, np.array([0, 1]),
                                       np.array([1, 0]))
             want = divergences._per_distance(values, np.array([d, d]))
             assert report.forward[3 * i + j].hex() == want[0].hex()

@@ -1,19 +1,18 @@
-"""Each distinct ordered pair of rows is evaluated once per kernel.
+"""Each distinct unordered pair of rows is evaluated once per kernel.
 
-The auditors and ``delta_required`` take every pair in both directions. On
-a symmetric relation the backward direction of (a, b) is the forward
-direction of (b, a), so the row kernel is asked for each ordered pair of
-table rows once and the values are scattered into both columns. A kernel
-keeps the divergences of the row pairs evaluated so far in a memo, per
-divergence, so a later audit of the same kernel evaluates only the pairs
-no earlier call has: the label audits and ``geometric_mechanism`` read
-through it. The counters below wrap the row function and count the rows
-it evaluates. The values are compared bit for bit (``float.hex``) with two
-plain ``_divergence_rows`` calls, one per direction.
+The auditors and ``delta_required`` take every pair in both directions, and
+the row kernel evaluates each unordered pair of table rows {a, b} once, in
+both orders: the forward direction of (a, b) and of (b, a) read the same
+evaluation. A kernel keeps the divergences of the row pairs evaluated so
+far in a memo, per divergence, so a later audit of the same kernel
+evaluates only the pairs no earlier call has: the label audits and
+``geometric_mechanism`` read through it. The counts are read from the row
+kernel's counter record, ``divergences.COUNTS``. The values are compared
+bit for bit (``float.hex``) with two plain one-way calls, one per
+direction.
 """
 
 import math
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -36,10 +35,20 @@ from distp import (
     delta_required,
     geometric_mechanism,
 )
-from distp import divergences
-from distp.divergences import _BLOCK_CELLS, _divergence_columns, _divergence_rows
+from distp.divergences import (
+    _BLOCK_CELLS,
+    _divergence_columns,
+    _divergence_pairs,
+)
 from distp.finite_prob import _point_plan, _sorted_distinct
-from conftest import labels, rand_dist, rand_kernel, tilted
+from conftest import (
+    kernel_count,
+    labels,
+    one_way,
+    rand_dist,
+    rand_kernel,
+    tilted,
+)
 
 DIVERGENCES = STANDARD_KINDS + (MaxDivergence(), MaxDivergence(0.1))
 # Repeated rows make exact ties; the zero in the last row makes the max
@@ -53,28 +62,17 @@ PALETTE = np.array([
 ])
 
 
-@contextmanager
-def counted():
-    """Counts the rows every row function evaluates while the block is open."""
-    seen = [0]
-    blocked = divergences._blocked_rows
-
-    def counting(rows, table, left, right):
-        def wrapped(P, Q, full):
-            seen[0] += len(P)
-            return rows(P, Q, full)
-
-        return blocked(wrapped, table, left, right)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(divergences, "_blocked_rows", counting)
-        yield seen
+def evaluated(*calls, kind="pairs"):
+    """The row kernel's counter ``kind`` over ``calls``: the unordered row
+    pairs they evaluate, or the ones they read from a memo."""
+    before = kernel_count(kind)
+    for call in calls:
+        call()
+    return kernel_count(kind) - before
 
 
-def audited_rows(kernel, phi, divergence=KL, **options):
-    with counted() as seen:
-        audit_div_dp(kernel, phi, divergence, **options)
-    return seen[0]
+def audited_rows(kernel, phi, divergence=KL):
+    return evaluated(lambda: audit_div_dp(kernel, phi, divergence))
 
 
 def twin(kernel):
@@ -91,13 +89,41 @@ def test_full_relation_evaluates_each_ordered_pair_once(rng, divergence):
     n = 45
     kernel = rand_kernel(rng, labels(n), labels(12, "y"))
     phi = PointRelation.full(kernel.inputs)
-    assert n * (n - 1) * 12 > _BLOCK_CELLS  # the distinct pairs span blocks
-    assert audited_rows(kernel, phi, divergence) == n * (n - 1)
+    pairs = n * (n - 1) // 2
+    assert pairs * 12 > _BLOCK_CELLS  # the distinct pairs span blocks
+    assert audited_rows(kernel, phi, divergence) == pairs
+    hits = evaluated(lambda: audit_div_dp(kernel, phi, divergence),
+                     kind="memo hits")
+    assert hits == pairs
     assert audited_rows(kernel, phi, divergence) == 0
     with_self = PointRelation.full(kernel.inputs, include_self=True)
     # the same kernel evaluates only the self pairs it has not seen
     assert audited_rows(kernel, with_self, divergence) == n
-    assert audited_rows(twin(kernel), with_self, divergence) == n * n
+    assert audited_rows(twin(kernel), with_self, divergence) == pairs + n
+
+
+def test_counts_are_kept_per_divergence(rng):
+    n = 7
+    kernel = rand_kernel(rng, labels(n), labels(4, "y"))
+    phi = PointRelation.full(kernel.inputs)
+    names = ("kl", "max", "max(delta=0.1)", "delta_required")
+
+    def counts():
+        return {name: (kernel_count("pairs", name),
+                       kernel_count("memo hits", name)) for name in names}
+
+    before = counts()
+    audit_div_dp(kernel, phi, KL)
+    audit_div_dp(kernel, phi, KL)
+    audit_div_dp(kernel, phi, MaxDivergence(0.1))
+    delta_required(kernel, phi, 0.5)
+    pairs = n * (n - 1) // 2
+    after = counts()
+    moved = {name: (after[name][0] - before[name][0],
+                    after[name][1] - before[name][1]) for name in names}
+    assert moved == {"kl": (pairs, pairs), "max": (0, 0),
+                     "max(delta=0.1)": (pairs, 0),
+                     "delta_required": (pairs, 0)}
 
 
 def test_small_relations_count_their_distinct_ordered_pairs(rng):
@@ -108,22 +134,21 @@ def test_small_relations_count_their_distinct_ordered_pairs(rng):
         PointRelation([("x0", "x1"), ("x1", "x0")]),
         PointRelation([("x0", "x1"), ("x1", "x0"), ("x0", "x0"), ("x2", "x1")]),
     ]
-    # a fresh kernel each time evaluates every distinct ordered pair
-    assert [audited_rows(twin(kernel), phi) for phi in relations] == [2, 1, 2, 5]
+    # a fresh kernel each time evaluates every distinct unordered pair
+    fresh = [audited_rows(twin(kernel), phi) for phi in relations]
+    assert fresh == [1, 1, 1, 3]
     # one kernel throughout evaluates only the pairs it has not seen:
-    # (x0, x1) both ways, (x1, x1), nothing, then (x0, x0) and (x2, x1) both ways
-    assert [audited_rows(kernel, phi) for phi in relations] == [2, 1, 0, 3]
+    # {x0, x1}, {x1, x1}, nothing, then {x0, x0} and {x1, x2}
+    assert [audited_rows(kernel, phi) for phi in relations] == [1, 1, 0, 2]
 
 
 def test_delta_required_evaluates_each_ordered_pair_once(rng):
     n = 20
     kernel = rand_kernel(rng, labels(n), labels(5, "y"))
-    with counted() as seen:
-        delta_required(kernel, PointRelation.full(kernel.inputs), 0.3)
-    assert seen[0] == n * (n - 1)
-    with counted() as seen:
-        delta_required(kernel, PointRelation([("x3", "x3"), ("x1", "x2")]), 0.3)
-    assert seen[0] == 3
+    assert evaluated(lambda: delta_required(
+        kernel, PointRelation.full(kernel.inputs), 0.3)) == n * (n - 1) // 2
+    assert evaluated(lambda: delta_required(
+        kernel, PointRelation([("x3", "x3"), ("x1", "x2")]), 0.3)) == 2
 
 
 def test_cp_theorem_evaluates_each_ordered_aux_pair_once(rng):
@@ -132,15 +157,17 @@ def test_cp_theorem_evaluates_each_ordered_aux_pair_once(rng):
     approx = {s: rand_dist(rng, ground) for s in aux}
     spec = build_coupling_mechanism(rand_dist(rng, ground), approx, "northwest")
     actual = {s: tilted(rng, lam, 0.05) for s, lam in approx.items()}
-    with counted() as seen:
-        report = check_cp_theorem(spec, actual)
+    reports = []
+    seen = evaluated(lambda: reports.append(check_cp_theorem(spec, actual)))
     # the aux pairs i <= j, self pairs included: each divergence evaluates
-    # the ordered pairs (i, j) and (j, i) of distinct values and each self
-    # pair once, and the "kl" and "f:kl" checks share KL; the estimation
-    # level takes each estimate against its true input both ways round
+    # each of them once, in both orders, and the "kl" and "f:kl" checks
+    # share KL; the estimation level takes each estimate and its true input
+    # as one pair, both ways round
+    report, = reports
     divergences_checked = len({check.report.divergence for check in report.checks})
     assert len(report.checks) == divergences_checked + 1
-    assert seen[0] == divergences_checked * len(aux) ** 2 + 2 * len(aux)
+    m = len(aux)
+    assert seen == divergences_checked * m * (m + 1) // 2 + m
 
 
 def palette_kernel(rows):
@@ -149,8 +176,8 @@ def palette_kernel(rows):
 
 def plain_columns(divergence, table, left, right):
     return (
-        _divergence_rows(divergence, table, left, right),
-        _divergence_rows(divergence, table, right, left),
+        one_way(divergence, table, left, right),
+        one_way(divergence, table, right, left),
     )
 
 
@@ -217,24 +244,24 @@ def test_later_calls_on_one_kernel_evaluate_no_pair_again(rng):
     metric = GroundMetric.line(ground)
     phi = PointRelation.full(ground)
     kernel = rand_kernel(rng, ground, labels(5, "y"))
+    pairs = n * (n - 1) // 2
     for divergence in (KL, MaxDivergence(), MaxDivergence(0.1)):
-        assert audited_rows(kernel, phi, divergence) == n * (n - 1)
-        with counted() as seen:
-            audit_div_dp(kernel, phi, divergence)
-            audit_div_xdp(kernel, phi, metric, divergence)
-        assert seen[0] == 0
-    # geometric_mechanism evaluates the max divergence of every ordered pair
-    # of distinct rows, so the full relation's max audits find them all
-    with counted() as seen:
-        mech = geometric_mechanism(ground, 1.5, metric)
-    assert seen[0] == n * (n - 1)
-    with counted() as seen:
-        audit_div_dp(mech.kernel, phi, MaxDivergence())
-        audit_div_xdp(mech.kernel, phi, metric, MaxDivergence())
-    assert seen[0] == 0
+        assert audited_rows(kernel, phi, divergence) == pairs
+        assert evaluated(lambda: audit_div_dp(kernel, phi, divergence),
+                         lambda: audit_div_xdp(kernel, phi, metric,
+                                               divergence)) == 0
+    # geometric_mechanism evaluates the max divergence of every unordered
+    # pair of distinct rows, so the full relation's max audits find them all
+    mechs = []
+    assert evaluated(lambda: mechs.append(
+        geometric_mechanism(ground, 1.5, metric))) == pairs
+    mech, = mechs
+    assert evaluated(lambda: audit_div_dp(mech.kernel, phi, MaxDivergence()),
+                     lambda: audit_div_xdp(mech.kernel, phi, metric,
+                                           MaxDivergence())) == 0
     # a delta, a distinct kernel with an equal matrix: evaluated afresh
-    assert audited_rows(mech.kernel, phi, MaxDivergence(0.2)) == n * (n - 1)
-    assert audited_rows(twin(mech.kernel), phi, MaxDivergence()) == n * (n - 1)
+    assert audited_rows(mech.kernel, phi, MaxDivergence(0.2)) == pairs
+    assert audited_rows(twin(mech.kernel), phi, MaxDivergence()) == pairs
 
 
 @given(
@@ -244,7 +271,7 @@ def test_later_calls_on_one_kernel_evaluate_no_pair_again(rng):
 )
 def test_memo_hits_equal_plain_calls(rows, relations):
     """Audits of one kernel over several relations, each read partly from
-    the memo, equal plain ``_divergence_rows`` calls bit for bit, +inf and
+    the memo, equal plain one-way calls bit for bit, +inf and
     -inf rows of PALETTE included."""
     kernel = palette_kernel(rows)
     ground = kernel.inputs
@@ -273,8 +300,8 @@ def test_a_kind_that_cannot_be_hashed_is_evaluated_without_the_memo(rng):
     kernel = rand_kernel(rng, labels(5), labels(4, "y"))
     phi = PointRelation.full(kernel.inputs)
     kind = FDivergenceKind("chi2-copy", Unhashable())
-    assert audited_rows(kernel, phi, kind) == 20
-    assert audited_rows(kernel, phi, kind) == 20
+    assert audited_rows(kernel, phi, kind) == 10
+    assert audited_rows(kernel, phi, kind) == 10
     want = audit_div_dp(twin(kernel), phi, CHI_SQUARED)
     got = audit_div_dp(kernel, phi, kind)
     assert hexes(got.forward) == hexes(want.forward)
@@ -291,12 +318,13 @@ def test_a_kind_that_cannot_be_hashed_is_evaluated_without_the_memo(rng):
 )
 def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
     """Batches of ordered row pairs into one memo: fresh, disjoint,
-    overlapping and repeated, each in the order drawn or in the sorted,
-    distinct order a pair plan gives (which a first batch stores as it
-    comes). After every call the memo's codes are sorted and distinct, every
-    value it holds and every value returned equals a plain call bit for bit,
-    +inf and -inf rows of PALETTE included, and overwriting a returned array
-    leaves the memo as it was."""
+    overlapping, repeated and mirrored, each in the order drawn or in the
+    sorted, distinct order of unordered pairs a pair plan gives (which a
+    first batch stores as it comes). After every call the memo's codes are
+    sorted, distinct and name each unordered pair by its lower row first;
+    every value it holds, both orders, and every value returned equals a
+    plain one-way call bit for bit, +inf and -inf rows of PALETTE included;
+    and overwriting the returned arrays leaves the memo as it was."""
     rng = np.random.default_rng(seed)
     if full:
         table = rng.dirichlet(np.ones(3), 6) + 1e-3
@@ -308,14 +336,20 @@ def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
     for pairs, plan_order in batches:
         left, right = np.array(pairs, dtype=np.intp).T
         if plan_order:
-            codes = _sorted_distinct(left * n + right)
+            codes = _sorted_distinct(np.minimum(left, right) * n
+                                     + np.maximum(left, right))
             left, right = codes // n, codes % n
         for divergence in DIVERGENCES + (MaxDivergence(1.0),):
-            got = _divergence_rows(divergence, table, left, right, memo)
-            assert hexes(got) == hexes(_divergence_rows(divergence, table,
-                                                        left, right))
-            got.fill(np.nan)
-            codes, values = memo[divergence]
-            assert np.all(codes[1:] > codes[:-1])
-            assert hexes(values) == hexes(_divergence_rows(
-                divergence, table, codes // n, codes % n))
+            there, back = _divergence_pairs(divergence, table, left, right,
+                                            memo)
+            assert hexes(there) == hexes(one_way(divergence, table, left,
+                                                 right))
+            assert hexes(back) == hexes(one_way(divergence, table, right,
+                                                left))
+            there.fill(np.nan)
+            back.fill(np.nan)
+            codes, (there, back) = memo[divergence]
+            low, high = codes // n, codes % n
+            assert np.all(codes[1:] > codes[:-1]) and np.all(low <= high)
+            assert hexes(there) == hexes(one_way(divergence, table, low, high))
+            assert hexes(back) == hexes(one_way(divergence, table, high, low))

@@ -23,18 +23,20 @@ from distp import (
     STANDARD_KINDS,
     TOTAL_VARIATION,
     FDivergenceKind,
+    FiniteDistribution,
     GroundMetric,
     InvalidGeneratorError,
     MaxDivergence,
     PointRelation,
     StochasticKernel,
     delta_required,
+    divergence_value,
     geometric_mechanism,
 )
 from distp import divergences
-from distp.divergences import _BLOCK_CELLS, _divergence_rows
+from distp.divergences import _BLOCK_CELLS, _divergence_pairs
 from distp.tolerances import TAU_NUM, TAU_ZERO
-from conftest import labels, subset_oracle
+from conftest import labels, one_way, subset_oracle
 
 INF = math.inf
 
@@ -126,9 +128,9 @@ def test_rows_equal_scalar_definitions_across_blocks(width, seed):
             for i in range(8)
             for j in range(8)
         }
-        got = _divergence_rows(divergence, distinct, a, b)
+        got = one_way(divergence, distinct, a, b)
         assert got.tolist() == [want[i, j] for i, j in zip(a, b)]
-    values = _divergence_rows(MaxDivergence(), distinct, a, b).tolist()
+    values = one_way(MaxDivergence(), distinct, a, b).tolist()
     assert values[0] == 0.0 and values[1] == 0.0
 
 
@@ -160,9 +162,9 @@ def recorded_paths():
     def recording(divergence):
         rows = make(divergence)
 
-        def recorded(P, Q, full):
+        def recorded(X, full):
             seen.append(full)
-            return rows(P, Q, full)
+            return rows(X, full)
 
         return recorded
 
@@ -203,8 +205,8 @@ def test_full_support_blocks_equal_scalar_definitions(width, seed):
             for j in range(len(table))
         }
         with recorded_paths() as seen:
-            got = _divergence_rows(divergence, table, a, b)
-            only = _divergence_rows(divergence, table[full], full_a, full_b)
+            got = one_way(divergence, table, a, b)
+            only = one_way(divergence, table[full], full_a, full_b)
         assert seen == [False, False, False, False, True, True]
         assert got.tolist() == [want[i, j] for i, j in zip(a, b)]
         assert only.tolist() == [want[i, j] for i, j in zip(full_a, full_b)]
@@ -216,7 +218,7 @@ def test_cells_below_tau_zero_warn_nothing():
     sides (0/0) and quotients past the float range (1 over the least
     subnormal) take the masked path, give the scalar definitions' bits and
     raise no RuntimeWarning: the max divergence divides and takes logs on
-    every cell, then sets the cells off either support."""
+    both supports only, then sets the cells off either support."""
     tiny = 5e-324
     table = np.array([
         [1.0 - 2e-13, 1e-13, 1e-13, 0.0],
@@ -227,7 +229,7 @@ def test_cells_below_tau_zero_warn_nothing():
     a, b = np.divmod(np.arange(len(table) ** 2), len(table))
     for divergence in DIVERGENCES:
         with recorded_paths() as seen:
-            got = _divergence_rows(divergence, table, a, b)
+            got = one_way(divergence, table, a, b)
         assert seen == [False]
         assert got.tolist() == [ref_value(divergence, table[i], table[j])
                                 for i, j in zip(a, b)]
@@ -240,9 +242,9 @@ def test_generator_nan_raises_on_full_support_blocks():
     split = FDivergenceKind("split", lambda t: np.where(t > 1.0, INF, -INF))
     with recorded_paths() as seen, np.errstate(invalid="ignore"):
         with pytest.raises(InvalidGeneratorError, match="NaN on valid ratios"):
-            _divergence_rows(nan, table, [0, 1], [1, 0])
+            one_way(nan, table, [0, 1], [1, 0])
         with pytest.raises(InvalidGeneratorError, match="summing to NaN"):
-            _divergence_rows(split, table, [0, 1], [1, 0])
+            one_way(split, table, [0, 1], [1, 0])
     assert seen == [True, True]
 
 
@@ -260,13 +262,13 @@ def test_bounded_f_divergences_match_closed_forms(width, seed):
     a = rng.integers(0, 8, n)
     b = rng.integers(0, 8, n)
     P, Q = table[a], table[b]
-    tv = _divergence_rows(TOTAL_VARIATION, table, a, b)
+    tv = one_way(TOTAL_VARIATION, table, a, b)
     assert np.allclose(tv, 0.5 * np.abs(P - Q).sum(axis=1), rtol=0, atol=1e-12)
-    hellinger = _divergence_rows(HELLINGER, table, a, b)
+    hellinger = one_way(HELLINGER, table, a, b)
     assert np.allclose(hellinger, 1.0 - np.sqrt(P * Q).sum(axis=1),
                        rtol=0, atol=1e-12)
     # RKL(mu || nu) = KL(nu || mu)
-    rkl = _divergence_rows(REVERSE_KL, table, a, b)
+    rkl = one_way(REVERSE_KL, table, a, b)
     kl_back = scipy.special.rel_entr(Q, P).sum(axis=1)
     assert np.array_equal(np.isinf(rkl), np.isinf(kl_back))
     finite = ~np.isinf(rkl)
@@ -297,7 +299,7 @@ def test_delta_rows_equal_subset_oracle(width, seed):
     # the slack at the support mass is in the next test.
     deltas = [0.05, 0.45] + [d for d in (mass - 1e-6, mass + 1e-6) if 0 < d < 1]
     for delta in deltas:
-        got = _divergence_rows(MaxDivergence(delta), table, a, b)
+        got = one_way(MaxDivergence(delta), table, a, b)
         assert_matches_oracle(got.tolist(), [
             subset_oracle(table[i], table[j], delta) for i, j in zip(a, b)
         ])
@@ -319,24 +321,24 @@ def test_delta_rows_at_the_edges_equal_subset_oracle():
     for delta in (0.125, 0.25, 0.5, 0.75, 1.0,
                   0.375 - 1e-6, 0.375 + 1e-6, 0.75 - 1e-6, 0.75 + 1e-6,
                   0.5 - 1e-6, 0.5 + 1e-6):
-        got = _divergence_rows(MaxDivergence(delta), table, left, right)
+        got = one_way(MaxDivergence(delta), table, left, right)
         want = [subset_oracle(table[i], table[j], delta)
                 for i, j in zip(left, right)]
         assert_matches_oracle(got.tolist(), want)
     # the cases the edges are there for
-    assert _divergence_rows(MaxDivergence(0.125), table, [0], [2])[0] == INF
-    assert _divergence_rows(MaxDivergence(0.5), table, [4], [0])[0] == -INF
-    assert _divergence_rows(MaxDivergence(0.75), table, [4], [0])[0] == -INF
-    assert _divergence_rows(MaxDivergence(1.0), table, [0], [1])[0] == -INF
+    assert one_way(MaxDivergence(0.125), table, [0], [2])[0] == INF
+    assert one_way(MaxDivergence(0.5), table, [4], [0])[0] == -INF
+    assert one_way(MaxDivergence(0.75), table, [4], [0])[0] == -INF
+    assert one_way(MaxDivergence(1.0), table, [0], [1])[0] == -INF
 
 
 def test_rows_cover_inf_and_sentinel_values():
     table = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
     left, right = np.array([0, 1, 0]), np.array([1, 0, 0])
-    assert _divergence_rows(MaxDivergence(), table, left, right).tolist() == [
+    assert one_way(MaxDivergence(), table, left, right).tolist() == [
         INF, math.log(2.0), 0.0,
     ]
-    assert _divergence_rows(MaxDivergence(1.0), table, left, right).tolist() == [
+    assert one_way(MaxDivergence(1.0), table, left, right).tolist() == [
         -INF, -INF, -INF,
     ]
 
@@ -352,19 +354,20 @@ def tied_row(rng, width):
 
 @contextmanager
 def recorded_orders():
-    """Every (keys, counts, order) that the delta rule sorts with, copied:
-    the kernel reuses its buffers from block to block. The support count of
-    a row is its number of keys below +inf, and its order is read back from
-    the transposed flat index that the sort returns."""
+    """Every (ratios, counts, order) that the delta rule sorts with, copied:
+    the kernel reuses its buffers from block to block. Ratios off the
+    support are -inf, so the support count of a row is its number of ratios
+    above -inf, and its order is read back from the transposed flat index
+    that the sort returns."""
     seen = []
     sort = divergences._support_order
 
-    def recording(keys, work, full):
-        flat = sort(keys, work, full)
-        rows, width = keys.shape
+    def recording(ratios, work):
+        flat = sort(ratios, work)
+        rows, width = ratios.shape
         order = (flat - width * np.arange(rows)).T
-        counts = np.count_nonzero(keys < INF, axis=1)
-        seen.append((keys.copy(), counts, order.copy()))
+        counts = np.count_nonzero(ratios > -INF, axis=1)
+        seen.append((ratios.copy(), counts, order.copy()))
         return flat
 
     with pytest.MonkeyPatch.context() as patch:
@@ -374,11 +377,12 @@ def recorded_orders():
 
 @given(st.integers(2, 12), st.integers(0, 10**6))
 def test_support_order_is_the_stable_order_across_blocks(width, seed):
-    """The default sort, sorted again stably only where support keys tie,
-    orders every support exactly as a stable sort does, on tie-heavy rows
-    over more pairs than fit in one block. The first three pairs make sure
-    of each kind of tie: exact finite ties (uniform against uniform), -inf
-    ties (support labels where Q = 0) and +inf keys off the support."""
+    """The packed-key sort, sorted again stably only where it leaves a row
+    unsorted, orders every support exactly as a stable sort by decreasing
+    ratio does, on tie-heavy rows over more pairs than fit in one block.
+    The first three pairs make sure of each kind of tie: exact finite ties
+    (uniform against uniform), +inf ties (support labels where Q = 0) and
+    -inf ratios off the support."""
     rng = np.random.default_rng(seed)
     uniform = np.full(width, 1.0 / width)
     point = np.eye(width)[0]
@@ -387,16 +391,74 @@ def test_support_order_is_the_stable_order_across_blocks(width, seed):
     a, b = rng.integers(0, len(table), n), rng.integers(0, len(table), n)
     a[:3], b[:3] = (0, 0, 1), (0, 1, 0)
     with recorded_orders() as seen:
-        _divergence_rows(MaxDivergence(0.3), table, a, b)
+        one_way(MaxDivergence(0.3), table, a, b)
     assert len(seen) > 1
     first = seen[0][0][:3]
-    assert np.all(first[0] == -1.0)  # exact ties
-    assert np.sum(first[1] == -INF) == width - 1  # -inf ties on the support
-    assert np.sum(first[2] == INF) == width - 1  # +inf ties off the support
-    for keys, counts, order in seen:
-        stable = np.argsort(keys, axis=1, kind="stable")
+    assert np.all(first[0] == 1.0)  # exact ties
+    assert np.sum(first[1] == INF) == width - 1  # +inf ties on the support
+    assert np.sum(first[2] == -INF) == width - 1  # -inf off the support
+    for ratios, counts, order in seen:
+        stable = np.argsort(-ratios, axis=1, kind="stable")
         for row, count in enumerate(counts.tolist()):
             assert order[row, :count].tolist() == stable[row, :count].tolist()
+
+
+def collided_row(reference):
+    """A row whose ratios to ``reference`` are about 1 + k * 2**-52, k
+    rising with the column: distinct, and alike in every bit but the lowest
+    few, which the packed sort replaces by the column. The packed order
+    then lists them by rising ratio, not falling, and only the stable
+    fallback orders them."""
+    return reference * (1.0 + (4 + np.arange(len(reference))) * 2.0**-52)
+
+
+@pytest.mark.parametrize("width", [2, 20, 64, 65, 70])
+def test_packed_sort_falls_back_where_low_bits_collide(width):
+    """Ratios that differ only in the replaced low bits come out of the
+    packed sort in column order, here rising; the row is found and sorted
+    again stably, so the order and both values are exact."""
+    reference = np.full(width, 1.0 / width)
+    table = np.array([collided_row(reference), reference])
+    ratios = table[0] / table[1]
+    high = ratios.view(np.int64) >> (width - 1).bit_length()
+    # two neighbours that rise in value but agree above the low bits
+    assert np.any((np.diff(ratios) > 0.0) & (np.diff(high) == 0))
+    with recorded_orders() as seen:
+        there, back = _divergence_pairs(MaxDivergence(0.05), table, [0], [1])
+    (ratios_seen, counts, order), = seen
+    stable = np.argsort(-ratios_seen, axis=1, kind="stable")
+    assert order[0].tolist() == stable[0].tolist() == list(range(width))[::-1]
+    assert there.tolist() == [ref_prefix(table[0], table[1], 0.05)]
+    assert back.tolist() == [ref_prefix(table[1], table[0], 0.05)]
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 70), st.sampled_from(["full", "sparse", "tied"]),
+       st.integers(0, 10**6))
+def test_both_orders_equal_the_one_pair_values(width, family, seed):
+    """One evaluation of each unordered pair gives D(a || b) and D(b || a),
+    each equal bit for bit (``float.hex``) to ``divergence_value`` of that
+    order, for every divergence: on full, sparse and tie-heavy tables,
+    widths from 2 to 70 (past the 64 columns that six low bits index), a
+    row whose ratios to another collide in the low bits (against it both
+    ways round first), an exact copy of a row, and pair lists that span
+    three blocks."""
+    rng = np.random.default_rng(seed)
+    make = {"full": full_row, "sparse": sparse_row, "tied": tied_row}[family]
+    rows = [make(rng, width) for _ in range(5)]
+    table = np.array(rows + [rows[1], collided_row(rows[1]), rows[0]])
+    n = 2 * (_BLOCK_CELLS // width) + 37
+    a, b = rng.integers(0, len(table), (2, n))
+    a[:2], b[:2] = (6, 5), (5, 6)
+    dists = [FiniteDistribution(labels(width, "y"), row) for row in table]
+    for divergence in DIVERGENCES:
+        there, back = _divergence_pairs(divergence, table, a, b)
+        value = {(i, j): divergence_value(divergence, dists[i], dists[j]).hex()
+                 for i in range(len(table)) for j in range(len(table))}
+        assert [v.hex() for v in there.tolist()] == [value[i, j]
+                                                      for i, j in zip(a, b)]
+        assert [v.hex() for v in back.tolist()] == [value[j, i]
+                                                     for i, j in zip(a, b)]
 
 
 @settings(max_examples=20)
@@ -416,7 +478,8 @@ def test_rows_do_not_depend_on_the_block_size(width, pairs, seed):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(divergences, "_BLOCK_CELLS", cells)
                 got[cells] = [
-                    [v.hex() for v in _divergence_rows(divergence, table, a, b).tolist()]
+                    [v.hex() for v in
+                     one_way(divergence, table, a, b).tolist()]
                     for a, b in shapes
                 ]
         assert got[1 << 6] == got[1 << 12] == got[_BLOCK_CELLS]
@@ -448,7 +511,7 @@ def test_slack_at_the_support_mass_is_minus_inf(weights, seed):
         support = math.fsum(row[row > TAU_ZERO])
         for delta in {1.0, min(1.0, support), min(1.0, float(np.sum(row)))}:
             left = np.full(len(right), i)
-            got = _divergence_rows(MaxDivergence(delta), table, left, right)
+            got = one_way(MaxDivergence(delta), table, left, right)
             assert got.tolist() == [-INF] * len(right)
 
 
