@@ -6,25 +6,28 @@ infinite observed level is a legal outcome and is reported, never raised;
 exceptions are reserved for malformed inputs.
 
 All auditors and the coupling-mechanism theorem check share one core,
-``_audit``, which takes a pair plan (``finite_prob._PairPlan``): the table
-rows and label of every pair, and the distinct unordered row pairs that
-its two directions read. The blocked row kernel of ``divergences``
-evaluates each of those once, in both orders, from one gather of its two
-rows: the forward and backward directions of (a, b), and of (b, a), read
-the same evaluation. ``finite_prob._kept`` keeps work on the frozen object
-it belongs to: a relation's plan, built on its first audit per input
-ground (label relation) or kind of mechanism (distribution relation); a
-coupling mechanism's kernel family, which all audits of one spec share;
-and a kernel's memo of evaluated row pairs per divergence, which the label
-audits and ``geometric_mechanism`` read through, so each unordered pair of
-kernel rows is evaluated once per kernel and divergence, whatever the
+``_audit``, which takes a pair plan (``finite_prob._PairPlan``): the
+table rows and label of every pair, and the distinct unordered row pairs
+that its two directions read, lower row first and sorted. The plan is
+the one place where pairs become canonical; the row kernel and a
+kernel's memo take its pairs as they come. The blocked row kernel of
+``divergences`` evaluates each of them once, in both orders, from one
+gather of its two rows, and the plan's ``inverse`` scatters those values
+onto the forward and backward directions of (a, b), and of (b, a).
+``finite_prob._kept`` keeps work on the frozen object it belongs to: a
+relation's plan, built on its first audit per input ground (label
+relation) or kind of mechanism (distribution relation); a coupling
+mechanism's kernel family, which all audits of one spec share; and a
+kernel's memo of evaluated row pairs per divergence, which the label
+audits and ``geometric_mechanism`` read through, so each unordered pair
+of kernel rows is evaluated once per kernel and divergence, whatever the
 relation or notion asks for it. A distribution relation interns its
-distributions (by exact ground and probabilities), lifts each distinct one
-once per kernel and measures each distinct ordered pair once; two point
-masses need no transport solve, since their one coupling makes the
+distributions (by exact ground and probabilities), lifts each distinct
+one once per kernel and measures each distinct ordered pair once; two
+point masses need no transport solve, since their one coupling makes the
 distance the ground cost between the two labels. The report keeps the
-results as columns and builds one object per pair only when asked. DP and
-XDP are the point-mass cases of DistP and XDistP.
+results as columns and builds one object per pair only when asked. DP
+and XDP are the point-mass cases of DistP and XDistP.
 
 Every verdict is taken by ``_verdict``: a value passes iff it is at most
 its bound plus ``tau_num``. ``PairAudit``, ``AuditReport`` and the plain
@@ -46,7 +49,6 @@ from .divergences import (
     STANDARD_KINDS,
     Divergence,
     MaxDivergence,
-    _divergence_columns,
     _divergence_pairs,
     _per_distance,
 )
@@ -201,8 +203,12 @@ def _audit(
     """Audit every pair of ``plan`` over the rows of ``table``, in both
     directions, per unit of ``distances[i]`` if given; with ``memo``, the
     row-pair memo kept with ``table``, each pair of rows that an earlier
-    call evaluated, in either order, is read from it."""
-    forward, backward = _divergence_columns(divergence, table, plan, memo)
+    call evaluated is read from it. Each distinct unordered row pair of
+    the plan is evaluated once, in both orders, and ``plan.inverse``
+    scatters those values onto the pairs' two directions."""
+    values = _divergence_pairs(divergence, table, plan.first, plan.second,
+                               memo).reshape(-1)[plan.inverse]
+    forward, backward = values[: len(plan.left)], values[len(plan.left):]
     if distances is not None:
         forward = _per_distance(forward, distances)
         backward = _per_distance(backward, distances)
@@ -253,20 +259,16 @@ class _LiftPlan:
     mechanism: a single kernel, or a family with given labels.
 
     ``nodes`` are the relation's distinct distributions, interned by exact
-    ground and probabilities; relation pair j compares node ``pair_left[j]``
-    with node ``pair_right[j]``. Table row r is ``lifts[r] = (slot, node)``,
+    ground and probabilities. Table row r is ``lifts[r] = (slot, node)``,
     the node pushed through kernel ``slot`` of the mechanism, listed once
     however many instances use it. ``pairs`` gives each instance's two
-    table rows and label, and ``index`` its relation pair. Aux-tagged pairs
-    select the named kernels; untagged pairs against a family are audited
-    once per auxiliary value.
+    table rows and label, in relation order. Aux-tagged pairs select the
+    named kernels; untagged pairs against a family are audited once per
+    auxiliary value.
     """
 
     nodes: tuple[FiniteDistribution, ...]
-    pair_left: np.ndarray
-    pair_right: np.ndarray
     lifts: tuple[tuple[int, int], ...]
-    index: np.ndarray
     pairs: _PairPlan
 
 
@@ -281,9 +283,8 @@ def _new_lift_plan(psi: DistributionPairRelation, inputs, family) -> _LiftPlan:
         return slots[label]
 
     nodes, ids = _interned(d for pair in psi for d in (pair.left, pair.right))
-    pair_left, pair_right = ids[0::2], ids[1::2]
     rows: dict[tuple[int, int], int] = {}
-    index, labels, left, right = [], [], [], []
+    labels, left, right = [], [], []
     for i, pair in enumerate(psi):
         if family is None:
             sides = [(pair.aux, 0, 0)]
@@ -295,14 +296,12 @@ def _new_lift_plan(psi: DistributionPairRelation, inputs, family) -> _LiftPlan:
             raise GroundMismatchError(
                 "distribution ground does not match kernel inputs"
             )
-        a, b = pair_left[i], pair_right[i]
+        a, b = ids[2 * i], ids[2 * i + 1]
         for aux, k0, k1 in sides:
-            index.append(i)
             labels.append(f"{i}:{pair_label(*aux)}" if aux else str(i))
             left.append(rows.setdefault((k0, a), len(rows)))
             right.append(rows.setdefault((k1, b), len(rows)))
-    return _LiftPlan(tuple(nodes), np.array(pair_left), np.array(pair_right),
-                     tuple(rows), np.array(index), _PairPlan(labels, left, right))
+    return _LiftPlan(tuple(nodes), tuple(rows), _PairPlan(labels, left, right))
 
 
 def _lifted_pairs(mechanism: Mechanism, psi: DistributionPairRelation):
@@ -356,10 +355,11 @@ def audit_xdistp(
     is measured once, and a pair of point masses takes no solve.
     """
     plan, table = _lifted_pairs(mechanism, psi)
-    distances = _pair_distances(plan.nodes, plan.pair_left, plan.pair_right,
-                                metric, wasserstein)
+    nodes = np.array([node for _, node in plan.lifts])
+    distances = _pair_distances(plan.nodes, nodes[plan.pairs.left],
+                                nodes[plan.pairs.right], metric, wasserstein)
     return _audit(NOTION_XDISTP, divergence, plan.pairs, table, claimed_eps,
-                  distances=distances[plan.index])
+                  distances=distances)
 
 
 def expected_utility_loss(

@@ -44,9 +44,7 @@ from .finite_prob import (
     FiniteDistribution,
     PointRelation,
     StochasticKernel,
-    _PairPlan,
     _point_plan,
-    _sorted_distinct,
 )
 from .tolerances import TAU_NUM, TAU_ZERO
 
@@ -182,27 +180,12 @@ COUNTS: Counter = Counter()
 
 # The row kernel works through its pairs this many cells of each order
 # (pairs x |Y|) at a time, which bounds every buffer it allocates whatever
-# the pair count. A block holds unordered row pairs {a, b}: rows a and b are
-# gathered once, stacked in one buffer, and both orders D(a || b) and
-# D(b || a) are evaluated from that gather, mostly by numpy calls over the
-# whole stack (2 x pairs x |Y|). Each blocked call allocates its buffers
-# once, sized to its first block, and reuses them for every later block.
-# Temporaries made afresh for each block faulted their memory in again
-# whenever glibc had handed it back to the system (about 12,000 minor
-# faults per 60-point audit job at 8,192 cells). Measured with getrusage
-# ru_minflt on the 60-point geometric audit job, in a loop of jobs: about
-# 115 minor faults per job at 8,192 cells, each call faulting its buffers
-# in once (48 in the delta audit, 63 in KL), against about 4 at 4,096
-# cells with fresh temporaries. At 16,384 cells a 128 KiB temporary (a
-# generator's, or the sort's) meets glibc's mmap threshold: 300 to 1,900
-# faults per job, depending on the heap's history, and no gain in time.
-# Blocks of a full table need no masks and write their ratios, sort keys
-# and gathered entries into these buffers too. With one order per block
-# the same job (seed 11) took 0 minor faults per job after the first. With
-# both orders stacked it takes 95 (3 runs of 30 to 40 jobs, in the KL and
-# delta calls), since each call's stacked buffers and generator temporary
-# are twice as large; stacked blocks of half as many pairs take 0 but made
-# KL 8% slower.
+# the pair count; each blocked call allocates its buffers once, sized to
+# its first block, and reuses them. Minor faults per 60-point geometric
+# audit job (getrusage ru_minflt over a loop of jobs, both orders stacked):
+# 0 to 95 at 8,192 cells, depending on the heap's history; at 16,384 cells
+# a 128 KiB temporary meets glibc's mmap threshold, 300 to 1,900, with no
+# gain in time; half as many pairs per block take 0 but made KL 8% slower.
 _BLOCK_CELLS = 1 << 13
 
 
@@ -276,11 +259,14 @@ def _divergence_pairs(divergence, table, left, right, memo=None) -> np.ndarray:
 
     ``memo``, a dict kept with ``table`` (a kernel's, which
     ``finite_prob._kept`` keeps on it as ``"row memo"``), holds per
-    divergence the sorted codes ``lo * len(table) + hi`` (lo <= hi) of the
-    unordered row pairs evaluated so far, with D(lo || hi) over
-    D(hi || lo), so each unordered pair is evaluated once whatever the
-    calls, or the orders, that ask for it. Its size grows with the distinct
-    pairs evaluated, not with the square of the row count.
+    divergence the sorted codes ``left * len(table) + right`` of the row
+    pairs evaluated so far, with their values in both orders, so each
+    unordered pair is evaluated once whatever the calls that ask for it.
+    A call with a memo passes canonical pairs, as a pair plan's ``first``
+    and ``second`` or ``np.triu_indices`` list them: ``left <= right``,
+    sorted and distinct. A first batch is the memo as it stands; later
+    ones are merged in by code. Its size grows with the distinct pairs
+    evaluated, not with the square of the row count.
     """
     rows = _row_function(divergence)
     try:
@@ -289,15 +275,9 @@ def _divergence_pairs(divergence, table, left, right, memo=None) -> np.ndarray:
         known = None
     if known is None:
         return _blocked_rows(rows, table, left, right, divergence.name)
-    n = len(table)
-    left = np.asarray(left, dtype=np.intp)
-    right = np.asarray(right, dtype=np.intp)
-    swap = left > right
-    want = np.where(swap, right, left) * n + np.where(swap, left, right)
+    want = left * len(table) + right
     codes, values = known
-    if not len(codes) and not swap.any() and (want[1:] > want[:-1]).all():
-        # A first batch of sorted, distinct pairs, as a pair plan lists
-        # them, is the memo as it stands; the caller gets its own copy.
+    if not len(codes):  # the caller gets its own copy
         found = _blocked_rows(rows, table, left, right, divergence.name)
         memo[divergence] = want, found
         return found.copy()
@@ -307,26 +287,13 @@ def _divergence_pairs(divergence, table, left, right, memo=None) -> np.ndarray:
     missing[inside] = codes[at[inside]] != want[inside]
     COUNTS["memo hits", divergence.name] += len(want) - int(missing.sum())
     if missing.any():
-        fresh = _sorted_distinct(want[missing])  # each new pair once
-        found = _blocked_rows(rows, table, fresh // n, fresh % n,
+        found = _blocked_rows(rows, table, left[missing], right[missing],
                               divergence.name)
-        place = np.searchsorted(codes, fresh)
-        codes = np.insert(codes, place, fresh)
-        values = np.insert(values, place, found, axis=1)
+        codes = np.insert(codes, at[missing], want[missing])
+        values = np.insert(values, at[missing], found, axis=1)
         memo[divergence] = codes, values
         at = np.searchsorted(codes, want)
-    values = values[:, at]
-    return np.where(swap, values[::-1], values) if swap.any() else values
-
-
-def _divergence_columns(divergence, table, plan: _PairPlan, memo=None):
-    """``(forward, backward)`` of every pair of ``plan``, each distinct
-    unordered row pair evaluated once (and through ``memo``): a pair and its
-    mirror image read one evaluation. Row functions act on each row alone,
-    so the values do not depend on which pairs are evaluated together."""
-    values = _divergence_pairs(divergence, table, plan.first, plan.second,
-                               memo).reshape(-1)[plan.inverse]
-    return values[: len(plan.left)], values[len(plan.left):]
+    return values[:, at]
 
 
 def _generated(kind: FDivergenceKind, ratios) -> np.ndarray:
@@ -635,8 +602,7 @@ def divergence_value(
     divergence: Divergence, mu: FiniteDistribution, nu: FiniteDistribution
 ) -> float:
     """Evaluate an f-divergence or (slack) max divergence descriptor."""
-    rows = _row_function(divergence)
     if mu.ground != nu.ground:
         raise GroundMismatchError("divergence requires a shared ground set")
     table = np.stack([mu.probs, nu.probs])
-    return float(_blocked_rows(rows, table, [0], [1], divergence.name)[0, 0])
+    return float(_divergence_pairs(divergence, table, [0], [1])[0, 0])

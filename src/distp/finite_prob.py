@@ -357,11 +357,12 @@ class _PairPlan:
 
     Pair i, named ``labels[i]``, compares row ``left[i]`` of a table with
     row ``right[i]``. ``first[k] <= second[k]`` list every unordered row
-    pair that the pairs name, each once, sorted. The row kernel evaluates
-    each of them in both orders, ``first`` from ``second`` and back, and
-    ``inverse`` maps the forward directions, then the backward ones, onto
-    those values: the first orders of all the unordered pairs, then the
-    second orders.
+    pair that the pairs name, each once, sorted: the one canonical form of
+    pairs, in which a kernel's memo takes and stores them. The row kernel
+    evaluates each of them in both orders, ``first`` from ``second`` and
+    back, and ``inverse`` maps the forward directions, then the backward
+    ones, onto those values: the first orders of all the unordered pairs,
+    then the second orders.
     """
 
     labels: tuple[str, ...]

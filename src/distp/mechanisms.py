@@ -68,9 +68,13 @@ def randomized_response(ground: Iterable[str], epsilon: float) -> StochasticKern
         raise ValidationError("randomized response needs at least two labels")
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise InvalidEpsilonError(f"epsilon {epsilon!r} must be finite and >= 0")
-    denom = math.exp(epsilon) + k - 1
+    try:
+        growth = math.exp(epsilon)
+    except OverflowError:  # past the float range: the limit, the identity
+        return StochasticKernel(ground, ground, np.eye(k))
+    denom = growth + k - 1
     matrix = np.full((k, k), 1.0 / denom)
-    np.fill_diagonal(matrix, math.exp(epsilon) / denom)
+    np.fill_diagonal(matrix, growth / denom)
     return StochasticKernel(ground, ground, matrix)
 
 

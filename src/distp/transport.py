@@ -480,7 +480,9 @@ def wasserstein_p(
     p: float = 1.0,
 ) -> TransportResult:
     """p-Wasserstein distance: minimal (sum of cost^p)^(1/p) over couplings."""
-    _checked_order(p)
+    p = _order(p)
+    if p == math.inf:
+        raise ValidationError(f"order p must be finite and >= 1, got {p!r}")
     powered = _cost_block(metric, lam.ground, mu.ground) ** p
     plan = _simplex(lam.probs, mu.probs, powered)
     return TransportResult(
@@ -576,12 +578,6 @@ def _cut(values, cost, supply, demand, allowed, mass, lo: int, tol: float) -> in
     return lo + 1
 
 
-def _checked_order(p: float) -> float:
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ValidationError(f"order p must be finite and >= 1, got {p!r}")
-    return p
-
-
 def _atom(dist: FiniteDistribution) -> int | None:
     """The index of the one label carrying all of ``dist``'s mass (exactly
     1, every other entry exactly 0), or None."""
@@ -605,10 +601,18 @@ def _wasserstein(
 
 
 def _order(order: float | str) -> float:
-    """The Wasserstein order ``order`` as a float, math.inf for "inf"."""
+    """The Wasserstein order ``order`` as a float: math.inf for "inf" or
+    math.inf, else a number p >= 1 (a numeric string too)."""
     if order in ("inf", math.inf):
         return math.inf
-    return _checked_order(float(order))
+    try:
+        p = float(order)
+    except (TypeError, ValueError):
+        p = math.nan
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValidationError(f"order p must be finite and >= 1 (or 'inf'), "
+                              f"got {order!r}")
+    return p
 
 
 def _pair_distances(dists, left, right, metric, order: float | str) -> np.ndarray:

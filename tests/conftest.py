@@ -37,11 +37,10 @@ def rng():
     return np.random.default_rng(SEED)
 
 
-def one_way(divergence, table, left, right, memo=None):
+def one_way(divergence, table, left, right):
     """The divergence of row ``left[i]`` of ``table`` from row ``right[i]``,
     for every i: the first of the two orders the row kernel returns."""
-    return divergences._divergence_pairs(divergence, table, left, right,
-                                         memo)[0]
+    return divergences._divergence_pairs(divergence, table, left, right)[0]
 
 
 def kernel_count(kind="pairs", name=None):

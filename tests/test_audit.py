@@ -265,6 +265,16 @@ def test_xdistp_numeric_order_accepted(rng):
     assert report.pairs[0].forward == pytest.approx(got / d, abs=1e-12)
 
 
+@pytest.mark.parametrize("order", ["abc", "0.5", math.nan, None])
+def test_xdistp_malformed_order_is_refused_cleanly(rng, order):
+    ground = labels(3)
+    kernel = rand_kernel(rng, ground, labels(3, "y"))
+    psi = rand_psi(rng, ground, 3)
+    with pytest.raises(ValidationError, match="order p must be finite"):
+        audit_xdistp(kernel, psi, GroundMetric.line(ground), KL,
+                     wasserstein=order)
+
+
 def test_audits_of_one_spec_build_its_kernels_once(rng, monkeypatch):
     # a coupling mechanism keeps its kernel family, so its W1 and W-inf
     # audits build each auxiliary kernel once between them, with the same

@@ -85,6 +85,18 @@ def test_randomized_response_validation():
         randomized_response(("a", "b"), math.inf)
 
 
+@pytest.mark.filterwarnings("error")
+def test_randomized_response_past_the_float_range_of_e_to_the_epsilon():
+    # e^710 overflows a float; the kernel is the epsilon -> inf limit
+    kernel = randomized_response(("a", "b", "c"), 710.0)
+    assert np.array_equal(kernel.matrix, np.eye(3))
+    # just below the overflow point the formula still runs, bit for bit
+    below = randomized_response(("a", "b", "c"), 709.0)
+    growth = math.exp(709.0)
+    assert below.matrix[0, 0] == growth / (growth + 2)
+    assert below.matrix[0, 1] == 1.0 / (growth + 2)
+
+
 # ---------------------------------------------------------------------------
 # geometric mechanism
 

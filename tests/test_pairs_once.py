@@ -35,11 +35,9 @@ from distp import (
     delta_required,
     geometric_mechanism,
 )
-from distp.divergences import (
-    _BLOCK_CELLS,
-    _divergence_columns,
-    _divergence_pairs,
-)
+from distp import audit, divergences, mechanisms
+from distp.audit import NOTION_DP, _audit
+from distp.divergences import _BLOCK_CELLS, _divergence_pairs
 from distp.finite_prob import _point_plan, _sorted_distinct
 from conftest import (
     kernel_count,
@@ -195,7 +193,8 @@ def test_columns_equal_two_plain_calls(rows, pairs):
     plan = _point_plan(phi, kernel)
     for divergence in DIVERGENCES:
         want = plain_columns(divergence, kernel.matrix, plan.left, plan.right)
-        got = _divergence_columns(divergence, kernel.matrix, plan)
+        plain = _audit(NOTION_DP, divergence, plan, kernel.matrix, None)
+        got = plain.forward, plain.backward
         report = audit_div_dp(kernel, phi, divergence)
         for column, got_column, reported in zip(want, got, (report.forward,
                                                            report.backward)):
@@ -312,19 +311,18 @@ def test_a_kind_that_cannot_be_hashed_is_evaluated_without_the_memo(rng):
 @given(
     st.integers(0, 10**6),
     st.booleans(),
-    st.lists(st.tuples(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                                min_size=1, max_size=10), st.booleans()),
-             min_size=1, max_size=4),
+    st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      min_size=1, max_size=10), min_size=1, max_size=4),
 )
 def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
-    """Batches of ordered row pairs into one memo: fresh, disjoint,
-    overlapping, repeated and mirrored, each in the order drawn or in the
-    sorted, distinct order of unordered pairs a pair plan gives (which a
-    first batch stores as it comes). After every call the memo's codes are
-    sorted, distinct and name each unordered pair by its lower row first;
-    every value it holds, both orders, and every value returned equals a
-    plain one-way call bit for bit, +inf and -inf rows of PALETTE included;
-    and overwriting the returned arrays leaves the memo as it was."""
+    """Batches of row pairs into one memo, each in the canonical form a
+    pair plan gives (lower row first, sorted, distinct): fresh, disjoint,
+    overlapping, repeated and subset batches. After every call the memo's
+    codes are sorted, distinct and name each unordered pair by its lower
+    row first; every value it holds, both orders, and every value returned
+    equals a plain one-way call bit for bit, +inf and -inf rows of PALETTE
+    included; and overwriting the returned arrays leaves the memo as it
+    was."""
     rng = np.random.default_rng(seed)
     if full:
         table = rng.dirichlet(np.ones(3), 6) + 1e-3
@@ -333,12 +331,11 @@ def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
         table = PALETTE[rng.integers(0, 4, 6)]
     n = len(table)
     memo: dict = {}
-    for pairs, plan_order in batches:
+    for pairs in batches:
         left, right = np.array(pairs, dtype=np.intp).T
-        if plan_order:
-            codes = _sorted_distinct(np.minimum(left, right) * n
-                                     + np.maximum(left, right))
-            left, right = codes // n, codes % n
+        codes = _sorted_distinct(np.minimum(left, right) * n
+                                 + np.maximum(left, right))
+        left, right = codes // n, codes % n
         for divergence in DIVERGENCES + (MaxDivergence(1.0),):
             there, back = _divergence_pairs(divergence, table, left, right,
                                             memo)
@@ -353,3 +350,45 @@ def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
             assert np.all(codes[1:] > codes[:-1]) and np.all(low <= high)
             assert hexes(there) == hexes(one_way(divergence, table, low, high))
             assert hexes(back) == hexes(one_way(divergence, table, high, low))
+
+
+def test_every_memo_call_passes_canonical_pairs(rng, monkeypatch):
+    """Each call that passes a memo, from the label audits,
+    ``geometric_mechanism`` and ``check_cp_theorem``, lists its row pairs
+    lower row first, sorted and distinct, as the memo stores them; the
+    relation itself names pairs in both orders, repeats one and names a
+    self pair."""
+    seen = []
+
+    def spy(divergence, table, left, right, memo=None):
+        if memo is not None:
+            seen.append((np.asarray(left), np.asarray(right), len(table)))
+        return divergences._divergence_pairs(divergence, table, left, right,
+                                             memo)
+
+    monkeypatch.setattr(audit, "_divergence_pairs", spy)
+    monkeypatch.setattr(mechanisms, "_divergence_pairs", spy)
+    ground = labels(6)
+    metric = GroundMetric.line(ground)
+    kernel = rand_kernel(rng, ground, labels(4, "y"))
+    phi = PointRelation([("x4", "x1"), ("x1", "x4"), ("x0", "x5"),
+                         ("x3", "x3"), ("x5", "x2"), ("x4", "x1")])
+    aux = ("s", "t", "u")
+    approx = {s: rand_dist(rng, labels(4, "y")) for s in aux}
+    spec = build_coupling_mechanism(rand_dist(rng, labels(4, "y")), approx,
+                                    "northwest")
+    actual = {s: tilted(rng, lam, 0.05) for s, lam in approx.items()}
+    calls = [
+        lambda: audit_div_dp(kernel, phi, KL),
+        lambda: audit_div_xdp(kernel, phi, metric, MaxDivergence(0.1)),
+        lambda: geometric_mechanism(ground, 0.7, metric),
+        lambda: check_cp_theorem(spec, actual),
+    ]
+    for call in calls:
+        before = len(seen)
+        call()
+        assert len(seen) > before
+    for left, right, n in seen:
+        codes = left * n + right
+        assert np.all(left <= right)
+        assert np.all(codes[1:] > codes[:-1])

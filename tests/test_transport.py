@@ -361,6 +361,12 @@ def test_wasserstein_p_rejects_bad_order():
         wasserstein_p(LAM, MU, LINE3, p=math.inf)
 
 
+@pytest.mark.parametrize("p", ["inf", "abc", math.nan, "0.5"])
+def test_wasserstein_p_refuses_malformed_orders_cleanly(p):
+    with pytest.raises(ValidationError, match="order p must be finite"):
+        wasserstein_p(LAM, MU, LINE3, p=p)
+
+
 def test_wasserstein_p_matches_emd_at_one():
     assert wasserstein_p(LAM, MU, LINE3, p=1.0).cost == pytest.approx(
         emd(LAM, MU, LINE3).cost
