@@ -8,12 +8,12 @@ exceptions are reserved for malformed inputs.
 All auditors and the coupling-mechanism theorem check share one core,
 ``_audit``, which takes a pair plan (``finite_prob._PairPlan``): the
 table rows and label of every pair, and the distinct unordered row pairs
-that its two directions read, lower row first and sorted. The plan is
-the one place where pairs become canonical; the row kernel and a
-kernel's memo take its pairs as they come. The blocked row kernel of
-``divergences`` evaluates each of them once, in both orders, from one
-gather of its two rows, and the plan's ``inverse`` scatters those values
-onto the forward and backward directions of (a, b), and of (b, a).
+that its two directions read, lower row first and sorted. Listing each
+unordered pair once is how an audit evaluates it once; a kernel's memo
+takes pairs in any order. The blocked row kernel of ``divergences``
+evaluates each of them once, in both orders, from one gather of its two
+rows, and the plan's ``inverse`` scatters those values onto the forward
+and backward directions of (a, b), and of (b, a).
 ``finite_prob._kept`` keeps work on the frozen object it belongs to: a
 relation's plan, built on its first audit per input ground (label
 relation) or kind of mechanism (distribution relation); a coupling

@@ -248,52 +248,36 @@ def _blocked_rows(rows, table, left, right, name: str) -> np.ndarray:
     return out
 
 
-# A memo's entry before its first pair: no codes, no values.
-_NOTHING = (np.empty(0, dtype=np.intp), np.empty((2, 0)))
-
-
 def _divergence_pairs(divergence, table, left, right, memo=None) -> np.ndarray:
     """The divergence of row ``left[i]`` of ``table`` from row ``right[i]``,
     over that of ``right[i]`` from ``left[i]``, for every i (2 x pairs),
     each equal bit for bit to the one-pair call in that order.
 
-    ``memo``, a dict kept with ``table`` (a kernel's, which
-    ``finite_prob._kept`` keeps on it as ``"row memo"``), holds per
-    divergence the sorted codes ``left * len(table) + right`` of the row
-    pairs evaluated so far, with their values in both orders, so each
-    unordered pair is evaluated once whatever the calls that ask for it.
-    A call with a memo passes canonical pairs, as a pair plan's ``first``
-    and ``second`` or ``np.triu_indices`` list them: ``left <= right``,
-    sorted and distinct. A first batch is the memo as it stands; later
-    ones are merged in by code. Its size grows with the distinct pairs
-    evaluated, not with the square of the row count.
+    ``memo``, a dict kept with ``table`` (a kernel's ``"row memo"``, kept
+    by ``finite_prob._kept``), holds per divergence an n x n array over
+    the rows of ``table``, 8 n^2 bytes: [a, b] is D(row a || row b), NaN
+    until evaluated (``_generated`` and ``_summed`` raise on a NaN value).
+    A call evaluates, in both orders, only the pairs it names that the array
+    lacks, so none it holds is evaluated again, in whatever order asked.
     """
     rows = _row_function(divergence)
     try:
-        known = None if memo is None else memo.get(divergence, _NOTHING)
+        known = None if memo is None else memo.get(divergence)
     except TypeError:  # a custom generator that cannot be hashed
-        known = None
+        known = memo = None
     if known is None:
-        return _blocked_rows(rows, table, left, right, divergence.name)
-    want = left * len(table) + right
-    codes, values = known
-    if not len(codes):  # the caller gets its own copy
         found = _blocked_rows(rows, table, left, right, divergence.name)
-        memo[divergence] = want, found
-        return found.copy()
-    at = np.searchsorted(codes, want)
-    missing = np.ones(len(want), dtype=bool)
-    inside = at < len(codes)
-    missing[inside] = codes[at[inside]] != want[inside]
-    COUNTS["memo hits", divergence.name] += len(want) - int(missing.sum())
+        if memo is not None:  # the caller gets the values, the memo a copy
+            known = memo[divergence] = np.full((len(table),) * 2, np.nan)
+            known[left, right], known[right, left] = found
+        return found
+    missing = np.isnan(known[left, right])
+    COUNTS["memo hits", divergence.name] += len(missing) - int(missing.sum())
     if missing.any():
-        found = _blocked_rows(rows, table, left[missing], right[missing],
-                              divergence.name)
-        codes = np.insert(codes, at[missing], want[missing])
-        values = np.insert(values, at[missing], found, axis=1)
-        memo[divergence] = codes, values
-        at = np.searchsorted(codes, want)
-    return values[:, at]
+        a, b = left[missing], right[missing]
+        known[a, b], known[b, a] = _blocked_rows(rows, table, a, b,
+                                                 divergence.name)
+    return np.stack([known[left, right], known[right, left]])
 
 
 def _generated(kind: FDivergenceKind, ratios) -> np.ndarray:

@@ -10,8 +10,8 @@ entries are finite, entries below -TAU_ZERO are rejected and the rest
 clipped to 0, and the mass (in total, or per kernel row) is within
 ``tau_mass`` of 1, never renormalized. The stored copy is read-only. A cost
 table also rejects any entry below 0 and a diagonal entry above TAU_NUM.
-Parts valid by construction (solver plans, lifts, kernel rows) are built
-through ``_trusted``, which keeps only the mass check, at TAU_MASS.
+Parts valid by construction go through ``_trusted``, which copies, scans
+and clips nothing; only solver plans and ``cp_kernel`` rows keep a mass check.
 """
 
 from __future__ import annotations
@@ -290,11 +290,12 @@ def lift(kernel: StochasticKernel, lam: FiniteDistribution) -> FiniteDistributio
 
 
 def _distribution(ground: tuple[str, ...], probs: np.ndarray) -> FiniteDistribution:
-    """A distribution of probabilities valid by construction over a clean
-    ground; only its mass is checked (see ``_trusted``)."""
+    """A distribution of probabilities valid by construction, a kernel row
+    or a lift, over a clean ground: read-only, its mass not checked again."""
+    probs.setflags(write=False)
     return _trusted(FiniteDistribution, {
         "ground": ground, "probs": probs,
-        "_index": {x: i for i, x in enumerate(ground)}}, "probs", "distribution")
+        "_index": {x: i for i, x in enumerate(ground)}})
 
 
 def _lifted_probs(kernel: StochasticKernel, lam: FiniteDistribution) -> np.ndarray:
@@ -357,12 +358,12 @@ class _PairPlan:
 
     Pair i, named ``labels[i]``, compares row ``left[i]`` of a table with
     row ``right[i]``. ``first[k] <= second[k]`` list every unordered row
-    pair that the pairs name, each once, sorted: the one canonical form of
-    pairs, in which a kernel's memo takes and stores them. The row kernel
-    evaluates each of them in both orders, ``first`` from ``second`` and
-    back, and ``inverse`` maps the forward directions, then the backward
-    ones, onto those values: the first orders of all the unordered pairs,
-    then the second orders.
+    pair that the pairs name, each once, sorted, so that an audit
+    evaluates each of them once; a kernel's memo would take them in any
+    order. The row kernel evaluates each in both orders, ``first`` from
+    ``second`` and back, and ``inverse`` maps the forward directions, then
+    the backward ones, onto those values: the first orders of all the
+    unordered pairs, then the second orders.
     """
 
     labels: tuple[str, ...]

@@ -397,7 +397,8 @@ def stability_check(
     Metric form (``pairs`` + ``metric``): every pair must satisfy
     W(T#a, T#b) <= c * W(a, b) + TAU_NUM for the chosen Wasserstein order.
     The pairs and their images are interned, so each distinct ordered pair
-    is measured once, and a pair of point masses takes no solve.
+    is measured once, and a pair of point masses takes no solve. Images
+    off unit mass by more than TAU_MASS raise at a solve's mass check.
 
     Relation form (``relation``): for every related pair, the image of the
     right member must reach the image of the left member in at most ``c``

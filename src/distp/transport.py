@@ -64,7 +64,7 @@ from .finite_prob import (
 )
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
 
-# Reduced costs above -REDUCED_COST_TOL are treated as optimal.
+# Reduced costs above -REDUCED_COST_TOL * (largest cost, or 1) are optimal.
 REDUCED_COST_TOL = 1e-12
 
 
@@ -317,6 +317,7 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
         flow = mass.ravel().tolist()
         cells = [i * n + j for i, j in basis]
     cl = cost.ravel().tolist()
+    tol = REDUCED_COST_TOL * (float(cost.max()) or 1.0)
     al = None if allowed is None else allowed.ravel().tolist()
     tree = adj, parent, depth, edge, pot = _tree(cells, cl, m, n)
     # the cost with +inf on the cells that may not enter: basic or forbidden
@@ -334,10 +335,10 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
         np.subtract(priced2, u, out=reduced2)
         np.subtract(reduced2, v, out=reduced2)
         if run > m + n:
-            k = int(np.argmax(reduced < -REDUCED_COST_TOL))
+            k = int(np.argmax(reduced < -tol))
         else:
             k = int(reduced.argmin())
-        if not reduced.item(k) < -REDUCED_COST_TOL:
+        if not reduced.item(k) < -tol:
             cells = edge[1:]  # nonbasic cells carry no flow
             mass = np.zeros(m * n)
             mass[cells] = [flow[c] for c in cells]
@@ -483,13 +484,25 @@ def wasserstein_p(
     p = _order(p)
     if p == math.inf:
         raise ValidationError(f"order p must be finite and >= 1, got {p!r}")
-    powered = _cost_block(metric, lam.ground, mu.ground) ** p
+    powered = _powered(_cost_block(metric, lam.ground, mu.ground), p)
     plan = _simplex(lam.probs, mu.probs, powered)
     return TransportResult(
         Coupling._solved(lam.ground, mu.ground, plan.mass),
         float(np.sum(powered * plan.mass)) ** (1.0 / p),
         frozenset(plan.basis), plan.pivots, plan.degenerate_pivots,
     )
+
+
+def _powered(cost: np.ndarray, p: float) -> np.ndarray:
+    """``cost ** p``, ``cost`` itself at p = 1 (``x ** 1.0`` is x); raises
+    where a positive cost powers to 0 or to infinity."""
+    if p == 1.0:
+        return cost
+    with np.errstate(over="ignore"):
+        powered = cost**p
+    if np.isinf(powered).any() or np.any((powered == 0.0) & (cost > 0.0)):
+        raise ValidationError(f"costs to the power {p:g} leave the float range")
+    return powered
 
 
 def wasserstein_inf(
@@ -641,7 +654,7 @@ def _pair_distances(dists, left, right, metric, order: float | str) -> np.ndarra
             grounds = (lam.ground, mu.ground)
             if grounds not in blocks:
                 cost = _cost_block(metric, *grounds)
-                blocks[grounds] = cost if p == math.inf else cost**p
+                blocks[grounds] = cost if p == math.inf else _powered(cost, p)
             value = float(blocks[grounds][a, b])
             known[i, j] = value if p == math.inf else value ** (1.0 / p)
         else:

@@ -24,8 +24,10 @@ from distp import (
     point_distribution,
     product_distribution,
     split_pair_label,
+    stability_check,
     uniform_distribution,
 )
+from distp.finite_prob import _lifted_probs
 from distp.tolerances import TAU_NUM
 from conftest import euclidean_metric, labels, rand_dist, rand_kernel
 
@@ -154,6 +156,13 @@ class TestStochasticKernel:
         assert k.row("b").probs.tolist() == [1.0, 0.0]
         assert k.row_by_index(0)["u"] == 0.3
 
+    def test_a_loose_kernel_hands_out_its_own_rows(self):
+        # a row is taken as its kernel holds it, at the kernel's tau_mass
+        k = StochasticKernel(("a", "b"), ("y", "z"),
+                             [[0.5, 0.5 + 5e-7], [0.3, 0.7]], tau_mass=1e-6)
+        assert k.row("a").probs.tolist() == [0.5, 0.5 + 5e-7]
+        assert k.row_by_index(1).probs.tolist() == [0.3, 0.7]
+
     def test_identity(self):
         k = StochasticKernel.identity(("a", "b", "c"))
         np.testing.assert_array_equal(k.matrix, np.eye(3))
@@ -176,6 +185,24 @@ class TestLift:
         out = lift(k, point_distribution("b", ("a", "b")))
         # exact row extraction, not merely close
         assert out.probs.tolist() == [0.9, 0.1]
+
+    def test_a_lift_is_not_checked_again(self):
+        # inputs each within TAU_MASS whose product is not: the lift is
+        # _lifted_probs bit for bit, as the distribution audits read it
+        v = 0.5 + 4.5e-10
+        lam = FiniteDistribution(("a", "b"), [v, v])
+        k = StochasticKernel(("a", "b"), ("a", "b"), [[v, v], [v, v]])
+        lifted = lift(k, lam)
+        assert lifted.probs.tobytes() == _lifted_probs(k, lam).tobytes()
+        assert not lifted.probs.flags.writeable
+        # the relation form compares lifts; the metric form solves, and a
+        # solver plan keeps its mass check
+        mu = FiniteDistribution(("a", "b"), [0.3, 0.7])
+        relation = DistributionPairRelation([(lam, mu)])
+        assert stability_check(k, 1, relation=relation) is True
+        with pytest.raises(ValidationError, match="outside tolerance"):
+            stability_check(k, 1.0, pairs=[(lam, mu)],
+                            metric=GroundMetric.line(("a", "b")))
 
     def test_ground_must_match(self):
         k = StochasticKernel.identity(("a", "b"))

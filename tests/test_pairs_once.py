@@ -38,7 +38,7 @@ from distp import (
 from distp import audit, divergences, mechanisms
 from distp.audit import NOTION_DP, _audit
 from distp.divergences import _BLOCK_CELLS, _divergence_pairs
-from distp.finite_prob import _point_plan, _sorted_distinct
+from distp.finite_prob import _point_plan
 from conftest import (
     kernel_count,
     labels,
@@ -314,15 +314,15 @@ def test_a_kind_that_cannot_be_hashed_is_evaluated_without_the_memo(rng):
     st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                       min_size=1, max_size=10), min_size=1, max_size=4),
 )
-def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
-    """Batches of row pairs into one memo, each in the canonical form a
-    pair plan gives (lower row first, sorted, distinct): fresh, disjoint,
-    overlapping, repeated and subset batches. After every call the memo's
-    codes are sorted, distinct and name each unordered pair by its lower
-    row first; every value it holds, both orders, and every value returned
-    equals a plain one-way call bit for bit, +inf and -inf rows of PALETTE
-    included; and overwriting the returned arrays leaves the memo as it
-    was."""
+def test_memo_table_holds_exactly_the_pairs_asked_for(seed, full, batches):
+    """Batches of row pairs into one memo, each as drawn: unsorted,
+    mirrored and repeated pairs, in fresh, disjoint, overlapping, repeated
+    and subset batches. After every call the memo is one square array per
+    divergence; every pair asked for so far holds, in both orders, a plain
+    one-way call's value bit for bit, +inf and -inf rows of PALETTE
+    included, and every other entry is NaN; every value returned equals
+    the plain call; and overwriting the returned arrays leaves the memo as
+    it was."""
     rng = np.random.default_rng(seed)
     if full:
         table = rng.dirichlet(np.ones(3), 6) + 1e-3
@@ -331,11 +331,11 @@ def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
         table = PALETTE[rng.integers(0, 4, 6)]
     n = len(table)
     memo: dict = {}
+    asked = np.zeros((n, n), dtype=bool)
     for pairs in batches:
         left, right = np.array(pairs, dtype=np.intp).T
-        codes = _sorted_distinct(np.minimum(left, right) * n
-                                 + np.maximum(left, right))
-        left, right = codes // n, codes % n
+        asked[left, right] = asked[right, left] = True
+        low, high = np.nonzero(asked)
         for divergence in DIVERGENCES + (MaxDivergence(1.0),):
             there, back = _divergence_pairs(divergence, table, left, right,
                                             memo)
@@ -345,17 +345,37 @@ def test_memo_stays_sorted_distinct_and_exact(seed, full, batches):
                                                 left))
             there.fill(np.nan)
             back.fill(np.nan)
-            codes, (there, back) = memo[divergence]
-            low, high = codes // n, codes % n
-            assert np.all(codes[1:] > codes[:-1]) and np.all(low <= high)
-            assert hexes(there) == hexes(one_way(divergence, table, low, high))
-            assert hexes(back) == hexes(one_way(divergence, table, high, low))
+            known = memo[divergence]
+            assert known.shape == (n, n)
+            assert np.isnan(known[~asked]).all()
+            assert hexes(known[low, high]) == hexes(one_way(divergence, table,
+                                                            low, high))
+
+
+@pytest.mark.parametrize("divergence", DIVERGENCES, ids=lambda d: d.name)
+def test_pairs_asked_for_in_any_order_are_evaluated_once(divergence):
+    """A first batch out of canonical order, (3, 5), (4, 1), (0, 2), asked
+    for again lower row first and sorted, is read from the memo whole."""
+    table = PALETTE[[0, 1, 2, 3, 1, 2]]
+    memo: dict = {}
+
+    def ask(left, right):
+        return _divergence_pairs(divergence, table, np.array(left),
+                                 np.array(right), memo)
+
+    assert evaluated(lambda: ask([3, 4, 0], [5, 1, 2])) == 3
+    assert evaluated(lambda: ask([0, 1, 3], [2, 4, 5])) == 0
+    assert evaluated(lambda: ask([2, 5, 5, 1], [0, 3, 3, 4])) == 0
+    there, back = ask([2, 1], [0, 4])
+    assert hexes(there) == hexes(one_way(divergence, table, [2, 1], [0, 4]))
+    assert hexes(back) == hexes(one_way(divergence, table, [0, 4], [2, 1]))
 
 
 def test_every_memo_call_passes_canonical_pairs(rng, monkeypatch):
     """Each call that passes a memo, from the label audits,
     ``geometric_mechanism`` and ``check_cp_theorem``, lists its row pairs
-    lower row first, sorted and distinct, as the memo stores them; the
+    lower row first, sorted and distinct, so that it evaluates each
+    unordered pair once; the memo would take them in any order. The
     relation itself names pairs in both orders, repeats one and names a
     self pair."""
     seen = []

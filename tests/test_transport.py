@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,43 @@ def test_wasserstein_p_matches_emd_at_one():
     assert wasserstein_p(LAM, MU, LINE3, p=1.0).cost == pytest.approx(
         emd(LAM, MU, LINE3).cost
     )
+
+
+# lam = [.5, .3, .2] and mu = [.2, .3, .5] on a line of spacing h: the
+# monotone coupling, optimal at every order p >= 1, ships 0.3 one step
+# twice, so W_p = 0.6 ** (1 / p) * h.
+def skewed_line_pair(positions):
+    ground = labels(3)
+    return (FiniteDistribution(ground, [0.5, 0.3, 0.2]),
+            FiniteDistribution(ground, [0.2, 0.3, 0.5]),
+            GroundMetric.line(ground, positions))
+
+
+@pytest.mark.parametrize("p, h", [(2.0, 1e-7), (100.0, 1e-3)])
+def test_wasserstein_p_pivots_on_costs_far_below_one(p, h):
+    # every powered cost lies below 1e-12, the reduced-cost tolerance at
+    # unit costs, so the start plan is optimal only to that absolute bound
+    lam, mu, metric = skewed_line_pair([0.0, h, 2.0 * h])
+    got = wasserstein_p(lam, mu, metric, p)
+    assert got.pivots > 0
+    assert got.cost == pytest.approx(0.6 ** (1.0 / p) * h, rel=1e-9)
+
+
+@pytest.mark.parametrize("p, positions", [(800.0, [0.0, 1.5, 3.0]),
+                                          (200.0, [0.0, 1e-3, 2e-3])])
+def test_costs_that_power_past_the_float_range_are_refused(p, positions):
+    # 3 ** 800 overflows and 1e-3 ** 200 underflows: the distance would
+    # read NaN, or 0 between distinct distributions
+    lam, mu, metric = skewed_line_pair(positions)
+    ends = [point_distribution("x0", lam.ground),
+            point_distribution("x2", lam.ground)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="float range"):
+            wasserstein_p(lam, mu, metric, p)
+        with pytest.raises(ValidationError, match="float range"):
+            transport._pair_distances(ends, np.array([0]), np.array([1]),
+                                      metric, p)
 
 
 def test_wasserstein_monotone_in_order(rng):
