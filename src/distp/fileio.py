@@ -107,6 +107,8 @@ def _parsed(data: Any, what: str, keys: tuple[str, ...]) -> list:
         row_what = f"{what} {values!r} row"
         numbers = [[_as_float(v, values) for v in _array(row, row_what)]
                    for row in numbers]
+        if len(set(map(len, numbers))) > 1:
+            raise ValidationError(f"{what} {values!r} rows differ in length")
     labels = [tuple(map(str, _array(data[key], f"{what} {key!r}")))
               for key in grounds]
     return labels + [np.array(numbers)]

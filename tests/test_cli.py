@@ -215,6 +215,14 @@ def test_kernel_row_that_is_not_an_array_exits_one(files):
     assert proc.stderr == "error: kernel 'rows' row must be a JSON array, got 1\n"
 
 
+def test_kernel_rows_of_different_lengths_exit_one(files):
+    mech = files("k.json", {"inputs": ["a", "b"], "outputs": ["y", "z"],
+                            "rows": [[0.5, 0.5], [1.0]]})
+    data = files("points.csv", "x\na\n")
+    proc = run("obfuscate", "--mech", mech, "--data", data, expect=1)
+    assert proc.stderr == "error: kernel 'rows' rows differ in length\n"
+
+
 def test_distribution_probs_that_are_not_an_array_exit_one(files):
     lhs = files("bad.json", {"ground": ["a"], "probs": 1})
     rhs = files("b.json", {"ground": ["a"], "probs": [1.0]})

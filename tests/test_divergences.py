@@ -14,14 +14,18 @@ from distp import (
     REVERSE_KL,
     STANDARD_KINDS,
     TOTAL_VARIATION,
+    CouplingMechanismSpec,
+    DimensionMismatchError,
     DistributionPairRelation,
     FDivergenceKind,
     FiniteDistribution,
     GroundMetric,
+    GroundMismatchError,
     InvalidGeneratorError,
     MaxDivergence,
     PointRelation,
     StochasticKernel,
+    UnknownLabelError,
     ValidationError,
     approx_max_divergence,
     audit_distp,
@@ -30,6 +34,7 @@ from distp import (
     audit_xdistp,
     build_coupling_mechanism,
     check_cp_theorem,
+    cp_kernel,
     custom_kind,
     delta_required,
     divergence_value,
@@ -38,6 +43,7 @@ from distp import (
     max_divergence,
     point_distribution,
     randomized_response,
+    stability_check,
     uniform_distribution,
 )
 from distp.fileio import kernel_from_dict, load_json
@@ -88,6 +94,12 @@ def test_custom_kind_accepts_scalar_callable():
     mu = dist(0.2, 0.8)
     nu = dist(0.5, 0.5)
     assert f_divergence(mine, mu, nu) == pytest.approx(f_divergence(KL, mu, nu))
+
+
+def test_custom_kind_calls_a_generator_of_the_wrong_shape_per_scalar():
+    # an array in gives one number out, so the generator is vectorized
+    mine = custom_kind("sq", lambda t: float(np.sum((np.asarray(t) - 1.0) ** 2)))
+    assert mine(np.array([0.5, 1.0, 3.0])).tolist() == [0.25, 0.0, 4.0]
 
 
 def test_custom_kind_rejects_concave():
@@ -441,3 +453,49 @@ def test_divergence_value_dispatch(rng):
 def test_max_divergence_descriptor_names():
     assert MaxDivergence().name == "max"
     assert MaxDivergence(0.05).name == "max(delta=0.05)"
+
+
+# ---------------------------------------------------------------------------
+# errors raised through the public API
+
+
+ON_GROUND = FiniteDistribution(("a", "b"), np.array([0.25, 0.75]))
+OFF_GROUND = FiniteDistribution(("p", "q"), np.array([0.25, 0.75]))
+
+
+def _spec():
+    target = FiniteDistribution(("y0", "y1"), np.array([0.5, 0.5]))
+    return build_coupling_mechanism(target, {"s": ON_GROUND}, mode="northwest")
+
+
+RAISES = {
+    "cp_theorem_actual_on_another_ground": (
+        lambda: check_cp_theorem(_spec(), {"s": OFF_GROUND}),
+        GroundMismatchError, "shared ground"),
+    "divergence_value_across_grounds": (
+        lambda: divergence_value(KL, ON_GROUND, OFF_GROUND),
+        GroundMismatchError, "shared ground"),
+    "custom_kind_not_finite": (
+        lambda: custom_kind("inf", lambda t: np.full_like(t, np.inf)),
+        InvalidGeneratorError, "not finite on the check grid"),
+    "line_positions_of_another_size": (
+        lambda: GroundMetric.line(("a", "b"), [0.0]),
+        DimensionMismatchError, "positions must match ground size"),
+    "spec_without_entries": (
+        lambda: CouplingMechanismSpec(_spec().target, ()),
+        ValidationError, "at least one auxiliary value"),
+    "cp_kernel_unknown_aux": (
+        lambda: cp_kernel(_spec(), "zz"),
+        UnknownLabelError, "'zz' not in mechanism"),
+    "stability_pairs_without_metric": (
+        lambda: stability_check(StochasticKernel.identity(("a", "b")), 1.0,
+                                pairs=[(ON_GROUND, ON_GROUND)]),
+        ValidationError, "metric form needs both pairs and metric"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISES))
+def test_public_call_raises(case):
+    call, error, match = RAISES[case]
+    with pytest.raises(error, match=match):
+        call()

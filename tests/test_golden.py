@@ -4,14 +4,27 @@ Each case runs ``distp`` in-process on the fixed inputs under
 ``tests/golden/inputs`` and compares standard output and the exit code with
 ``tests/golden/<case>.out``. Any change in a report, down to the last digit
 of a float, fails here; regenerate a golden file only for a change that is
-meant to alter that report.
+meant to alter that report. Every case runs with a RuntimeWarning as an
+error, so no report rests on a divide or log that numpy warned about.
+
+``CASES`` is the one list of golden commands. The malformed-input checks
+run each command again with one of its input files replaced, so a new
+golden is checked there with no further edit.
 """
 
+import io
+import json
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distp.cli import main
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -170,10 +183,87 @@ def test_cli_report_matches_golden(name, monkeypatch, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
 
 
-def test_obfuscate_out_file_matches_golden(monkeypatch, capsys, tmp_path):
-    out = tmp_path / "y.csv"
+@pytest.mark.parametrize("name", ["obfuscate_quoted", "couple_mech_northwest"])
+def test_out_file_matches_golden(name, monkeypatch, capsys, tmp_path):
+    out = tmp_path / "out"
     monkeypatch.chdir(INPUTS)
-    assert main([*CASES["obfuscate_quoted"][0], "--out", str(out)]) == 0
-    expected = (GOLDEN / "obfuscate_quoted.out").read_bytes()
+    assert main([*CASES[name][0], "--out", str(out)]) == 0
+    expected = (GOLDEN / f"{name}.out").read_bytes()
     assert out.read_bytes() == expected
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def input_files(args) -> list[str]:
+    return [arg for arg in args if (INPUTS / arg).is_file()]
+
+
+def run_with(workdir: Path, file: str, text: str, args) -> tuple[int, str]:
+    """Run ``args`` in ``workdir``, which holds a copy of the inputs, with
+    ``file`` holding ``text``, then restore the file. Returns the exit code
+    and standard error."""
+    (workdir / file).write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            redirect_stdout(io.StringIO()), redirect_stderr(err):
+        patch.chdir(workdir)
+        code = main(list(args))
+    shutil.copy(INPUTS / file, workdir / file)
+    return code, err.getvalue()
+
+
+def assert_fails_cleanly(code: int, err: str, must_fail: bool, what: str):
+    """Exit 1 with a last stderr line ``error: ...``; where the file may
+    still hold valid data (a label CSV cut short), exit 0 or 2 as well."""
+    assert code == 1 or (not must_fail and code in (0, 2)), (what, code)
+    if code == 1:
+        assert err.splitlines()[-1].startswith("error:"), (what, err)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_malformed_input_fails_cleanly(name, tmp_path):
+    args, _ = CASES[name]
+    shutil.copytree(INPUTS, tmp_path, dirs_exist_ok=True)
+    for file in input_files(args):
+        text = (INPUTS / file).read_text(encoding="utf-8")
+        for bad in ("", text[: len(text) // 2], "null", "[]", "{}", '"x"', "1"):
+            code, err = run_with(tmp_path, file, bad, args)
+            assert_fails_cleanly(code, err, file.endswith(".json"),
+                                 f"{file} holding {bad[:20]!r}")
+
+
+def json_paths(node, at=()):
+    """The path of every number and every array inside parsed JSON."""
+    if isinstance(node, list):
+        yield at
+        for i, child in enumerate(node):
+            yield from json_paths(child, (*at, i))
+    elif isinstance(node, dict):
+        for key, child in node.items():
+            yield from json_paths(child, (*at, key))
+    elif isinstance(node, (int, float)):
+        yield at
+
+
+@pytest.mark.slow
+@settings(max_examples=300)
+@given(data=st.data())
+def test_poisoned_json_input_fails_cleanly(data, tmp_path_factory):
+    """One number becomes a string, which must fail, or one array loses an
+    element, which may leave valid data (a relation with one pair fewer)."""
+    args, _ = CASES[data.draw(st.sampled_from(sorted(CASES)))]
+    files = [file for file in input_files(args) if file.endswith(".json")]
+    file = data.draw(st.sampled_from(files))
+    root = json.loads((INPUTS / file).read_text(encoding="utf-8"))
+    *path, last = data.draw(st.sampled_from([p for p in json_paths(root) if p]))
+    holder = root
+    for key in path:
+        holder = holder[key]
+    must_fail = not isinstance(holder[last], list)
+    if must_fail:
+        holder[last] = "x"
+    elif holder[last]:
+        del holder[last][data.draw(st.integers(0, len(holder[last]) - 1))]
+    workdir = tmp_path_factory.mktemp("poisoned")
+    shutil.copytree(INPUTS, workdir, dirs_exist_ok=True)
+    code, err = run_with(workdir, file, json.dumps(root), args)
+    assert_fails_cleanly(code, err, must_fail, f"{file} at {(*path, last)}")

@@ -18,6 +18,7 @@ from distp import cli
 from distp.divergences import KIND_BY_NAME
 
 HELP = Path(__file__).parent / "golden" / "help.out"
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def _python(*args, env=None):
@@ -25,11 +26,16 @@ def _python(*args, env=None):
                           text=True, env=env)
 
 
-def _imported(importtime_log: str) -> set[str]:
-    """Top-level package of every module that ``-X importtime`` logged."""
-    return {line.rsplit("|", 1)[-1].strip().split(".")[0]
+def _modules(importtime_log: str) -> set[str]:
+    """Every module that ``-X importtime`` logged."""
+    return {line.rsplit("|", 1)[-1].strip()
             for line in importtime_log.splitlines()
             if line.startswith("import time:")}
+
+
+def _imported(importtime_log: str) -> set[str]:
+    """Top-level package of every module that ``-X importtime`` logged."""
+    return {name.split(".")[0] for name in _modules(importtime_log)}
 
 
 @pytest.mark.parametrize("args, code", [
@@ -54,11 +60,8 @@ def test_import_distp_leaves_numpy_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_w_inf_solve_leaves_numpy_ma_unloaded():
-    """The bottleneck search lists the distinct costs without np.unique,
-    whose first plain call in a process imports numpy.ma."""
-    proc = _python("-c", """
-import sys
+@pytest.mark.parametrize("args", [
+    ("-c", """
 import numpy as np
 from distp import FiniteDistribution, GroundMetric, wasserstein_inf
 ground = tuple("abcd")
@@ -66,10 +69,18 @@ lam = FiniteDistribution(ground, np.array([0.5, 0.5, 0.0, 0.0]))
 mu = FiniteDistribution(ground, np.array([0.0, 0.0, 0.5, 0.5]))
 metric = GroundMetric.line(ground, [0.0, 0.5, 2.0, 2.5])
 assert wasserstein_inf(lam, mu, metric).cost == 2.0
-print("numpy.ma" in sys.modules)
-""")
+"""),
+    ("-m", "distp.cli", "emd", "--lhs", str(INPUTS / "mu.json"), "--rhs",
+     str(INPUTS / "nu.json"), "--cost", str(INPUTS / "y_metric.csv"), "--inf"),
+], ids=["library", "cli"])
+def test_w_inf_solve_leaves_numpy_ma_unloaded(args):
+    """The bottleneck search lists the distinct costs without np.unique,
+    whose first plain call in a process imports numpy.ma."""
+    proc = _python("-X", "importtime", *args)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    modules = _modules(proc.stderr)
+    assert "numpy" in modules
+    assert "numpy.ma" not in modules
 
 
 def test_exports_are_their_home_modules_objects():

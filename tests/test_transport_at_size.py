@@ -14,7 +14,9 @@ missed a simplex optimum by 9.4e-12 on a 27-point instance, so the check is
 relative, not an absolute 1e-12. The returned basis also certifies itself:
 its ``dual_potentials`` leave no reduced cost below -1e-12 times the
 largest cost, zero (to that much) on the basic cells, and a dual objective
-equal to the primal cost. ``networkx.network_simplex`` is a second W1
+equal to the primal cost. The Euclidean instances also run with their costs
+scaled by 1e3 and 1e5, where the potentials' rounding grows with the scale
+and an absolute 1e-12 would fail on rounding alone. ``networkx.network_simplex`` is a second W1
 oracle, on integer costs and marginals in units of 2**-20: every flow,
 marginal and cost sum is then exact in floating point, so the two optima
 must be equal, and so must the plan's marginals and the inputs.
@@ -186,10 +188,14 @@ def test_wasserstein_inf_matches_oracle_threshold_search(n, family, oracle):
     assert got.coupling.mass[metric.cost > got.cost].max(initial=0.0) == 0.0
 
 
-@pytest.mark.parametrize("family", ["euclidean", "discrete", "line"])
+@pytest.mark.parametrize("family, scale", [
+    ("euclidean", 1.0), ("discrete", 1.0), ("line", 1.0),
+    ("euclidean", 1e3), ("euclidean", 1e5),
+])
 @pytest.mark.parametrize("n", [80, 120, 200])
-def test_emd_matches_highs_with_a_dual_certificate(n, family):
+def test_emd_matches_highs_with_a_dual_certificate(n, family, scale):
     lam, mu, metric = instance(n, family)
+    metric = GroundMetric(metric.ground, scale * metric.cost)
     got = emd(lam, mu, metric)
     assert got.cost == pytest.approx(lp_w1(lam.probs, mu.probs, metric.cost),
                                      rel=1e-9, abs=0.0)
