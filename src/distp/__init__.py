@@ -13,7 +13,10 @@ execute on first attribute access, so a CLI process that only parses its
 arguments never imports numpy. They are real ``sys.modules`` entries, not
 imports deferred into functions, because tools outside the package look
 them up by name: the benchmark tracer, for one, wraps functions in
-``sys.modules["distp.<module>"]``. A name exported here, such as
+``sys.modules["distp.<module>"]``. Inside the package, a numpy module
+that uses a sibling only within functions reaches it through the module
+(``from . import transport``, then ``transport.emd``), so the sibling
+executes only when a call needs it. A name exported here, such as
 ``distp.emd``, is resolved from its home module on first access (PEP 562)
 and cached in the package namespace.
 """

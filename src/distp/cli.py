@@ -12,7 +12,13 @@ and the package's lazy submodules, and each handler reaches the library
 through a module attribute (``fileio.load_json``, ``transport.emd``), so
 a module executes when a handler first touches it. ``--version``,
 ``--help`` and usage errors therefore cost an interpreter start and
-argparse, and ``obfuscate`` never loads the auditors.
+argparse. The library modules each handler executes:
+
+    obfuscate on a kernel, compose     finite_prob, mechanisms, fileio
+    obfuscate on a spec, couple-mech   those three and transport
+    emd, couple                        finite_prob, transport, fileio
+    divergence                         finite_prob, divergences, fileio
+    audit                              all six
 """
 
 from __future__ import annotations

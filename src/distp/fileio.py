@@ -15,20 +15,21 @@ matrix. Data points are CSV with header "x", one label per line.
 
 Loaders ignore unknown keys so reports that embed extra context stay
 loadable. Serialized floats that are infinite become the strings "inf" /
-"-inf"; loaders reverse that.
+"-inf"; the cost-matrix loader reverses that.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import math
+from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
+from . import mechanisms, transport
 from .errors import ValidationError
 from .tolerances import TAU_MASS
 from .finite_prob import (
@@ -39,8 +40,6 @@ from .finite_prob import (
     PointRelation,
     StochasticKernel,
 )
-from .mechanisms import CouplingEntry, CouplingMechanismSpec
-from .transport import Coupling
 
 
 def jsonable(value: Any) -> Any:
@@ -66,10 +65,6 @@ def jsonable(value: Any) -> Any:
 
 
 def _as_float(value: Any, what: str) -> float:
-    if value == "inf":
-        return math.inf
-    if value == "-inf":
-        return -math.inf
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -92,26 +87,34 @@ def _array(value: Any, what: str) -> list | tuple:
     return value
 
 
+def _typed(values: list | tuple, types: set, what: str, expected: str):
+    """``values``, if each one's type is in ``types`` (``bool`` is not ``int``)."""
+    if not types.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in types)
+        raise ValidationError(f"{what}: expected {expected}, got {bad!r}")
+    return values
+
+
 def _parsed(data: Any, what: str, keys: tuple[str, ...]) -> list:
     """The loaders' shared step: check that ``data`` is an object with every
-    key in ``keys``, each holding an array. Returns the label lists as string
-    tuples, then the last key's numbers as an array (a list for one label
-    list, rows for two)."""
+    key in ``keys``, each holding an array. Returns the label lists, whose
+    labels are JSON strings or numbers, as string tuples, then the last key's
+    JSON numbers as an array (a list for one label list, rows for two)."""
     if not isinstance(data, dict) or not set(keys).issubset(data):
         raise ValidationError(f"{what} object needs {', '.join(map(repr, keys))}")
     *grounds, values = keys
     numbers = _array(data[values], f"{what} {values!r}")
-    if len(grounds) == 1:
-        numbers = [_as_float(v, values) for v in numbers]
-    else:
-        row_what = f"{what} {values!r} row"
-        numbers = [[_as_float(v, values) for v in _array(row, row_what)]
-                   for row in numbers]
-        if len(set(map(len, numbers))) > 1:
-            raise ValidationError(f"{what} {values!r} rows differ in length")
-    labels = [tuple(map(str, _array(data[key], f"{what} {key!r}")))
+    rows = ([_array(row, f"{what} {values!r} row") for row in numbers]
+            if len(grounds) > 1 else [numbers])
+    for row in rows:
+        _typed(row, {int, float}, values, "a number")
+    if len(set(map(len, rows))) > 1:
+        raise ValidationError(f"{what} {values!r} rows differ in length")
+    labels = [tuple(map(str, _typed(_array(data[key], f"{what} {key!r}"),
+                                    {str, int, float}, f"{what} {key!r}",
+                                    "a string or a number")))
               for key in grounds]
-    return labels + [np.array(numbers)]
+    return labels + [np.array(numbers, dtype=float)]
 
 
 def distribution_to_dict(dist: FiniteDistribution) -> dict:
@@ -138,7 +141,7 @@ def kernel_from_dict(data: Any, tau_mass: float = TAU_MASS) -> StochasticKernel:
     return StochasticKernel(inputs, outputs, rows, tau_mass)
 
 
-def coupling_to_dict(coupling: Coupling) -> dict:
+def coupling_to_dict(coupling: transport.Coupling) -> dict:
     return {
         "rows": list(coupling.rows),
         "cols": list(coupling.cols),
@@ -146,12 +149,12 @@ def coupling_to_dict(coupling: Coupling) -> dict:
     }
 
 
-def coupling_from_dict(data: Any, tau_mass: float = TAU_MASS) -> Coupling:
+def coupling_from_dict(data: Any, tau_mass: float = TAU_MASS) -> transport.Coupling:
     rows, cols, mass = _parsed(data, "coupling", ("rows", "cols", "mass"))
-    return Coupling(rows, cols, mass, tau_mass)
+    return transport.Coupling(rows, cols, mass, tau_mass)
 
 
-def cp_spec_to_dict(spec: CouplingMechanismSpec) -> dict:
+def cp_spec_to_dict(spec: mechanisms.CouplingMechanismSpec) -> dict:
     return {
         "target": distribution_to_dict(spec.target),
         "aux": [
@@ -168,7 +171,7 @@ def cp_spec_to_dict(spec: CouplingMechanismSpec) -> dict:
 
 def cp_spec_from_dict(
     data: Any, tau_mass: float = TAU_MASS
-) -> CouplingMechanismSpec:
+) -> mechanisms.CouplingMechanismSpec:
     if not isinstance(data, dict) or "target" not in data or "aux" not in data:
         raise ValidationError("mechanism spec needs 'target' and 'aux'")
     entries = []
@@ -179,13 +182,13 @@ def cp_spec_from_dict(
                 "each aux entry needs 's', 'approx_input', 'coupling'"
             )
         entries.append(
-            CouplingEntry(
+            mechanisms.CouplingEntry(
                 str(item["s"]),
                 distribution_from_dict(item["approx_input"], tau_mass),
                 coupling_from_dict(item["coupling"], tau_mass),
             )
         )
-    return CouplingMechanismSpec(
+    return mechanisms.CouplingMechanismSpec(
         distribution_from_dict(data["target"], tau_mass),
         tuple(entries),
         str(data.get("fallback", "error")),
@@ -195,7 +198,7 @@ def cp_spec_from_dict(
 
 def load_mechanism(
     path: str, tau_mass: float = TAU_MASS
-) -> StochasticKernel | CouplingMechanismSpec:
+) -> StochasticKernel | mechanisms.CouplingMechanismSpec:
     """Read a mechanism file, accepting either layout."""
     data = load_json(path)
     if isinstance(data, dict) and "rows" in data and "inputs" in data:
@@ -285,8 +288,8 @@ def load_labels_csv(path: str, header: str = "x") -> list[str]:
 
 
 def labels_to_csv(labels: list[str], header: str = "y") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([header])
-    writer.writerows(zip(labels))
-    return buf.getvalue()
+    """One-column CSV under ``header``. ``writerow`` returns what the file's
+    ``write`` returns, here the line itself, so each label is formatted once."""
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    line = {label: writer.writerow([label]) for label in {header, *labels}}
+    return line[header] + "".join(map(line.__getitem__, labels))

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .divergences import MaxDivergence, _divergence_pairs, _per_distance
+from . import divergences, transport
 from .errors import (
     GroundMismatchError,
     InvalidCouplingError,
@@ -38,13 +38,6 @@ from .finite_prob import (
     pair_label,
 )
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
-from .transport import (
-    Coupling,
-    _pair_distances,
-    emd,
-    northwest_corner,
-    validate_coupling,
-)
 
 FALLBACK_ERROR = "error"
 FALLBACK_SAMPLE_TARGET = "sample_target"
@@ -105,10 +98,11 @@ def geometric_mechanism(
     kernel = StochasticKernel(ground, ground, matrix)
 
     first, second = np.triu_indices(len(ground), 1)
-    levels = _divergence_pairs(MaxDivergence(), kernel.matrix, first, second,
-                               _kept(kernel, "row memo", dict))
-    scaled = _per_distance(levels, np.stack([cost[first, second],
-                                             cost[second, first]]))
+    levels = divergences._divergence_pairs(
+        divergences.MaxDivergence(), kernel.matrix, first, second,
+        _kept(kernel, "row memo", dict))
+    scaled = divergences._per_distance(
+        levels, np.stack([cost[first, second], cost[second, first]]))
     worst = float(np.max(scaled, initial=0.0))
     return GeometricMechanism(kernel, worst)
 
@@ -120,7 +114,7 @@ class CouplingEntry:
 
     s: str
     approx_input: FiniteDistribution
-    coupling: Coupling
+    coupling: transport.Coupling
 
 
 @dataclass(frozen=True)
@@ -177,7 +171,7 @@ class CouplingMechanismSpec:
                 )
             if solved and abs(entry.approx_input.probs.sum() - total) <= tau_mass / 2:
                 continue
-            if not validate_coupling(
+            if not transport.validate_coupling(
                 entry.coupling, entry.approx_input, self.target, tau_mass
             ):
                 raise InvalidCouplingError(
@@ -203,7 +197,7 @@ def build_coupling_mechanism(
     mode: str = MODE_OPTIMAL,
     *,
     metric: GroundMetric | None = None,
-    couplings: Mapping[str, Coupling] | None = None,
+    couplings: Mapping[str, transport.Coupling] | None = None,
     fallback: str = FALLBACK_ERROR,
 ) -> CouplingMechanismSpec:
     """Assemble a coupling mechanism for the given estimates.
@@ -223,9 +217,9 @@ def build_coupling_mechanism(
         if mode == MODE_OPTIMAL:
             if metric is None:
                 raise ValidationError("optimal mode needs a metric")
-            coupling = emd(lam_hat, target, metric).coupling
+            coupling = transport.emd(lam_hat, target, metric).coupling
         elif mode == MODE_NORTHWEST:
-            coupling = northwest_corner(lam_hat, target)
+            coupling = transport.northwest_corner(lam_hat, target)
         else:
             if couplings is None or s not in couplings:
                 raise ValidationError(f"given mode needs a coupling for {s!r}")
@@ -417,8 +411,9 @@ def stability_check(
         images, image_ids = _interned([lift(kernel, d) for d in nodes])
         left, right = np.array(ids, dtype=np.intp).reshape(-1, 2).T
         image = np.array(image_ids, dtype=np.intp)
-        before = _pair_distances(nodes, left, right, metric, order)
-        after = _pair_distances(images, image[left], image[right], metric, order)
+        before = transport._pair_distances(nodes, left, right, metric, order)
+        after = transport._pair_distances(images, image[left], image[right],
+                                          metric, order)
         return not np.any(after > c * before + TAU_NUM)
 
     if not (math.isfinite(c) and c >= 0 and c == int(c)):
@@ -473,9 +468,11 @@ def sample_outputs(
     generator reproduces it exactly. A record gets the first output whose
     cumulative row mass exceeds its draw, or the last output if none does.
     """
-    rows = np.array(
-        [kernel.input_index(str(label)) for label in labels], dtype=np.intp
-    )
+    index = kernel._in_index  # type: ignore[attr-defined]
+    try:
+        rows = np.array([index[str(label)] for label in labels], dtype=np.intp)
+    except KeyError as unknown:
+        kernel.input_index(*unknown.args)  # raises UnknownLabelError
     u = rng.random(rows.size)
     # Each row's cumulative sum, added left to right as np.cumsum(row) does.
     cum = np.cumsum(kernel.matrix, axis=1)

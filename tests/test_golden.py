@@ -248,8 +248,9 @@ def json_paths(node, at=()):
 @settings(max_examples=300)
 @given(data=st.data())
 def test_poisoned_json_input_fails_cleanly(data, tmp_path_factory):
-    """One number becomes a string, which must fail, or one array loses an
-    element, which may leave valid data (a relation with one pair fewer)."""
+    """One number becomes a string, its own value as a string, true or null,
+    which must fail, or one array loses an element, which may leave valid
+    data (a relation with one pair fewer)."""
     args, _ = CASES[data.draw(st.sampled_from(sorted(CASES)))]
     files = [file for file in input_files(args) if file.endswith(".json")]
     file = data.draw(st.sampled_from(files))
@@ -260,7 +261,8 @@ def test_poisoned_json_input_fails_cleanly(data, tmp_path_factory):
         holder = holder[key]
     must_fail = not isinstance(holder[last], list)
     if must_fail:
-        holder[last] = "x"
+        holder[last] = data.draw(st.sampled_from(
+            ["x", json.dumps(holder[last]), True, None]))
     elif holder[last]:
         del holder[last][data.draw(st.integers(0, len(holder[last]) - 1))]
     workdir = tmp_path_factory.mktemp("poisoned")

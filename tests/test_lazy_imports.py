@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import distp
 from distp import cli
 from distp.divergences import KIND_BY_NAME
+from test_golden import CASES
 
 HELP = Path(__file__).parent / "golden" / "help.out"
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -120,3 +122,54 @@ def test_help_text_is_unchanged():
                    env={**os.environ, "COLUMNS": "80"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.encode("utf-8") == HELP.read_bytes()
+
+
+# The library modules each CLI handler executes, as ``distp.cli`` lists them.
+RELEASE = {"finite_prob", "mechanisms", "fileio"}
+EXECUTED = {
+    "obfuscate": RELEASE,
+    "compose": RELEASE,
+    "couple-mech": RELEASE | {"transport"},
+    "emd": {"finite_prob", "transport", "fileio"},
+    "couple": {"finite_prob", "transport", "fileio"},
+    "divergence": {"finite_prob", "divergences", "fileio"},
+    "audit": set(distp._LAZY),
+}
+# Runs ``distp.cli.main`` on its arguments, then prints the lazy modules that
+# executed: ``LazyLoader`` swaps a module's class for ModuleType on first use.
+EXECUTED_PROBE = """
+import contextlib, io, sys, types
+import distp
+from distp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(*(name for name in distp._LAZY
+        if type(sys.modules[f"distp.{name}"]) is types.ModuleType))
+"""
+
+
+@pytest.fixture(scope="module")
+def executed() -> dict:
+    """Each golden case's executed modules, from a fresh process per case."""
+    path = os.pathsep.join([str(Path(distp.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+
+    def run(name):
+        proc = subprocess.run([sys.executable, "-c", EXECUTED_PROBE,
+                               *CASES[name][0]], cwd=INPUTS,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        return set(proc.stdout.split()), proc.stderr
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(sorted(CASES), pool.map(run, sorted(CASES))))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_subcommand_executes_only_the_modules_it_calls(name, executed):
+    args = CASES[name][0]
+    expected = EXECUTED[args[0]]
+    if "--aux" in args:  # a mechanism spec's couplings are transport's
+        expected = expected | {"transport"}
+    modules, stderr = executed[name]
+    assert modules == expected, stderr

@@ -35,7 +35,7 @@ from distp import (
     delta_required,
     geometric_mechanism,
 )
-from distp import audit, divergences, mechanisms
+from distp import audit, divergences
 from distp.audit import NOTION_DP, _audit
 from distp.divergences import _BLOCK_CELLS, _divergence_pairs
 from distp.finite_prob import _point_plan
@@ -383,11 +383,10 @@ def test_every_memo_call_passes_canonical_pairs(rng, monkeypatch):
     def spy(divergence, table, left, right, memo=None):
         if memo is not None:
             seen.append((np.asarray(left), np.asarray(right), len(table)))
-        return divergences._divergence_pairs(divergence, table, left, right,
-                                             memo)
+        return _divergence_pairs(divergence, table, left, right, memo)
 
     monkeypatch.setattr(audit, "_divergence_pairs", spy)
-    monkeypatch.setattr(mechanisms, "_divergence_pairs", spy)
+    monkeypatch.setattr(divergences, "_divergence_pairs", spy)
     ground = labels(6)
     metric = GroundMetric.line(ground)
     kernel = rand_kernel(rng, ground, labels(4, "y"))

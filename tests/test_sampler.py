@@ -5,7 +5,13 @@ before it drew every uniform at once. The sampler must return the same
 outputs (``==``) and leave the generator in the same state, for any kernel
 the loader accepts, including rows with zeros (tied cumulative sums) and
 rows whose mass ends below a draw (the clamp to the last output).
+
+``ref_labels_to_csv`` is the row-at-a-time writer of the sampled labels,
+which ``fileio.labels_to_csv`` must match byte for byte.
 """
+
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -13,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from distp import StochasticKernel, UnknownLabelError, sample_outputs
+from distp.fileio import labels_to_csv
 from conftest import labels
 
 GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
@@ -134,3 +141,22 @@ def test_unknown_label_mid_input_raises_the_same_error():
         raised.append((type(info.value), str(info.value)))
     assert raised[0] == raised[1]
     assert raised[1][1] == "input label 'zzz' not in kernel"
+
+
+def ref_labels_to_csv(records, header="y"):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([header])
+    writer.writerows(zip(records))
+    return buf.getvalue()
+
+
+# A comma, a double quote, CR, LF, a leading space and the empty label.
+AWKWARD = st.one_of(st.sampled_from(["a", "b,c", 'say "hi"', "cr\rx",
+                                     "lf\nx", " lead", ""]),
+                    st.text(max_size=3))
+
+
+@given(st.lists(AWKWARD, max_size=30), AWKWARD)
+def test_labels_csv_matches_the_row_at_a_time_writer(records, header):
+    assert labels_to_csv(records, header) == ref_labels_to_csv(records, header)
