@@ -77,8 +77,16 @@ def dumps_json(obj: Any) -> str:
 
 
 def load_json(path: str) -> Any:
+    """The parsed JSON in ``path``. A ValueError that is not a syntax error,
+    such as an integer past Python's limit on the digits of an int read from
+    text, becomes a ValidationError that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
 
 
 def _array(value: Any, what: str) -> list | tuple:
@@ -114,7 +122,12 @@ def _parsed(data: Any, what: str, keys: tuple[str, ...]) -> list:
                                     {str, int, float}, f"{what} {key!r}",
                                     "a string or a number")))
               for key in grounds]
-    return labels + [np.array(numbers, dtype=float)]
+    try:
+        return labels + [np.array(numbers, dtype=float)]
+    except OverflowError:  # a JSON integer too large for a float
+        raise ValidationError(
+            f"{what} {values!r}: entries must be finite, got an integer too "
+            "large for a float") from None
 
 
 def distribution_to_dict(dist: FiniteDistribution) -> dict:

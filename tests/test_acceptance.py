@@ -8,7 +8,6 @@ utility statements, oracle equivalence for the two bespoke solvers, a set
 of structural inequalities, and cross-run determinism.
 """
 
-import hashlib
 import json
 import math
 import subprocess
@@ -19,6 +18,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    GROUND3,
+    LAM,
+    MU,
     SEED,
     euclidean_metric,
     labels,
@@ -27,20 +29,19 @@ from conftest import (
     rand_kernel,
     rand_relation,
     shuffled_line_metric,
+    subset_oracle,
     tilted,
     w1_member_pair,
 )
 from distp import (
     KL,
     STANDARD_KINDS,
-    TAU_ZERO,
     DistributionPair,
     DistributionPairRelation,
     FiniteDistribution,
     GroundMetric,
     KernelFamily,
     MaxDivergence,
-    StochasticKernel,
     approx_max_divergence,
     audit_distp,
     audit_div_dp,
@@ -64,10 +65,6 @@ from distp import (
     wasserstein_inf,
     wasserstein_p,
 )
-
-GROUND3 = ("1", "2", "3")
-LAM = FiniteDistribution(GROUND3, np.array([0.2, 0.5, 0.3]))
-MU = FiniteDistribution(GROUND3, np.array([0.3, 0.2, 0.5]))
 
 # the worked example's transport table on the unit-spaced line
 NW_TABLE = np.array([
@@ -251,22 +248,6 @@ def test_criterion_6_optimal_mode_matches_transport_cost(rng):
               "metrics)")
 
 
-def slack_event_oracle(mu, nu, delta):
-    """Exhaustive maximum of ln((mu[R] - delta) / nu[R]) over events R."""
-    support = np.flatnonzero(mu.probs > TAU_ZERO)
-    masks = np.arange(1, 2 ** support.size)
-    bits = (masks[:, None] >> np.arange(support.size)) & 1
-    mass = bits @ mu.probs[support]
-    ref = bits @ nu.probs[support]
-    slacked = mass - delta
-    ok = (mass >= delta) & (slacked > 0.0)
-    if not ok.any():
-        return -math.inf
-    if (ref[ok] <= TAU_ZERO).any():
-        return math.inf
-    return float(np.log(slacked[ok] / ref[ok]).max())
-
-
 def test_criterion_7_solver_oracle_equivalence(rng):
     for trial in range(500):
         k = int(rng.integers(2, 11))
@@ -276,7 +257,7 @@ def test_criterion_7_solver_oracle_equivalence(rng):
                        zeros=int(rng.integers(0, 3)) if trial % 3 else 0)
         for delta in (0.0, 0.05, 0.1, 0.3):
             got = approx_max_divergence(mu, nu, delta)
-            want = slack_event_oracle(mu, nu, delta)
+            want = subset_oracle(mu.probs, nu.probs, delta)
             if math.isinf(want):
                 assert got == want
             else:

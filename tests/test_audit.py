@@ -33,18 +33,20 @@ from distp import (
     lift,
     lifted_member,
     max_divergence,
-    northwest_corner,
     pair_label,
     point_distribution,
     post_process,
     randomized_response,
-    uniform_distribution,
     wasserstein_inf,
     wasserstein_p,
     worst_case_loss,
 )
 from distp import mechanisms
 from conftest import (
+    GROUND3,
+    LAM,
+    LINE3,
+    MU,
     labels,
     phi_member_pair,
     rand_dist,
@@ -54,11 +56,6 @@ from conftest import (
     w1_member_pair,
 )
 from distp.finite_prob import split_pair_label
-
-GROUND3 = ("1", "2", "3")
-LAM = FiniteDistribution(GROUND3, np.array([0.2, 0.5, 0.3]))
-MU = FiniteDistribution(GROUND3, np.array([0.3, 0.2, 0.5]))
-LINE3 = GroundMetric.line(GROUND3)
 
 
 def rand_psi(rng, ground, npairs):

@@ -19,14 +19,12 @@ from hypothesis import strategies as st
 
 from distp import (
     KL,
-    STANDARD_KINDS,
     DistributionPair,
     DistributionPairRelation,
     GroundMetric,
     MaxDivergence,
     PairAudit,
     PointRelation,
-    StochasticKernel,
     UnknownLabelError,
     audit_distp,
     audit_div_dp,
@@ -39,16 +37,15 @@ from distp import (
 from distp import audit as core
 from distp.divergences import _per_distance
 from distp.tolerances import TAU_NUM
-from conftest import labels, one_way, rand_dist, rand_kernel, tilted
-
-DIVERGENCES = STANDARD_KINDS + (MaxDivergence(), MaxDivergence(0.1))
-# Rows reused across inputs, so that many pairs tie exactly; the zero in the
-# last row makes the max divergence and KL infinite against the others.
-PALETTE = np.array([
-    [0.5, 0.25, 0.25],
-    [0.25, 0.5, 0.25],
-    [0.6, 0.4, 0.0],
-])
+from conftest import (
+    DIVERGENCES,
+    labels,
+    one_way,
+    palette_kernel,
+    rand_dist,
+    rand_kernel,
+    tilted,
+)
 
 
 def eager_report(notion, divergence, plan, table, claimed, *, distances=None,
@@ -127,11 +124,6 @@ def assert_same_as_eager(seen):
         for tau_num in (TAU_NUM, 0.5):
             assert bits(report.to_dict(tau_num)) == bits(eager_dict(want, tau_num))
         assert report.passed == (eager_dict(want, TAU_NUM)["verdict"] == "pass")
-
-
-def palette_kernel(rows):
-    ground = labels(len(rows))
-    return StochasticKernel(ground, labels(3, "y"), PALETTE[list(rows)])
 
 
 @given(st.lists(st.integers(0, 2), min_size=2, max_size=6),

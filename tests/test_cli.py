@@ -8,7 +8,6 @@ import pytest
 
 from distp import (
     KL,
-    FiniteDistribution,
     GroundMetric,
     StochasticKernel,
     __version__,
@@ -18,10 +17,8 @@ from distp import (
     randomized_response,
     wasserstein_p,
 )
+from conftest import GROUND3, LAM, MU
 
-GROUND3 = ("1", "2", "3")
-LAM = FiniteDistribution(GROUND3, np.array([0.2, 0.5, 0.3]))
-MU = FiniteDistribution(GROUND3, np.array([0.3, 0.2, 0.5]))
 LINE3_CSV = "1,2,3\n0,1,2\n1,0,1\n2,1,0\n"
 
 

@@ -231,6 +231,31 @@ def test_malformed_input_fails_cleanly(name, tmp_path):
                                  f"{file} holding {bad[:20]!r}")
 
 
+@pytest.mark.parametrize("digits", [400, 5000])
+@pytest.mark.parametrize("name, file, path", [
+    ("divergence_tv", "mu.json", ("probs", 0)),
+    ("obfuscate_kernel", "kernel.json", ("rows", 0, 0)),
+], ids=["divergence", "obfuscate"])
+def test_an_integer_a_float_cannot_hold_fails_cleanly(name, file, path, digits,
+                                                       tmp_path):
+    """One number becomes an integer of ``digits`` digits: 400 are past the
+    float range, and 5,000 past Python's limit on the digits of an int read
+    from text. The file is written as raw text, as ``json.dumps`` refuses
+    the longer integer."""
+    args, _ = CASES[name]
+    root = json.loads((INPUTS / file).read_text(encoding="utf-8"))
+    *at, last = path
+    holder = root
+    for key in at:
+        holder = holder[key]
+    holder[last] = "BIG"
+    text = json.dumps(root).replace('"BIG"', "1" * digits)
+    shutil.copytree(INPUTS, tmp_path, dirs_exist_ok=True)
+    code, err = run_with(tmp_path, file, text, args)
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error:")
+
+
 def json_paths(node, at=()):
     """The path of every number and every array inside parsed JSON."""
     if isinstance(node, list):
@@ -248,9 +273,10 @@ def json_paths(node, at=()):
 @settings(max_examples=300)
 @given(data=st.data())
 def test_poisoned_json_input_fails_cleanly(data, tmp_path_factory):
-    """One number becomes a string, its own value as a string, true or null,
-    which must fail, or one array loses an element, which may leave valid
-    data (a relation with one pair fewer)."""
+    """One number becomes a string, its own value as a string, true, null
+    or an integer too large for a float, which must fail, or one array loses
+    an element, which may leave valid data (a relation with one pair
+    fewer)."""
     args, _ = CASES[data.draw(st.sampled_from(sorted(CASES)))]
     files = [file for file in input_files(args) if file.endswith(".json")]
     file = data.draw(st.sampled_from(files))
@@ -262,7 +288,7 @@ def test_poisoned_json_input_fails_cleanly(data, tmp_path_factory):
     must_fail = not isinstance(holder[last], list)
     if must_fail:
         holder[last] = data.draw(st.sampled_from(
-            ["x", json.dumps(holder[last]), True, None]))
+            ["x", json.dumps(holder[last]), True, None, 10**400]))
     elif holder[last]:
         del holder[last][data.draw(st.integers(0, len(holder[last]) - 1))]
     workdir = tmp_path_factory.mktemp("poisoned")

@@ -46,12 +46,7 @@ from distp import (
 )
 from distp.finite_prob import DistributionPair, DistributionPairRelation
 from distp.mechanisms import _cp_rows
-from conftest import labels, rand_dist, rand_kernel
-
-GROUND3 = ("1", "2", "3")
-LAM = FiniteDistribution(GROUND3, np.array([0.2, 0.5, 0.3]))
-MU = FiniteDistribution(GROUND3, np.array([0.3, 0.2, 0.5]))
-LINE3 = GroundMetric.line(GROUND3)
+from conftest import GROUND3, LAM, LINE3, MU, labels, rand_dist, rand_kernel
 
 
 # ---------------------------------------------------------------------------

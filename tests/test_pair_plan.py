@@ -45,6 +45,7 @@ from distp import audit, divergences, finite_prob, transport
 from distp.tolerances import TAU_NUM
 from conftest import (
     euclidean_metric,
+    hexes,
     kernel_count,
     labels,
     one_way,
@@ -83,10 +84,6 @@ def counters():
         patch.setattr(transport, "_simplex", solving)
         yield seen
     seen["rows"] = kernel_count() - rows
-
-
-def hexes(values):
-    return [float(v).hex() for v in values]
 
 
 def test_label_plan_is_built_once_per_relation_and_ground(rng):

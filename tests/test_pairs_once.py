@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from distp import (
     CHI_SQUARED,
     KL,
-    STANDARD_KINDS,
     FDivergenceKind,
     GroundMetric,
     MaxDivergence,
@@ -40,24 +39,17 @@ from distp.audit import NOTION_DP, _audit
 from distp.divergences import _BLOCK_CELLS, _divergence_pairs
 from distp.finite_prob import _point_plan
 from conftest import (
+    DIVERGENCES,
+    PALETTE,
+    hexes,
     kernel_count,
     labels,
     one_way,
+    palette_kernel,
     rand_dist,
     rand_kernel,
     tilted,
 )
-
-DIVERGENCES = STANDARD_KINDS + (MaxDivergence(), MaxDivergence(0.1))
-# Repeated rows make exact ties; the zero in the last row makes the max
-# divergence and KL +inf against the others, and the delta variant -inf at
-# delta 1.
-PALETTE = np.array([
-    [0.5, 0.25, 0.25],
-    [0.25, 0.5, 0.25],
-    [0.6, 0.4, 0.0],
-    [0.1, 0.2, 0.7],
-])
 
 
 def evaluated(*calls, kind="pairs"):
@@ -76,10 +68,6 @@ def audited_rows(kernel, phi, divergence=KL):
 def twin(kernel):
     """A distinct kernel with an equal matrix: a memo of its own."""
     return StochasticKernel(kernel.inputs, kernel.outputs, kernel.matrix)
-
-
-def hexes(values):
-    return [float(v).hex() for v in values]
 
 
 @pytest.mark.parametrize("divergence", DIVERGENCES, ids=lambda d: d.name)
@@ -166,10 +154,6 @@ def test_cp_theorem_evaluates_each_ordered_aux_pair_once(rng):
     assert len(report.checks) == divergences_checked + 1
     m = len(aux)
     assert seen == divergences_checked * m * (m + 1) // 2 + m
-
-
-def palette_kernel(rows):
-    return StochasticKernel(labels(len(rows)), labels(3, "y"), PALETTE[list(rows)])
 
 
 def plain_columns(divergence, table, left, right):

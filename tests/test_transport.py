@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -38,7 +37,7 @@ from distp import (
     wasserstein_inf,
     wasserstein_p,
 )
-from distp.tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
+from distp.tolerances import TAU_MASS, TAU_NUM
 from distp.transport import (
     _clamped,
     _cost_block,
@@ -53,49 +52,28 @@ from distp.transport import (
     _tree,
 )
 from conftest import (
+    GROUND3,
+    LAM,
+    LINE3,
+    MU,
+    bottleneck_instance,
     euclidean_metric,
+    full_range_bisection,
     labels,
+    lp_cost,
+    lp_feasible,
     phi_member_pair,
     rand_dist,
     rand_relation,
     shuffled_line_metric,
+    threshold_search,
+    union_metric,
     w1_member_pair,
 )
 
-GROUND3 = ("1", "2", "3")
-LAM = FiniteDistribution(GROUND3, np.array([0.2, 0.5, 0.3]))
-MU = FiniteDistribution(GROUND3, np.array([0.3, 0.2, 0.5]))
-LINE3 = GroundMetric.line(GROUND3)
 # Dual feasibility of a returned basis certifies its cost optimal to within
 # this much (the marginals have unit mass), the precision of the LP oracles.
 REDUCED_COST_TOL = 1e-12
-
-
-def linprog_cost(supply, demand, cost, mask=None):
-    """Independent optimal transport value via scipy's LP solver, with the
-    arcs outside ``mask`` (when given) fixed at zero."""
-    m, n = cost.shape
-    rows = np.zeros((m, m * n))
-    for i in range(m):
-        rows[i, i * n: (i + 1) * n] = 1.0
-    cols = np.zeros((n, m * n))
-    for j in range(n):
-        cols[j, j::n] = 1.0
-    res = scipy.optimize.linprog(
-        cost.ravel(),
-        A_eq=np.vstack([rows, cols]),
-        b_eq=np.concatenate([supply, demand]),
-        bounds=(0.0, None) if mask is None else [
-            (0.0, None) if ok else (0.0, 0.0) for ok in mask.ravel()
-        ],
-        method="highs",
-        # at HiGHS's default feasibility tolerances (1e-7) its value was more
-        # than 1e-12 off on 14 of 1,200 random 27-point Euclidean instances
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
-    assert res.status == 0, res.message
-    return float(res.fun)
 
 
 def assert_dual_certificate(result, cost):
@@ -110,26 +88,6 @@ def assert_dual_certificate(result, cost):
     """
     u, v = dual_potentials(result.basis, cost)
     assert (cost - u[:, None] - v[None, :]).min() >= -REDUCED_COST_TOL
-
-
-def linprog_feasible(supply, demand, mask):
-    """Independent check that a coupling exists with support inside mask."""
-    m, n = mask.shape
-    rows = np.zeros((m, m * n))
-    for i in range(m):
-        rows[i, i * n: (i + 1) * n] = 1.0
-    cols = np.zeros((n, m * n))
-    for j in range(n):
-        cols[j, j::n] = 1.0
-    bounds = [(0.0, None) if ok else (0.0, 0.0) for ok in mask.ravel()]
-    res = scipy.optimize.linprog(
-        np.zeros(m * n),
-        A_eq=np.vstack([rows, cols]),
-        b_eq=np.concatenate([supply, demand]),
-        bounds=bounds,
-        method="highs",
-    )
-    return res.status == 0
 
 
 def two_by_two_emd(p, q, cost):
@@ -300,15 +258,8 @@ def test_emd_matches_lp_solver(rng):
         lam = rand_dist(rng, labels(m, "a"))
         mu = rand_dist(rng, labels(n, "b"))
         cost = rng.random((m, n)) * 3.0
-        union = GroundMetric(
-            labels(m, "a") + labels(n, "b"),
-            np.block([
-                [np.zeros((m, m)), cost],
-                [cost.T, np.zeros((n, n))],
-            ]),
-        )
-        got = emd(lam, mu, union)
-        want = linprog_cost(lam.probs, mu.probs, cost)
+        got = emd(lam, mu, union_metric(lam.ground, mu.ground, cost))
+        want = lp_cost(lam.probs, mu.probs, cost)
         assert got.cost == pytest.approx(want, abs=1e-9)
         assert validate_coupling(got.coupling, lam, mu)
 
@@ -448,12 +399,8 @@ def test_wasserstein_inf_matches_threshold_oracle(rng):
         mu = rand_dist(rng, labels(k))
         metric = euclidean_metric(rng, labels(k))
         got = wasserstein_inf(lam, mu, metric).cost
-        feasible = [
-            t
-            for t in np.unique(metric.cost)
-            if linprog_feasible(lam.probs, mu.probs, metric.cost <= t + 1e-12)
-        ]
-        assert got == pytest.approx(min(feasible), abs=1e-9)
+        want = threshold_search(lam.probs, mu.probs, metric.cost, lp_feasible)
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_diameter_point_masses():
@@ -508,7 +455,7 @@ def test_lifted_member_against_lp_feasibility(rng):
         idx = {x: i for i, x in enumerate(ground)}
         for a, b in phi:
             mask[idx[a], idx[b]] = True
-        assert lifted_member(phi, lam0, lam1) == linprog_feasible(
+        assert lifted_member(phi, lam0, lam1) == lp_feasible(
             lam0.probs, lam1.probs, mask
         )
 
@@ -656,7 +603,7 @@ def test_bland_fallback_on_tie_heavy_instance():
         assert got.degenerate_pivots > 0
         assert got.pivots > got.degenerate_pivots
         assert float(np.sum(cost * got.mass)) == pytest.approx(
-            linprog_cost(lam.probs, mu.probs, cost), abs=1e-12
+            lp_cost(lam.probs, mu.probs, cost), abs=1e-12
         )
         assert validate_coupling(Coupling(lam.ground, mu.ground, got.mass),
                                  lam, mu)
@@ -732,31 +679,6 @@ def test_least_cost_start_needs_no_more_pivots_than_northwest(n):
                                                         cold.degenerate_pivots)
 
 
-def full_range_bisection(lam, mu, metric):
-    """The bottleneck search before the least-cost bracket: a phase-1 solve
-    at the largest cost, from the north-west corner, then bisection over
-    every distinct cost, each test warm from the last feasible plan."""
-    cost = metric.submatrix(lam.ground, mu.ground)
-    values = np.unique(cost)
-    lo, hi = 0, values.size - 1
-    ok, plan = _feasible_on(lam.probs, mu.probs, cost <= values[hi],
-                            warm=_northwest(lam.probs, mu.probs))
-    assert ok
-    while lo < hi:
-        mid = (lo + hi) // 2
-        ok_mid, trial = _feasible_on(
-            lam.probs, mu.probs, cost <= values[mid], warm=(plan.mass, plan.basis)
-        )
-        if ok_mid:
-            hi = mid
-            plan = trial
-        else:
-            lo = mid + 1
-    mass = _clamped(plan.mass, cost <= values[hi])
-    support = mass > TAU_ZERO
-    return float(cost[support].max()) if np.any(support) else 0.0
-
-
 @given(st.integers(2, 14), st.integers(0, 2), st.integers(0, 4),
        st.integers(0, 10**6))
 def test_wasserstein_inf_equals_full_range_bisection(n, family, zeros, seed):
@@ -787,44 +709,6 @@ def test_wasserstein_inf_needs_no_search_when_the_start_is_optimal():
     assert got.cost == 0.0
     assert (got.pivots, got.search_steps) == (0, 0)
     assert np.array_equal(got.coupling.mass, np.diag(lam.probs))
-
-
-def bottleneck_instance(m, n, family, zeros, sliver, seed):
-    """(lam, mu, metric) on an m-row, n-column cost block.
-
-    Families: Euclidean points, tie-heavy integer costs, points on a line.
-    ``zeros`` rows and columns carry no mass; ``sliver`` (a multiple of
-    TAU_MASS, or None) moves that much mass from the largest row onto
-    another, so Hall's tolerance decides whether that row needs an arc.
-    """
-    rng = np.random.default_rng(seed)
-    if family == 0:
-        cost = np.linalg.norm(rng.random((m, 1, 2)) - rng.random((1, n, 2)),
-                              axis=2)
-    elif family == 1:
-        cost = rng.integers(0, 3, size=(m, n)).astype(float)
-    else:
-        cost = np.abs(rng.random((m, 1)) - rng.random((1, n)))
-
-    def marginal(k):
-        probs = rng.dirichlet(np.ones(k))
-        if zeros and k > 1:
-            probs[rng.choice(k, size=min(zeros, k - 1), replace=False)] = 0.0
-        return probs / probs.sum()
-
-    supply, demand = marginal(m), marginal(n)
-    if sliver is not None and m > 1:
-        big = int(supply.argmax())
-        other = (big + 1 + int(rng.integers(m - 1))) % m
-        supply[big] += supply[other] - sliver * TAU_MASS
-        supply[other] = sliver * TAU_MASS
-    lam = FiniteDistribution(labels(m, "a"), supply)
-    mu = FiniteDistribution(labels(n, "b"), demand)
-    union = GroundMetric(
-        lam.ground + mu.ground,
-        np.block([[np.zeros((m, m)), cost], [cost.T, np.zeros((n, n))]]),
-    )
-    return lam, mu, union
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2),
@@ -979,7 +863,7 @@ def test_emd_matches_lp_euclidean_ladder(n):
     mu = rand_dist(rng, ground)
     metric = euclidean_metric(rng, ground)
     got = emd(lam, mu, metric)
-    assert abs(got.cost - linprog_cost(lam.probs, mu.probs, metric.cost)) <= 1e-12
+    assert abs(got.cost - lp_cost(lam.probs, mu.probs, metric.cost)) <= 1e-12
     assert_dual_certificate(got, metric.cost)
     assert validate_coupling(got.coupling, lam, mu)
 
@@ -991,12 +875,8 @@ def test_emd_matches_lp_rectangular_and_zero_rows(rng):
         lam = FiniteDistribution(labels(m, "a"), probs / probs.sum())
         mu = rand_dist(rng, labels(n, "b"))
         cost = rng.random((m, n)) * 3.0
-        union = GroundMetric(
-            lam.ground + mu.ground,
-            np.block([[np.zeros((m, m)), cost], [cost.T, np.zeros((n, n))]]),
-        )
-        got = emd(lam, mu, union)
-        assert abs(got.cost - linprog_cost(lam.probs, mu.probs, cost)) <= 1e-12
+        got = emd(lam, mu, union_metric(lam.ground, mu.ground, cost))
+        assert abs(got.cost - lp_cost(lam.probs, mu.probs, cost)) <= 1e-12
         assert_dual_certificate(got, cost)
         assert validate_coupling(got.coupling, lam, mu)
         assert np.all(got.coupling.mass[lam.probs == 0.0] == 0.0)
@@ -1009,7 +889,7 @@ def test_emd_matches_lp_discrete_metric_uniform_marginals(rng):
         lam = uniform_distribution(ground)
         mu = FiniteDistribution(ground, rng.multinomial(n, np.ones(n) / n) / n)
         got = emd(lam, mu, metric)
-        want = linprog_cost(lam.probs, mu.probs, metric.cost)
+        want = lp_cost(lam.probs, mu.probs, metric.cost)
         assert abs(got.cost - want) <= 1e-12
         assert_dual_certificate(got, metric.cost)
         assert got.cost == pytest.approx(0.5 * np.abs(lam.probs - mu.probs).sum())
@@ -1022,15 +902,8 @@ def test_wasserstein_inf_matches_threshold_search_at_size(rng):
         mu = rand_dist(rng, ground)
         metric = euclidean_metric(rng, ground)
         got = wasserstein_inf(lam, mu, metric)
-        values = np.unique(metric.cost)
-        lo, hi = 0, values.size - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if linprog_feasible(lam.probs, mu.probs, metric.cost <= values[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        assert got.cost == values[hi]
+        assert got.cost == threshold_search(lam.probs, mu.probs, metric.cost,
+                                            lp_feasible)
         # the least-cost start ships above the answer, so a search was needed
         start, _ = _least_cost(lam.probs, mu.probs, metric.cost)
         assert metric.cost[start > 0.0].max() > got.cost
@@ -1050,11 +923,11 @@ def test_lifted_w1_member_matches_lp_gap(rng):
             (ground[i], ground[j]) for i, j in zip(*np.nonzero(mask))
         )
         got = lifted_w1_member(phi, lam0, lam1, metric)
-        if not linprog_feasible(lam0.probs, lam1.probs, mask):
+        if not lp_feasible(lam0.probs, lam1.probs, mask):
             assert not got
             continue
-        restricted = linprog_cost(lam0.probs, lam1.probs, metric.cost, mask)
-        free = linprog_cost(lam0.probs, lam1.probs, metric.cost)
+        restricted = lp_cost(lam0.probs, lam1.probs, metric.cost, mask)
+        free = lp_cost(lam0.probs, lam1.probs, metric.cost)
         assert got == (restricted <= free + 1e-9)
         verdicts.add(got)
     assert verdicts == {True, False}

@@ -8,6 +8,12 @@ For the bottleneck distance (n = 60 and 120), each oracle bisects over the
 distinct costs with its own feasibility test: a ``networkx`` maximum flow,
 which must carry all but TAU_MASS of the mass, and a HiGHS feasibility LP.
 
+The bottleneck solver also runs on n x n instances of the three
+``bottleneck_instance`` families (n = 80 and 200), each with two zero rows
+and columns and one sliver row holding TAU_MASS times 1 - 1e-6, 1 or
+1 + 1e-6, against ``full_range_bisection``: the search on the library's
+own phase 1 before the least-cost bracket and Hall's cuts.
+
 For W1 (n = 80, 120 and 200), ``emd`` matches the HiGHS optimum to a
 relative 1e-9: HiGHS stops at its own feasibility tolerances, and has
 missed a simplex optimum by 9.4e-12 on a 27-point instance, so the check is
@@ -30,8 +36,6 @@ ordered, W1 <= W2 <= W-inf <= ``diameter``.
 import networkx as nx
 import numpy as np
 import pytest
-import scipy.optimize
-import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -47,7 +51,17 @@ from distp import (
     wasserstein_p,
 )
 from distp.tolerances import TAU_MASS
-from conftest import euclidean_metric, labels, rand_dist, shuffled_line_metric
+from conftest import (
+    bottleneck_instance,
+    euclidean_metric,
+    full_range_bisection,
+    labels,
+    lp_cost,
+    lp_feasible,
+    rand_dist,
+    shuffled_line_metric,
+    threshold_search,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -61,54 +75,6 @@ def flow_feasible(supply, demand, allowed) -> bool:
     for i, j in zip(*np.nonzero(allowed)):
         graph.add_edge(("r", int(i)), ("c", int(j)))
     return nx.maximum_flow_value(graph, "s", "t") >= 1.0 - TAU_MASS
-
-
-def marginal_rows(m, n, cells):
-    """The equality rows that fix the marginals of the flows on ``cells``
-    (flat indices into an m x n plan)."""
-    rows, cols = np.divmod(cells, n)
-    arange = np.arange(cells.size)
-    return scipy.sparse.vstack([
-        scipy.sparse.csr_matrix((np.ones(cells.size), (rows, arange)),
-                                shape=(m, cells.size)),
-        scipy.sparse.csr_matrix((np.ones(cells.size), (cols, arange)),
-                                shape=(n, cells.size)),
-    ])
-
-
-def lp_feasible(supply, demand, allowed) -> bool:
-    cells = np.flatnonzero(allowed)
-    res = scipy.optimize.linprog(
-        np.zeros(cells.size), A_eq=marginal_rows(*allowed.shape, cells),
-        b_eq=np.concatenate([supply, demand]), bounds=(0.0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10},
-    )
-    return res.status == 0
-
-
-def lp_w1(supply, demand, cost) -> float:
-    res = scipy.optimize.linprog(
-        cost.ravel(), A_eq=marginal_rows(*cost.shape, np.arange(cost.size)),
-        b_eq=np.concatenate([supply, demand]), bounds=(0.0, None),
-        method="highs",
-    )
-    assert res.status == 0
-    return res.fun
-
-
-def threshold_search(supply, demand, cost, feasible) -> float:
-    """The least distinct cost at which ``feasible`` accepts the arcs at or
-    below it, by bisection."""
-    values = np.unique(cost)
-    lo, hi = 0, values.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(supply, demand, cost <= values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(values[hi])
 
 
 def network_simplex_w1(supply, demand, cost) -> int:
@@ -188,6 +154,16 @@ def test_wasserstein_inf_matches_oracle_threshold_search(n, family, oracle):
     assert got.coupling.mass[metric.cost > got.cost].max(initial=0.0) == 0.0
 
 
+@pytest.mark.parametrize("sliver", [1.0 - 1e-6, 1.0, 1.0 + 1e-6])
+@pytest.mark.parametrize("family", [0, 1, 2])
+@pytest.mark.parametrize("n", [80, 200])
+def test_wasserstein_inf_on_sliver_rows_at_size(n, family, sliver):
+    lam, mu, metric = bottleneck_instance(n, n, family, 2, sliver, n)
+    got = wasserstein_inf(lam, mu, metric)
+    assert got.cost == full_range_bisection(lam, mu, metric)
+    assert validate_coupling(got.coupling, lam, mu)
+
+
 @pytest.mark.parametrize("family, scale", [
     ("euclidean", 1.0), ("discrete", 1.0), ("line", 1.0),
     ("euclidean", 1e3), ("euclidean", 1e5),
@@ -197,7 +173,7 @@ def test_emd_matches_highs_with_a_dual_certificate(n, family, scale):
     lam, mu, metric = instance(n, family)
     metric = GroundMetric(metric.ground, scale * metric.cost)
     got = emd(lam, mu, metric)
-    assert got.cost == pytest.approx(lp_w1(lam.probs, mu.probs, metric.cost),
+    assert got.cost == pytest.approx(lp_cost(lam.probs, mu.probs, metric.cost),
                                      rel=1e-9, abs=0.0)
     assert validate_coupling(got.coupling, lam, mu)
     cost = metric.cost
