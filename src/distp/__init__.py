@@ -53,10 +53,11 @@ _EXPORTS = {
         "UnsupportedInputError", "ValidationError",
     ),
     "finite_prob": (
-        "DistributionPair", "DistributionPairRelation", "FiniteDistribution",
-        "GroundMetric", "PointRelation", "StochasticKernel",
-        "event_probability", "lift", "pair_label", "point_distribution",
-        "product_distribution", "split_pair_label", "uniform_distribution",
+        "Coupling", "DistributionPair", "DistributionPairRelation",
+        "FiniteDistribution", "GroundMetric", "PointRelation",
+        "StochasticKernel", "event_probability", "lift", "pair_label",
+        "point_distribution", "product_distribution", "split_pair_label",
+        "uniform_distribution", "validate_coupling",
     ),
     "mechanisms": (
         "FALLBACK_ERROR", "FALLBACK_SAMPLE_TARGET", "MODE_GIVEN",
@@ -69,10 +70,9 @@ _EXPORTS = {
     ),
     "tolerances": ("DEFAULT_SEED", "TAU_MASS", "TAU_NUM", "TAU_ZERO"),
     "transport": (
-        "Coupling", "TransportResult", "coupling_cost", "diameter",
-        "dual_potentials", "emd", "is_submodular", "lifted_member",
-        "lifted_w1_member", "northwest_corner", "validate_coupling",
-        "wasserstein_inf", "wasserstein_p",
+        "TransportResult", "coupling_cost", "diameter", "dual_potentials",
+        "emd", "is_submodular", "lifted_member", "lifted_w1_member",
+        "northwest_corner", "wasserstein_inf", "wasserstein_p",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -44,6 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import transport
 from .divergences import (
     KL,
     STANDARD_KINDS,
@@ -74,7 +75,6 @@ from .finite_prob import (
 )
 from .mechanisms import CouplingMechanismSpec, KernelFamily, _cp_rows, aux_kernel
 from .tolerances import TAU_NUM, TAU_ZERO
-from .transport import _cost_block, _pair_distances
 
 NOTION_DP = "dp"
 NOTION_XDP = "xdp"
@@ -356,8 +356,8 @@ def audit_xdistp(
     """
     plan, table = _lifted_pairs(mechanism, psi)
     nodes = np.array([node for _, node in plan.lifts])
-    distances = _pair_distances(plan.nodes, nodes[plan.pairs.left],
-                                nodes[plan.pairs.right], metric, wasserstein)
+    left, right = nodes[plan.pairs.left], nodes[plan.pairs.right]
+    distances = transport._pair_distances(plan.nodes, left, right, metric, wasserstein)
     return _audit(NOTION_XDISTP, divergence, plan.pairs, table, claimed_eps,
                   distances=distances)
 
@@ -371,7 +371,7 @@ def expected_utility_loss(
     """
     if lam.ground != kernel.inputs:
         raise GroundMismatchError("distribution ground does not match kernel inputs")
-    cost = _cost_block(metric, kernel.inputs, kernel.outputs)
+    cost = transport._cost_block(metric, kernel.inputs, kernel.outputs)
     return float(lam.probs @ (kernel.matrix * cost).sum(axis=1))
 
 
@@ -381,7 +381,7 @@ def worst_case_loss(
     """Largest distance between input and output that can actually occur."""
     if lam.ground != kernel.inputs:
         raise GroundMismatchError("distribution ground does not match kernel inputs")
-    cost = _cost_block(metric, kernel.inputs, kernel.outputs)
+    cost = transport._cost_block(metric, kernel.inputs, kernel.outputs)
     active = (lam.probs[:, None] * kernel.matrix) > TAU_ZERO
     if not np.any(active):
         return 0.0

@@ -12,13 +12,14 @@ and the package's lazy submodules, and each handler reaches the library
 through a module attribute (``fileio.load_json``, ``transport.emd``), so
 a module executes when a handler first touches it. ``--version``,
 ``--help`` and usage errors therefore cost an interpreter start and
-argparse. The library modules each handler executes:
+argparse. The library modules each handler executes, ``transport`` only
+where a coupling or a Wasserstein distance is solved:
 
-    obfuscate on a kernel, compose     finite_prob, mechanisms, fileio
-    obfuscate on a spec, couple-mech   those three and transport
-    emd, couple                        finite_prob, transport, fileio
-    divergence                         finite_prob, divergences, fileio
-    audit                              all six
+    obfuscate, compose, couple-mech given  finite_prob, mechanisms, fileio
+    couple-mech optimal, northwest         those three and transport
+    emd, couple                            finite_prob, transport, fileio
+    divergence                             finite_prob, divergences, fileio
+    audit                                  all six, transport only for xDistP
 """
 
 from __future__ import annotations
@@ -168,6 +169,8 @@ def cmd_couple_mech(args, cfg: RunConfig) -> int:
 def cmd_obfuscate(args, cfg: RunConfig) -> int:
     import numpy as np
 
+    if not 0 <= cfg.seed < 2**128:  # the key range of np.random.Philox
+        raise ValidationError(f"--seed must be in [0, 2**128), got {cfg.seed}")
     mechanism = fileio.load_mechanism(args.mech, cfg.tau_mass)
     if isinstance(mechanism, mechanisms.CouplingMechanismSpec):
         if args.aux is None:

@@ -29,10 +29,11 @@ from typing import Any
 
 import numpy as np
 
-from . import mechanisms, transport
+from . import mechanisms
 from .errors import ValidationError
 from .tolerances import TAU_MASS
 from .finite_prob import (
+    Coupling,
     DistributionPair,
     DistributionPairRelation,
     FiniteDistribution,
@@ -77,16 +78,19 @@ def dumps_json(obj: Any) -> str:
 
 
 def load_json(path: str) -> Any:
-    """The parsed JSON in ``path``. A ValueError that is not a syntax error,
-    such as an integer past Python's limit on the digits of an int read from
-    text, becomes a ValidationError that names the file."""
+    """The parsed JSON in ``path``. Bytes that are not UTF-8, an integer past
+    the digit limit and nesting past the recursion limit fail naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError:
             raise
-        except ValueError as exc:
+        except UnicodeDecodeError as exc:
             raise ValidationError(f"{path}: {exc}") from None
+        except ValueError:  # an integer past the limit on its digits
+            raise ValidationError(f"{path}: an integer has too many digits") from None
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply") from None
 
 
 def _array(value: Any, what: str) -> list | tuple:
@@ -154,7 +158,7 @@ def kernel_from_dict(data: Any, tau_mass: float = TAU_MASS) -> StochasticKernel:
     return StochasticKernel(inputs, outputs, rows, tau_mass)
 
 
-def coupling_to_dict(coupling: transport.Coupling) -> dict:
+def coupling_to_dict(coupling: Coupling) -> dict:
     return {
         "rows": list(coupling.rows),
         "cols": list(coupling.cols),
@@ -162,9 +166,9 @@ def coupling_to_dict(coupling: transport.Coupling) -> dict:
     }
 
 
-def coupling_from_dict(data: Any, tau_mass: float = TAU_MASS) -> transport.Coupling:
+def coupling_from_dict(data: Any, tau_mass: float = TAU_MASS) -> Coupling:
     rows, cols, mass = _parsed(data, "coupling", ("rows", "cols", "mass"))
-    return transport.Coupling(rows, cols, mass, tau_mass)
+    return Coupling(rows, cols, mass, tau_mass)
 
 
 def cp_spec_to_dict(spec: mechanisms.CouplingMechanismSpec) -> dict:
@@ -267,8 +271,10 @@ def relation_from_obj(
 
 def metric_from_csv(path: str) -> GroundMetric:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        try:
+            rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: empty cost matrix file")
     labels = tuple(cell.strip() for cell in rows[0])
@@ -291,7 +297,10 @@ def load_labels_csv(path: str, header: str = "x") -> list[str]:
     Blank lines are skipped; every other line after the header must hold
     exactly one label."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     if not rows or rows[0][0].strip() != header:
         raise ValidationError(f"{path}: expected a CSV with header {header!r}")
     try:

@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .finite_prob import (
+    Coupling,
     DistributionPairRelation,
     FiniteDistribution,
     GroundMetric,
@@ -33,9 +34,9 @@ from .finite_prob import (
     _clean_ground,
     _interned,
     _kept,
-    _trusted,
     lift,
     pair_label,
+    validate_coupling,
 )
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
 
@@ -114,7 +115,7 @@ class CouplingEntry:
 
     s: str
     approx_input: FiniteDistribution
-    coupling: transport.Coupling
+    coupling: Coupling
 
 
 @dataclass(frozen=True)
@@ -133,26 +134,6 @@ class CouplingMechanismSpec:
     tau_mass: InitVar[float] = TAU_MASS
 
     def __post_init__(self, tau_mass: float) -> None:
-        self._check(tau_mass)
-
-    @classmethod
-    def _solved(cls, target: FiniteDistribution,
-                entries: tuple[CouplingEntry, ...],
-                fallback: str) -> "CouplingMechanismSpec":
-        """A spec whose couplings the solver built from each estimate to
-        the target; every check runs, but the marginals only where the
-        two totals disagree (see ``_check``)."""
-        spec = _trusted(cls, {"target": target, "entries": entries,
-                              "fallback": fallback})
-        spec._check(TAU_MASS, solved=True)
-        return spec
-
-    def _check(self, tau_mass: float, solved: bool = False) -> None:
-        """The spec's rules. With ``solved`` the couplings are the solver's
-        own, whose marginals miss the inputs' by at most the difference of
-        the two totals, plus rounding; so an entry whose total lies within
-        ``tau_mass / 2`` of the target's skips the marginal check."""
-        total = self.target.probs.sum() if solved else 0.0
         if self.fallback not in _FALLBACKS:
             raise ValidationError(
                 f"fallback must be one of {_FALLBACKS}, got {self.fallback!r}"
@@ -169,11 +150,8 @@ class CouplingMechanismSpec:
                 raise GroundMismatchError(
                     "all estimated inputs must share one ground set"
                 )
-            if solved and abs(entry.approx_input.probs.sum() - total) <= tau_mass / 2:
-                continue
-            if not transport.validate_coupling(
-                entry.coupling, entry.approx_input, self.target, tau_mass
-            ):
+            if not validate_coupling(entry.coupling, entry.approx_input, self.target,
+                                     tau_mass):
                 raise InvalidCouplingError(
                     f"coupling for auxiliary value {entry.s!r} does not have the "
                     "declared marginals"
@@ -197,15 +175,16 @@ def build_coupling_mechanism(
     mode: str = MODE_OPTIMAL,
     *,
     metric: GroundMetric | None = None,
-    couplings: Mapping[str, transport.Coupling] | None = None,
+    couplings: Mapping[str, Coupling] | None = None,
     fallback: str = FALLBACK_ERROR,
 ) -> CouplingMechanismSpec:
     """Assemble a coupling mechanism for the given estimates.
 
     Modes: ``"optimal"`` picks the cost-minimal coupling under ``metric``
     (the utility-optimal choice), ``"northwest"`` the staircase coupling,
-    ``"given"`` validates caller-supplied couplings. The solver's couplings
-    have their marginals by construction and are not checked again.
+    ``"given"`` takes caller-supplied couplings. Every mode builds the
+    spec through its one constructor, which checks each coupling's
+    marginals; only the first two modes run the solver.
     """
     if mode not in _MODES:
         raise ValidationError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -225,9 +204,7 @@ def build_coupling_mechanism(
                 raise ValidationError(f"given mode needs a coupling for {s!r}")
             coupling = couplings[s]
         entries.append(CouplingEntry(s, lam_hat, coupling))
-    if mode == MODE_GIVEN:
-        return CouplingMechanismSpec(target, tuple(entries), fallback)
-    return CouplingMechanismSpec._solved(target, tuple(entries), fallback)
+    return CouplingMechanismSpec(target, tuple(entries), fallback)
 
 
 def _cp_rows(target: FiniteDistribution, entry: CouplingEntry):

@@ -14,7 +14,8 @@ parent and depth, so the tree's edge cells are the basis. The pivot cycle
 is the two paths up to a common ancestor, and only the subtree that a
 pivot cuts off is hung again and re-priced. The north-west corner rule of
 ``northwest_corner`` (the ``"northwest"`` coupling-mechanism mode) is the
-same fill on the staircase costs i + j.
+same fill on the staircase costs i + j. Plans are ``finite_prob.Coupling``
+tables; this module runs only where one or a distance is solved.
 
 A bounded-variable variant fixes a set of forbidden arcs at zero, which
 gives feasibility tests and restricted optima for relation-constrained
@@ -40,13 +41,12 @@ with Hall cuts in place of bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     EmptyRelationError,
     GroundMismatchError,
     SolverNonconvergenceError,
@@ -54,58 +54,15 @@ from .errors import (
     ValidationError,
 )
 from .finite_prob import (
+    Coupling,
     FiniteDistribution,
     GroundMetric,
     PointRelation,
-    _checked_array,
-    _clean_ground,
-    _sorted_distinct,
-    _trusted,
 )
 from .tolerances import TAU_MASS, TAU_NUM, TAU_ZERO
 
 # Reduced costs above -REDUCED_COST_TOL * (largest cost, or 1) are optimal.
 REDUCED_COST_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class Coupling:
-    """A joint distribution whose marginals couple two ground sets."""
-
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    mass: np.ndarray
-    tau_mass: InitVar[float] = TAU_MASS
-
-    def __post_init__(self, tau_mass: float) -> None:
-        rows = _clean_ground(self.rows)
-        cols = _clean_ground(self.cols)
-        mass = _checked_array(self.mass, (len(rows), len(cols)), "coupling", tau_mass)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "mass", mass)
-
-    @classmethod
-    def _solved(cls, rows: tuple[str, ...], cols: tuple[str, ...],
-                mass: np.ndarray) -> "Coupling":
-        """A plan the solver built on two validated grounds (see
-        ``finite_prob._trusted``). Its total is still checked: the marginals
-        may hold their mass to a looser tolerance than a coupling does."""
-        return _trusted(cls, {"rows": rows, "cols": cols, "mass": mass},
-                        "mass", "coupling")
-
-    def row_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=1)
-
-    def col_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=0)
-
-    def support(self, tau_zero: float = TAU_ZERO) -> tuple[tuple[str, str], ...]:
-        cells = np.argwhere(self.mass > tau_zero)
-        return tuple((self.rows[i], self.cols[j]) for i, j in cells)
-
-    def __repr__(self) -> str:
-        return f"Coupling({len(self.rows)}x{len(self.cols)})"
 
 
 @dataclass(frozen=True)
@@ -124,26 +81,6 @@ class TransportResult:
     pivots: int = 0
     degenerate_pivots: int = 0
     search_steps: int = 0
-
-
-def validate_coupling(
-    coupling: Coupling,
-    lam: FiniteDistribution,
-    mu: FiniteDistribution,
-    tau_mass: float = TAU_MASS,
-) -> bool:
-    """True iff the coupling's marginals match ``lam`` and ``mu`` entrywise.
-
-    Label sequences must agree exactly (an ordering mismatch is a hard
-    error, not a False, because it almost always signals a wiring bug).
-    """
-    if coupling.rows != lam.ground or coupling.cols != mu.ground:
-        raise DimensionMismatchError(
-            "coupling labels do not match the marginal grounds"
-        )
-    rows_ok = np.all(np.abs(coupling.row_marginal() - lam.probs) <= tau_mass)
-    cols_ok = np.all(np.abs(coupling.col_marginal() - mu.probs) <= tau_mass)
-    return bool(rows_ok and cols_ok)
 
 
 def _northwest(supply: np.ndarray, demand: np.ndarray):
@@ -547,6 +484,13 @@ def wasserstein_inf(
         Coupling._solved(lam.ground, mu.ground, mass), value,
         frozenset(best.basis), pivots, degenerate, steps,
     )
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a nonempty array, ascending. Not np.unique,
+    whose first plain call imports numpy.ma (about 15 ms, numpy 2.4)."""
+    values = np.sort(values, axis=None)
+    return values[np.append(True, values[1:] != values[:-1])]
 
 
 def _hall_index(values, reach, need, demand) -> int:

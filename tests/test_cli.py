@@ -475,6 +475,19 @@ def test_obfuscate_deterministic(files):
     assert third.stdout != first.stdout
 
 
+@pytest.mark.parametrize("seed, code", [(-1, 1), (0, 0), (2**128 - 1, 0),
+                                        (2**128, 1)])
+def test_obfuscate_takes_a_seed_in_the_generator_key_range(files, seed, code):
+    """The Philox key is a 128-bit unsigned integer."""
+    mech = rr_kernel_file(files)
+    data = files("points.csv", "x\na\n")
+    proc = run("obfuscate", "--mech", mech, "--data", data, "--seed", seed,
+               expect=code)
+    if code:
+        assert proc.stderr == (f"error: --seed must be in [0, 2**128), "
+                               f"got {seed}\n")
+
+
 def test_obfuscate_out_file_matches_stdout(files, tmp_path):
     mech = rr_kernel_file(files)
     data = files("points.csv", "x\na\nb\n")

@@ -197,11 +197,13 @@ def input_files(args) -> list[str]:
     return [arg for arg in args if (INPUTS / arg).is_file()]
 
 
-def run_with(workdir: Path, file: str, text: str, args) -> tuple[int, str]:
+def run_with(workdir: Path, file: str, text: str | bytes, args) -> tuple[int, str]:
     """Run ``args`` in ``workdir``, which holds a copy of the inputs, with
-    ``file`` holding ``text``, then restore the file. Returns the exit code
-    and standard error."""
-    (workdir / file).write_text(text, encoding="utf-8")
+    ``file`` holding ``text`` (UTF-8 encoded, or raw bytes), then restore the
+    file. Returns the exit code and standard error."""
+    if isinstance(text, str):
+        text = text.encode("utf-8")
+    (workdir / file).write_bytes(text)
     err = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, \
             redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -225,7 +227,8 @@ def test_malformed_input_fails_cleanly(name, tmp_path):
     shutil.copytree(INPUTS, tmp_path, dirs_exist_ok=True)
     for file in input_files(args):
         text = (INPUTS / file).read_text(encoding="utf-8")
-        for bad in ("", text[: len(text) // 2], "null", "[]", "{}", '"x"', "1"):
+        for bad in ("", text[: len(text) // 2], "null", "[]", "{}", '"x"', "1",
+                    b"x\n\xff\xfe\n", "[" * 100000 + "]" * 100000):
             code, err = run_with(tmp_path, file, bad, args)
             assert_fails_cleanly(code, err, file.endswith(".json"),
                                  f"{file} holding {bad[:20]!r}")
@@ -253,7 +256,11 @@ def test_an_integer_a_float_cannot_hold_fails_cleanly(name, file, path, digits,
     shutil.copytree(INPUTS, tmp_path, dirs_exist_ok=True)
     code, err = run_with(tmp_path, file, text, args)
     assert code == 1
-    assert err.splitlines()[-1].startswith("error:")
+    last = err.splitlines()[-1]
+    assert last.startswith("error:")
+    assert "set_int_max_str_digits" not in last
+    if digits > 4300:  # refused as the file is read, so the file is named
+        assert last.startswith(f"error: {file}: ")
 
 
 def json_paths(node, at=()):

@@ -5,6 +5,7 @@ numpy; every exported name still resolves to the object its home module
 defines.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -124,17 +125,36 @@ def test_help_text_is_unchanged():
     assert proc.stdout.encode("utf-8") == HELP.read_bytes()
 
 
-# The library modules each CLI handler executes, as ``distp.cli`` lists them.
+# The library modules each CLI handler executes, as ``distp.cli`` lists them,
+# when it solves nothing; ``transport`` executes only where a coupling or a
+# Wasserstein distance is solved (``solves``).
 RELEASE = {"finite_prob", "mechanisms", "fileio"}
 EXECUTED = {
     "obfuscate": RELEASE,
     "compose": RELEASE,
-    "couple-mech": RELEASE | {"transport"},
+    "couple-mech": RELEASE,
     "emd": {"finite_prob", "transport", "fileio"},
     "couple": {"finite_prob", "transport", "fileio"},
     "divergence": {"finite_prob", "divergences", "fileio"},
-    "audit": set(distp._LAZY),
+    "audit": set(distp._LAZY) - {"transport"},
 }
+
+
+def solves(args) -> bool:
+    """Whether the command solves a coupling or a Wasserstein distance that
+    its subcommand does not always solve: ``couple-mech`` in optimal or
+    northwest mode, and an xDistP audit, a ``--metric`` with a distribution
+    relation or with a spec."""
+    def loaded(flag):
+        return json.loads((INPUTS / args[args.index(flag) + 1]).read_text("utf-8"))
+
+    if args[0] == "couple-mech":
+        return "given" not in args
+    return args[0] == "audit" and "--metric" in args and (
+        "target" in loaded("--mech")
+        or not isinstance(loaded("--relation")[0][0], str))
+
+
 # Runs ``distp.cli.main`` on its arguments, then prints the lazy modules that
 # executed: ``LazyLoader`` swaps a module's class for ModuleType on first use.
 EXECUTED_PROBE = """
@@ -148,17 +168,22 @@ print(*(name for name in distp._LAZY
 """
 
 
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run on ``args`` in a fresh process, in the inputs directory,
+    with this checkout's ``distp``."""
+    path = os.pathsep.join([str(Path(distp.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=INPUTS,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.fixture(scope="module")
 def executed() -> dict:
     """Each golden case's executed modules, from a fresh process per case."""
-    path = os.pathsep.join([str(Path(distp.__file__).parents[1]),
-                            os.environ.get("PYTHONPATH", "")])
 
     def run(name):
-        proc = subprocess.run([sys.executable, "-c", EXECUTED_PROBE,
-                               *CASES[name][0]], cwd=INPUTS,
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = _fresh(EXECUTED_PROBE, *CASES[name][0])
         return set(proc.stdout.split()), proc.stderr
 
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -168,8 +193,31 @@ def executed() -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_subcommand_executes_only_the_modules_it_calls(name, executed):
     args = CASES[name][0]
-    expected = EXECUTED[args[0]]
-    if "--aux" in args:  # a mechanism spec's couplings are transport's
-        expected = expected | {"transport"}
+    expected = EXECUTED[args[0]] | ({"transport"} if solves(args) else set())
     modules, stderr = executed[name]
     assert modules == expected, stderr
+
+
+# Reads, checks, samples and audits a coupling-mechanism spec, then prints
+# whether ``transport`` executed.
+SPEC_PROBE = """
+import sys, types
+import numpy as np
+import distp
+from distp import audit, fileio, mechanisms
+spec = fileio.load_mechanism("spec.json")
+kernels = [mechanisms.cp_kernel(spec, s) for s in spec.aux]
+for kernel in kernels:
+    mechanisms.sample_outputs(kernel, kernel.inputs, np.random.default_rng(0))
+phi = fileio.relation_from_obj(fileio.load_json("spec_phi.json"))
+audit.audit_div_dp(kernels[0], phi, distp.KL)
+psi = fileio.relation_from_obj(fileio.load_json("spec_psi.json"))
+audit.audit_distp(spec, psi, distp.KL)
+print(type(sys.modules["distp.transport"]) is types.ModuleType)
+"""
+
+
+def test_a_spec_is_read_checked_sampled_and_audited_without_the_solver():
+    proc = _fresh(SPEC_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
