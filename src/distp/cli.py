@@ -4,13 +4,14 @@ Subcommands: divergence, emd, couple, couple-mech, obfuscate, audit,
 compose. JSON reports go to stdout with a "config" block echoing the seed,
 tolerance overrides, and tool version, so runs are self-describing and
 reproducible. Exit codes: 0 success (audit verdict pass), 2 audit verdict
-fail, 1 error.
+fail, 1 error. Each input file is read with one ``fileio`` call, whose
+errors name the file: ``error: <file>: <reason>``.
 
 Arguments are parsed before numpy or any numpy module of distp loads:
 this module imports only the standard library, ``errors``, ``tolerances``
 and the package's lazy submodules, and each handler reaches the library
-through a module attribute (``fileio.load_json``, ``transport.emd``), so
-a module executes when a handler first touches it. ``--version``,
+through a module attribute (``fileio.load_kernel``, ``transport.emd``),
+so a module executes when a handler first touches it. ``--version``,
 ``--help`` and usage errors therefore cost an interpreter start and
 argparse. The library modules each handler executes, ``transport`` only
 where a coupling or a Wasserstein distance is solved:
@@ -25,9 +26,6 @@ where a coupling or a Wasserstein distance is solved:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from collections import namedtuple
 
@@ -79,23 +77,18 @@ def _emit(payload: dict, config: RunConfig, out: str | None = None) -> None:
     _write(fileio.dumps_json({"config": config.to_dict(), **payload}), out)
 
 
-def _load_distribution(path: str, tau_mass: float):
-    return fileio.distribution_from_dict(fileio.load_json(path), tau_mass)
-
-
 def _resolve_divergence(args):
-    if args.divergence == "max":
-        return divergences.MaxDivergence(0.0)
-    if args.divergence == "max-delta":
-        if args.delta is None:
-            raise ValidationError("divergence 'max-delta' needs --delta")
-        return divergences.MaxDivergence(args.delta)
+    if (args.delta is None) == (args.divergence == "max-delta"):
+        raise ValidationError("divergence 'max-delta' needs --delta, and no "
+                              "other divergence takes it")
+    if args.divergence in ("max", "max-delta"):
+        return divergences.MaxDivergence(args.delta or 0.0)
     return divergences.KIND_BY_NAME[args.divergence]
 
 
 def cmd_divergence(args, cfg: RunConfig) -> int:
-    lhs = _load_distribution(args.lhs, cfg.tau_mass)
-    rhs = _load_distribution(args.rhs, cfg.tau_mass)
+    lhs = fileio.load_distribution(args.lhs, cfg.tau_mass)
+    rhs = fileio.load_distribution(args.rhs, cfg.tau_mass)
     divergence = _resolve_divergence(args)
     value = divergences.divergence_value(divergence, lhs, rhs)
     _emit({"kind": divergence.name, "value": value}, cfg)
@@ -103,65 +96,42 @@ def cmd_divergence(args, cfg: RunConfig) -> int:
 
 
 def cmd_emd(args, cfg: RunConfig) -> int:
-    lhs = _load_distribution(args.lhs, cfg.tau_mass)
-    rhs = _load_distribution(args.rhs, cfg.tau_mass)
+    lhs = fileio.load_distribution(args.lhs, cfg.tau_mass)
+    rhs = fileio.load_distribution(args.rhs, cfg.tau_mass)
     metric = fileio.metric_from_csv(args.cost)
     order = "inf" if args.inf else 1.0 if args.p is None else args.p
     result = transport._wasserstein(lhs, rhs, metric, order)
-    payload = {
-        "order": order,
-        "cost": result.cost,
-        "coupling": fileio.coupling_to_dict(result.coupling),
-    }
-    _emit(payload, cfg)
+    _emit({"order": order, "cost": result.cost,
+           "coupling": fileio.coupling_to_dict(result.coupling)}, cfg)
     return 0
 
 
 def cmd_couple(args, cfg: RunConfig) -> int:
-    lhs = _load_distribution(args.lhs, cfg.tau_mass)
-    rhs = _load_distribution(args.rhs, cfg.tau_mass)
+    if not (args.northwest or args.cost):
+        raise ValidationError("provide --cost for an optimal coupling "
+                              "or pass --northwest")
+    lhs = fileio.load_distribution(args.lhs, cfg.tau_mass)
+    rhs = fileio.load_distribution(args.rhs, cfg.tau_mass)
     metric = fileio.metric_from_csv(args.cost) if args.cost else None
     if args.northwest:
         coupling = transport.northwest_corner(lhs, rhs)
         cost = transport.coupling_cost(coupling, metric) if metric else None
     else:
-        if metric is None:
-            raise ValidationError("provide --cost for an optimal coupling "
-                                  "or pass --northwest")
         result = transport.emd(lhs, rhs, metric)
         coupling, cost = result.coupling, result.cost
     _emit({"cost": cost, "coupling": fileio.coupling_to_dict(coupling)}, cfg)
     return 0
 
 
-def _object_map(data, load, tau_mass: float, message: str) -> dict:
-    """``load`` applied to every value of a JSON object, keyed by string."""
-    if not isinstance(data, dict):
-        raise ValidationError(message)
-    return {str(key): load(obj, tau_mass) for key, obj in data.items()}
-
-
 def cmd_couple_mech(args, cfg: RunConfig) -> int:
-    target = _load_distribution(args.target, cfg.tau_mass)
-    approx = _object_map(fileio.load_json(args.inputs),
-                         fileio.distribution_from_dict, cfg.tau_mass,
-                         "--inputs file must map auxiliary values "
-                         "to distribution objects")
+    target = fileio.load_distribution(args.target, cfg.tau_mass)
+    approx = fileio.load_inputs(args.inputs, cfg.tau_mass)
     metric = fileio.metric_from_csv(args.cost) if args.cost else None
-    couplings = None
-    if args.couplings:
-        couplings = _object_map(fileio.load_json(args.couplings),
-                                fileio.coupling_from_dict, cfg.tau_mass,
-                                "--couplings file must map "
-                                "auxiliary values to coupling objects")
+    couplings = (fileio.load_couplings(args.couplings, cfg.tau_mass)
+                 if args.couplings else None)
     spec = mechanisms.build_coupling_mechanism(
-        target,
-        approx,
-        args.mode,
-        metric=metric,
-        couplings=couplings,
-        fallback=args.fallback,
-    )
+        target, approx, args.mode, metric=metric, couplings=couplings,
+        fallback=args.fallback)
     _emit(fileio.cp_spec_to_dict(spec), cfg, args.out)
     return 0
 
@@ -172,14 +142,11 @@ def cmd_obfuscate(args, cfg: RunConfig) -> int:
     if not 0 <= cfg.seed < 2**128:  # the key range of np.random.Philox
         raise ValidationError(f"--seed must be in [0, 2**128), got {cfg.seed}")
     mechanism = fileio.load_mechanism(args.mech, cfg.tau_mass)
-    if isinstance(mechanism, mechanisms.CouplingMechanismSpec):
-        if args.aux is None:
-            raise ValidationError("mechanism spec needs --aux to pick a kernel")
-        kernel = mechanisms.cp_kernel(mechanism, args.aux)
-    else:
-        if args.aux is not None:
-            raise ValidationError("--aux only applies to mechanism spec files")
-        kernel = mechanism
+    spec = isinstance(mechanism, mechanisms.CouplingMechanismSpec)
+    if spec == (args.aux is None):
+        raise ValidationError("a mechanism spec needs --aux to pick a kernel, "
+                              "and no kernel takes it")
+    kernel = mechanisms.cp_kernel(mechanism, args.aux) if spec else mechanism
     labels = fileio.load_labels_csv(args.data, header="x")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     outputs = mechanisms.sample_outputs(kernel, labels, rng)
@@ -187,39 +154,22 @@ def cmd_obfuscate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _audit_csv(report: audit.AuditReport, tau_num: float) -> str:
-    """One row per pair, as the report's JSON lists it. A float cell reads
-    as its JSON token does (``str`` of an infinity is ``inf``); a missing
-    bound and verdict are empty."""
-    bound = "" if report.claimed_eps is None else fileio.jsonable(report.claimed_eps)
-    verdict = {True: "true", False: "false", None: ""}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(audit._PAIR_FIELDS)
-    writer.writerows((*row[:4], bound, verdict[row[5]])
-                     for row in report._rows(tau_num))
-    return buf.getvalue()
-
-
 def cmd_audit(args, cfg: RunConfig) -> int:
     mechanism = fileio.load_mechanism(args.mech, cfg.tau_mass)
-    relation = fileio.relation_from_obj(fileio.load_json(args.relation),
-                                        cfg.tau_mass)
+    relation = fileio.load_relation(args.relation, cfg.tau_mass)
     divergence = _resolve_divergence(args)
     metric = fileio.metric_from_csv(args.metric) if args.metric else None
-
-    if isinstance(relation, finite_prob.PointRelation):
-        if args.wasserstein is not None:
-            raise ValidationError(
-                "--wasserstein needs a relation over distributions"
-            )
-        if isinstance(mechanism, mechanisms.CouplingMechanismSpec):
-            # a spec picks its kernel per auxiliary value, so its label
-            # pairs are audited as pairs of point masses, whose W1 under
-            # a metric is the label distance
-            ground = mechanism.entries[0].approx_input.ground
-            relation = finite_prob.DistributionPairRelation.from_point_relation(
-                relation, ground)
+    labels = isinstance(relation, finite_prob.PointRelation)
+    if args.wasserstein is not None and (labels or metric is None):
+        raise ValidationError("--wasserstein needs --metric and a relation "
+                              "over distributions")
+    if labels and isinstance(mechanism, mechanisms.CouplingMechanismSpec):
+        # a spec picks its kernel per auxiliary value, so its label pairs
+        # are audited as pairs of point masses, whose W1 under a metric is
+        # the label distance
+        ground = mechanism.entries[0].approx_input.ground
+        relation = finite_prob.DistributionPairRelation.from_point_relation(
+            relation, ground)
     options = {"claimed_eps": args.claimed_eps}
     if metric is not None:
         options["metric"] = metric
@@ -233,30 +183,19 @@ def cmd_audit(args, cfg: RunConfig) -> int:
     report = auditor(mechanism, relation, divergence=divergence, **options)
 
     if cfg.format == "csv":
-        _write(_audit_csv(report, cfg.tau_num))
+        _write(fileio.audit_to_csv(report, cfg.tau_num))
     else:
         _emit(report.to_dict(tau_num=cfg.tau_num), cfg)
     return 0 if report._passed(cfg.tau_num) else 2
 
 
-def _load_second_stage(path: str, tau_mass: float):
-    data = fileio.load_json(path)
-    if isinstance(data, dict) and "branches" in data:
-        return mechanisms.KernelFamily(_object_map(
-            data["branches"], fileio.kernel_from_dict, tau_mass,
-            "'branches' must map first-stage outputs to kernel objects",
-        ))
-    return fileio.kernel_from_dict(data, tau_mass)
-
-
 def cmd_compose(args, cfg: RunConfig) -> int:
-    first = fileio.kernel_from_dict(fileio.load_json(args.first), cfg.tau_mass)
+    first = fileio.load_kernel(args.first, cfg.tau_mass)
     if args.op == "post":
-        second = fileio.kernel_from_dict(fileio.load_json(args.second),
-                                         cfg.tau_mass)
+        second = fileio.load_kernel(args.second, cfg.tau_mass)
         composed = mechanisms.post_process(first, second)
     else:
-        second = _load_second_stage(args.second, cfg.tau_mass)
+        second = fileio.load_second_stage(args.second, cfg.tau_mass)
         combine = (mechanisms.seq_compose if args.op == "seq"
                    else mechanisms.liftseq_compose)
         composed = combine(first, second, marginalize=args.marginalize)
@@ -380,7 +319,7 @@ def main(argv=None) -> int:
                     getattr(args, "format", "json"))
     try:
         return args.func(args, cfg)
-    except (DistpError, OSError, json.JSONDecodeError) as exc:
+    except (DistpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,11 +7,18 @@ JSON layouts:
     mechanism spec
                   {"target": dist, "aux": [{"s", "approx_input", "coupling"}],
                    "fallback": "error" | "sample_target"}
-    relation      [[a, b], ...] where each element is a label, a
-                  distribution object, or {"aux": s, "dist": dist}
+    relation      [[a, b], ...], one pair or more, where each element is a
+                  label, a distribution object, or {"aux": s, "dist": dist}
+    inputs map    {s: dist, ...}, an estimated input per auxiliary value s
+    couplings map {s: coupling, ...}
+    second stage  a kernel, or {"branches": {y: kernel, ...}}, a kernel per
+                  first-stage output y
 
-Cost matrices are CSV: a header row of labels, then a square numeric
-matrix. Data points are CSV with header "x", one label per line.
+Labels (grounds, s, aux, bare relation labels) are JSON strings or numbers,
+a number read as its text. Cost matrices are CSV: a header row of labels,
+then a square numeric matrix. Data points are CSV with header "x", one
+label per line. Each input file is read, parsed and checked by one loader
+here; any failure of the file raises a ``DistpError`` naming it first.
 
 Loaders ignore unknown keys so reports that embed extra context stay
 loadable. Serialized floats that are infinite become the strings "inf" /
@@ -20,6 +27,7 @@ loadable. Serialized floats that are infinite become the strings "inf" /
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -29,8 +37,8 @@ from typing import Any
 
 import numpy as np
 
-from . import mechanisms
-from .errors import ValidationError
+from . import audit, mechanisms
+from .errors import DistpError, EmptyRelationError, ValidationError
 from .tolerances import TAU_MASS
 from .finite_prob import (
     Coupling,
@@ -77,20 +85,33 @@ def dumps_json(obj: Any) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Run the read, parse or checks of the file ``path``, re-raising any
+    failure of it with a message that starts ``<path>: ``."""
+    try:
+        yield
+    except DistpError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    except ValueError:  # an integer past the limit on its digits
+        raise ValidationError(f"{path}: an integer has too many digits") from None
+    except RecursionError:
+        raise ValidationError(f"{path}: JSON nested too deeply") from None
+
+
 def load_json(path: str) -> Any:
-    """The parsed JSON in ``path``. Bytes that are not UTF-8, an integer past
-    the digit limit and nesting past the recursion limit fail naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError:
-            raise
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-        except ValueError:  # an integer past the limit on its digits
-            raise ValidationError(f"{path}: an integer has too many digits") from None
-        except RecursionError:
-            raise ValidationError(f"{path}: JSON nested too deeply") from None
+    """The parsed JSON in ``path``."""
+    with open(path, "r", encoding="utf-8") as fh, _naming(path):
+        return json.load(fh)
+
+
+def _load(path: str, parse, *args):
+    """``parse(data, *args)`` of the JSON ``data`` in ``path``."""
+    data = load_json(path)
+    with _naming(path):
+        return parse(data, *args)
 
 
 def _array(value: Any, what: str) -> list | tuple:
@@ -105,6 +126,12 @@ def _typed(values: list | tuple, types: set, what: str, expected: str):
         bad = next(v for v in values if type(v) not in types)
         raise ValidationError(f"{what}: expected {expected}, got {bad!r}")
     return values
+
+
+def _labels(values: list | tuple, what: str,
+            expected: str = "a string or a number") -> tuple[str, ...]:
+    """``values``, each a JSON string or number, as label strings."""
+    return tuple(map(str, _typed(values, {str, int, float}, what, expected)))
 
 
 def _parsed(data: Any, what: str, keys: tuple[str, ...]) -> list:
@@ -122,9 +149,7 @@ def _parsed(data: Any, what: str, keys: tuple[str, ...]) -> list:
         _typed(row, {int, float}, values, "a number")
     if len(set(map(len, rows))) > 1:
         raise ValidationError(f"{what} {values!r} rows differ in length")
-    labels = [tuple(map(str, _typed(_array(data[key], f"{what} {key!r}"),
-                                    {str, int, float}, f"{what} {key!r}",
-                                    "a string or a number")))
+    labels = [_labels(_array(data[key], f"{what} {key!r}"), f"{what} {key!r}")
               for key in grounds]
     try:
         return labels + [np.array(numbers, dtype=float)]
@@ -145,6 +170,10 @@ def distribution_from_dict(
     return FiniteDistribution(ground, probs, tau_mass)
 
 
+def load_distribution(path: str, tau_mass: float = TAU_MASS) -> FiniteDistribution:
+    return _load(path, distribution_from_dict, tau_mass)
+
+
 def kernel_to_dict(kernel: StochasticKernel) -> dict:
     return {
         "inputs": list(kernel.inputs),
@@ -156,6 +185,28 @@ def kernel_to_dict(kernel: StochasticKernel) -> dict:
 def kernel_from_dict(data: Any, tau_mass: float = TAU_MASS) -> StochasticKernel:
     inputs, outputs, rows = _parsed(data, "kernel", ("inputs", "outputs", "rows"))
     return StochasticKernel(inputs, outputs, rows, tau_mass)
+
+
+def load_kernel(path: str, tau_mass: float = TAU_MASS) -> StochasticKernel:
+    return _load(path, kernel_from_dict, tau_mass)
+
+
+def _object_map(data: Any, parse, tau_mass: float, message: str) -> dict:
+    """``parse`` applied to every value of a nonempty JSON object."""
+    if not isinstance(data, dict) or not data:
+        raise ValidationError(message)
+    return {key: parse(obj, tau_mass) for key, obj in data.items()}
+
+
+def load_second_stage(path: str, tau_mass: float = TAU_MASS):
+    """A kernel, or a ``KernelFamily`` from a ``branches`` object."""
+    data = load_json(path)
+    with _naming(path):
+        if isinstance(data, dict) and "branches" in data:
+            return mechanisms.KernelFamily(_object_map(
+                data["branches"], kernel_from_dict, tau_mass,
+                "'branches' must map first-stage outputs to kernel objects"))
+        return kernel_from_dict(data, tau_mass)
 
 
 def coupling_to_dict(coupling: Coupling) -> dict:
@@ -171,19 +222,25 @@ def coupling_from_dict(data: Any, tau_mass: float = TAU_MASS) -> Coupling:
     return Coupling(rows, cols, mass, tau_mass)
 
 
+def load_inputs(path: str, tau_mass: float = TAU_MASS) -> dict:
+    """An estimated input distribution per auxiliary value."""
+    return _load(path, _object_map, distribution_from_dict, tau_mass,
+                 "--inputs file must map auxiliary values to distributions")
+
+
+def load_couplings(path: str, tau_mass: float = TAU_MASS) -> dict:
+    """A coupling per auxiliary value."""
+    return _load(path, _object_map, coupling_from_dict, tau_mass,
+                 "--couplings file must map auxiliary values to couplings")
+
+
 def cp_spec_to_dict(spec: mechanisms.CouplingMechanismSpec) -> dict:
-    return {
-        "target": distribution_to_dict(spec.target),
-        "aux": [
-            {
-                "s": entry.s,
-                "approx_input": distribution_to_dict(entry.approx_input),
-                "coupling": coupling_to_dict(entry.coupling),
-            }
-            for entry in spec.entries
-        ],
-        "fallback": spec.fallback,
-    }
+    aux = [{"s": entry.s,
+            "approx_input": distribution_to_dict(entry.approx_input),
+            "coupling": coupling_to_dict(entry.coupling)}
+           for entry in spec.entries]
+    return {"target": distribution_to_dict(spec.target), "aux": aux,
+            "fallback": spec.fallback}
 
 
 def cp_spec_from_dict(
@@ -196,21 +253,14 @@ def cp_spec_from_dict(
         if not (isinstance(item, dict)
                 and {"s", "approx_input", "coupling"}.issubset(item)):
             raise ValidationError(
-                "each aux entry needs 's', 'approx_input', 'coupling'"
-            )
-        entries.append(
-            mechanisms.CouplingEntry(
-                str(item["s"]),
-                distribution_from_dict(item["approx_input"], tau_mass),
-                coupling_from_dict(item["coupling"], tau_mass),
-            )
-        )
+                "each aux entry needs 's', 'approx_input', 'coupling'")
+        (s,) = _labels([item["s"]], "aux entry 's'")
+        entries.append(mechanisms.CouplingEntry(
+            s, distribution_from_dict(item["approx_input"], tau_mass),
+            coupling_from_dict(item["coupling"], tau_mass)))
     return mechanisms.CouplingMechanismSpec(
-        distribution_from_dict(data["target"], tau_mass),
-        tuple(entries),
-        str(data.get("fallback", "error")),
-        tau_mass,
-    )
+        distribution_from_dict(data["target"], tau_mass), tuple(entries),
+        str(data.get("fallback", "error")), tau_mass)
 
 
 def load_mechanism(
@@ -218,26 +268,26 @@ def load_mechanism(
 ) -> StochasticKernel | mechanisms.CouplingMechanismSpec:
     """Read a mechanism file, accepting either layout."""
     data = load_json(path)
-    if isinstance(data, dict) and "rows" in data and "inputs" in data:
-        return kernel_from_dict(data, tau_mass)
-    if isinstance(data, dict) and "target" in data and "aux" in data:
-        return cp_spec_from_dict(data, tau_mass)
-    raise ValidationError(
-        f"{path}: not a kernel (inputs/outputs/rows) or a mechanism spec "
-        "(target/aux)"
-    )
+    with _naming(path):
+        if isinstance(data, dict) and "rows" in data and "inputs" in data:
+            return kernel_from_dict(data, tau_mass)
+        if isinstance(data, dict) and "target" in data and "aux" in data:
+            return cp_spec_from_dict(data, tau_mass)
+        raise ValidationError("not a kernel (inputs/outputs/rows) or a "
+                              "mechanism spec (target/aux)")
 
 
 def _pair_side(item: Any, tau_mass: float):
-    """One relation entry side: label, distribution, or aux-tagged dist."""
-    if isinstance(item, str):
-        return item, None, None
-    if isinstance(item, dict) and "dist" in item:
-        aux = str(item["aux"]) if "aux" in item else None
-        return None, distribution_from_dict(item["dist"], tau_mass), aux
-    if isinstance(item, dict):
-        return None, distribution_from_dict(item, tau_mass), None
-    raise ValidationError(f"relation entry {item!r} is not a label or distribution")
+    """A distribution relation's entry side: a distribution object, or
+    ``{"aux": s, "dist": dist}``; returns the distribution and ``s``."""
+    if not isinstance(item, dict):
+        _labels([item], "relation entry", "a label or a distribution object")
+        raise ValidationError(
+            "relation mixes labels and distributions; use one form per file")
+    if "dist" not in item:
+        return distribution_from_dict(item, tau_mass), None
+    aux = _labels([item["aux"]], "relation 'aux'")[0] if "aux" in item else None
+    return distribution_from_dict(item["dist"], tau_mass), aux
 
 
 def relation_from_obj(
@@ -251,44 +301,41 @@ def relation_from_obj(
     """
     if not isinstance(data, list):
         raise ValidationError("relation file must be a JSON list of pairs")
-    sides = []
-    for pair in data:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError("each relation entry must be a 2-element array")
-        sides.append((_pair_side(pair[0], tau_mass), _pair_side(pair[1], tau_mass)))
-    if all(a[0] is not None and b[0] is not None for a, b in sides):
-        return PointRelation((a[0], b[0]) for a, b in sides)
+    if not data:
+        raise EmptyRelationError("relation has no pairs")
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in data):
+        raise ValidationError("each relation entry must be a 2-element array")
+    if not any(isinstance(item, dict) for pair in data for item in pair):
+        return PointRelation(_labels(pair, "relation entry", "a label or a "
+                                     "distribution object") for pair in data)
     pairs = []
-    for (la, da, sa), (lb, db, sb) in sides:
-        if da is None or db is None:
-            raise ValidationError(
-                "relation mixes labels and distributions; use one form per file"
-            )
+    for a, b in data:
+        (da, sa), (db, sb) = _pair_side(a, tau_mass), _pair_side(b, tau_mass)
         aux = (sa, sb) if sa is not None and sb is not None else None
         pairs.append(DistributionPair(da, db, aux))
     return DistributionPairRelation(pairs)
 
 
+def load_relation(path: str, tau_mass: float = TAU_MASS):
+    return _load(path, relation_from_obj, tau_mass)
+
+
 def metric_from_csv(path: str) -> GroundMetric:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValidationError(f"{path}: empty cost matrix file")
-    labels = tuple(cell.strip() for cell in rows[0])
-    body = rows[1:]
-    if len(body) != len(labels):
-        raise ValidationError(
-            f"{path}: expected {len(labels)} matrix rows, found {len(body)}"
-        )
-    cost = []
-    for row in body:
-        if len(row) != len(labels):
-            raise ValidationError(f"{path}: ragged cost matrix row {row!r}")
-        cost.append([_as_float(cell.strip(), "cost") for cell in row])
-    return GroundMetric(labels, np.array(cost))
+    with open(path, "r", encoding="utf-8", newline="") as fh, _naming(path):
+        rows = [row for row in csv.reader(fh) if any(map(str.strip, row))]
+        if not rows:
+            raise ValidationError("empty cost matrix file")
+        labels = tuple(cell.strip() for cell in rows[0])
+        body = rows[1:]
+        if len(body) != len(labels):
+            raise ValidationError(
+                f"expected {len(labels)} matrix rows, found {len(body)}")
+        cost = []
+        for row in body:
+            if len(row) != len(labels):
+                raise ValidationError(f"ragged cost matrix row {row!r}")
+            cost.append([_as_float(cell.strip(), "cost") for cell in row])
+        return GroundMetric(labels, np.array(cost))
 
 
 def load_labels_csv(path: str, header: str = "x") -> list[str]:
@@ -296,17 +343,26 @@ def load_labels_csv(path: str, header: str = "x") -> list[str]:
 
     Blank lines are skipped; every other line after the header must hold
     exactly one label."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, _naming(path):
+        rows = [row for row in csv.reader(fh) if row]
+        if not rows or rows[0][0].strip() != header:
+            raise ValidationError(f"expected a CSV with header {header!r}")
         try:
-            rows = [row for row in csv.reader(fh) if row]
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ValidationError(f"{path}: {exc}") from None
-    if not rows or rows[0][0].strip() != header:
-        raise ValidationError(f"{path}: expected a CSV with header {header!r}")
-    try:
-        return [label for (label,) in itertools.islice(rows, 1, None)]
-    except ValueError:
-        raise ValidationError(f"{path}: expected one label per line") from None
+            return [label for (label,) in itertools.islice(rows, 1, None)]
+        except ValueError:
+            raise ValidationError("expected one label per line") from None
+
+
+def audit_to_csv(report: audit.AuditReport, tau_num: float) -> str:
+    """One row per pair, as the report's JSON lists it. A float cell reads
+    as its JSON token does (``str`` of an infinity is ``inf``); a missing
+    bound and verdict are empty."""
+    bound = "" if report.claimed_eps is None else jsonable(report.claimed_eps)
+    verdict = {True: "true", False: "false", None: ""}
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    return writer.writerow(audit._PAIR_FIELDS) + "".join(
+        writer.writerow((*row[:4], bound, verdict[row[5]]))
+        for row in report._rows(tau_num))
 
 
 def labels_to_csv(labels: list[str], header: str = "y") -> str:

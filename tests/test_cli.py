@@ -1,7 +1,8 @@
+import io
 import json
 import math
 import subprocess
-import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -11,23 +12,33 @@ from distp import (
     GroundMetric,
     StochasticKernel,
     __version__,
+    build_coupling_mechanism,
     f_divergence,
     northwest_corner,
     post_process,
     randomized_response,
     wasserstein_p,
 )
+from distp.cli import main
+from distp.fileio import coupling_to_dict, cp_spec_to_dict
 from conftest import GROUND3, LAM, MU
 
 LINE3_CSV = "1,2,3\n0,1,2\n1,0,1\n2,1,0\n"
 
 
 def run(*args, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "distp.cli", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
+    """``distp`` on ``args``, in-process, with its output captured. Argparse
+    ends ``--version`` and ``--help`` with SystemExit, whose code is taken as
+    the exit code."""
+    args = list(map(str, args))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    proc = subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\n"
         f"stderr: {proc.stderr}"
@@ -157,6 +168,15 @@ def test_divergence_inf_token(files):
     assert payload["value"] == "inf"
 
 
+def test_delta_without_the_max_delta_divergence_is_refused(files):
+    lhs = files("a.json", dist_obj(LAM))
+    rhs = files("b.json", dist_obj(MU))
+    proc = run("divergence", "--lhs", lhs, "--rhs", rhs, "--divergence",
+               "max", "--delta", "0.1", expect=1)
+    assert proc.stderr == ("error: divergence 'max-delta' needs --delta, and "
+                           "no other divergence takes it\n")
+
+
 def test_divergence_slack_needs_delta(files):
     lhs = files("a.json", dist_obj(LAM))
     rhs = files("b.json", dist_obj(MU))
@@ -209,7 +229,8 @@ def test_kernel_row_that_is_not_an_array_exits_one(files):
     mech = files("k.json", {"inputs": ["a"], "outputs": ["y"], "rows": [1]})
     data = files("points.csv", "x\na\n")
     proc = run("obfuscate", "--mech", mech, "--data", data, expect=1)
-    assert proc.stderr == "error: kernel 'rows' row must be a JSON array, got 1\n"
+    assert proc.stderr == (
+        f"error: {mech}: kernel 'rows' row must be a JSON array, got 1\n")
 
 
 def test_kernel_rows_of_different_lengths_exit_one(files):
@@ -217,7 +238,7 @@ def test_kernel_rows_of_different_lengths_exit_one(files):
                             "rows": [[0.5, 0.5], [1.0]]})
     data = files("points.csv", "x\na\n")
     proc = run("obfuscate", "--mech", mech, "--data", data, expect=1)
-    assert proc.stderr == "error: kernel 'rows' rows differ in length\n"
+    assert proc.stderr == f"error: {mech}: kernel 'rows' rows differ in length\n"
 
 
 def test_distribution_probs_that_are_not_an_array_exit_one(files):
@@ -227,7 +248,7 @@ def test_distribution_probs_that_are_not_an_array_exit_one(files):
         "divergence", "--lhs", lhs, "--rhs", rhs, "--divergence", "kl", expect=1
     )
     assert proc.stderr == (
-        "error: distribution 'probs' must be a JSON array, got 1\n"
+        f"error: {lhs}: distribution 'probs' must be a JSON array, got 1\n"
     )
 
 
@@ -240,8 +261,96 @@ def test_spec_aux_entry_that_is_not_an_object_exits_one(files):
     proc = run("obfuscate", "--mech", spec, "--aux", "s", "--data", data,
                expect=1)
     assert proc.stderr == (
-        "error: each aux entry needs 's', 'approx_input', 'coupling'\n"
+        f"error: {spec}: each aux entry needs 's', 'approx_input', 'coupling'\n"
     )
+
+
+def test_a_truncated_file_is_named_beside_a_good_one(files):
+    lhs = files("bad.json", '{"ground": ["a"], "probs": [1')
+    rhs = files("b.json", {"ground": ["a"], "probs": [1.0]})
+    proc = run(
+        "divergence", "--lhs", lhs, "--rhs", rhs, "--divergence", "kl", expect=1
+    )
+    assert proc.stderr == (f"error: {lhs}: Expecting ',' delimiter: "
+                           "line 1 column 30 (char 29)\n")
+
+
+def test_a_negative_cost_names_its_file(files):
+    lhs = files("lam.json", dist_obj(LAM))
+    rhs = files("mu.json", dist_obj(MU))
+    cost = files("neg.csv", "1,2,3\n0,1,2\n-1,0,1\n2,1,0\n")
+    proc = run("emd", "--lhs", lhs, "--rhs", rhs, "--cost", cost, expect=1)
+    assert proc.stderr == f"error: {cost}: cost: negative entry -1\n"
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("phi.json", [], "relation has no pairs"),
+    ("lams.json", {}, "--inputs file must map auxiliary values to "
+                      "distributions"),
+    ("couplings.json", {}, "--couplings file must map auxiliary values to "
+                           "couplings"),
+])
+def test_an_empty_relation_or_map_is_refused_as_it_is_read(files, name,
+                                                           content, message):
+    mech = rr_kernel_file(files)
+    target = files("mu.json", dist_obj(MU))
+    inputs = files("lams.json", {"s": dist_obj(LAM)})
+    couplings = files("couplings.json",
+                      {"s": coupling_to_dict(northwest_corner(LAM, MU))})
+    bad = files(name, content)
+    if name == "phi.json":
+        args = ("audit", "--mech", mech, "--relation", bad, "--divergence",
+                "kl")
+    else:
+        args = ("couple-mech", "build", "--target", target, "--inputs",
+                inputs, "--mode", "given", "--couplings", couplings)
+    assert run(*args, expect=1).stderr == f"error: {bad}: {message}\n"
+
+
+def spec_file(files, s):
+    """A one-entry coupling-mechanism spec whose auxiliary value is ``s``."""
+    spec = build_coupling_mechanism(MU, {"s": LAM}, mode="northwest")
+    data = cp_spec_to_dict(spec)
+    data["aux"][0]["s"] = s
+    return files("spec.json", data)
+
+
+@pytest.mark.parametrize("s", [None, {"k": 1}, True])
+def test_a_spec_aux_value_is_a_label(files, s):
+    spec = spec_file(files, s)
+    data = files("points.csv", "x\n1\n")
+    proc = run("obfuscate", "--mech", spec, "--aux", str(s), "--data", data,
+               expect=1)
+    assert proc.stderr == (f"error: {spec}: aux entry 's': expected a string "
+                           f"or a number, got {s!r}\n")
+
+
+def test_a_spec_aux_value_may_be_a_number(files):
+    spec = spec_file(files, 7)
+    data = files("points.csv", "x\n1\n2\n")
+    assert run("obfuscate", "--mech", spec, "--aux", "7", "--data", data
+               ).stdout.startswith("y\n")
+
+
+def test_a_relation_aux_value_is_a_label(files):
+    spec = spec_file(files, "s")
+    rel = files("psi.json", [[{"aux": None, "dist": dist_obj(LAM)},
+                              {"aux": "s", "dist": dist_obj(MU)}]])
+    proc = run("audit", "--mech", spec, "--relation", rel, "--divergence",
+               "max", expect=1)
+    assert proc.stderr == (f"error: {rel}: relation 'aux': expected a string "
+                           "or a number, got None\n")
+
+
+def test_bare_relation_labels_may_be_numbers(files):
+    mech = files("rr.json", kernel_obj(randomized_response(GROUND3, 1.0)))
+    numbers = files("numbers.json", [[1, 2], [3, 1]])
+    strings = files("strings.json", [["1", "2"], ["3", "1"]])
+    audit = ("audit", "--mech", mech, "--divergence", "max", "--relation")
+    assert run(*audit, numbers).stdout == run(*audit, strings).stdout
+    proc = run(*audit, files("bad.json", [[1, None]]), expect=1)
+    assert proc.stderr.endswith("relation entry: expected a label or a "
+                                "distribution object, got None\n")
 
 
 def test_couple_northwest(files):
@@ -345,6 +454,16 @@ def test_audit_wasserstein_needs_distribution_pairs(files):
         "--metric", cost, "--wasserstein", "inf", expect=1,
     )
     assert "wasserstein" in proc.stderr.lower()
+
+
+def test_audit_wasserstein_needs_a_metric(files):
+    mech = rr_kernel_file(files)
+    lam = {"ground": ["a", "b"], "probs": [0.25, 0.75]}
+    rel = files("psi.json", [[lam, {"ground": ["a", "b"], "probs": [1, 0]}]])
+    proc = run("audit", "--mech", mech, "--relation", rel, "--divergence",
+               "max", "--wasserstein", "inf", expect=1)
+    assert proc.stderr == ("error: --wasserstein needs --metric and a "
+                           "relation over distributions\n")
 
 
 def test_audit_mixed_relation_rejected(files):
@@ -573,7 +692,7 @@ def test_compose_rejects_branches_that_are_not_an_object(files):
         StochasticKernel.identity(("a", "b")))]})
     proc = run("compose", "--op", "seq", "--first", f, "--second", s, expect=1)
     assert proc.stderr == (
-        "error: 'branches' must map first-stage outputs to kernel objects\n"
+        f"error: {s}: 'branches' must map first-stage outputs to kernel objects\n"
     )
 
 
