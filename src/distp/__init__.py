@@ -48,7 +48,7 @@ _EXPORTS = {
     "errors": (
         "DimensionMismatchError", "DistpError", "EmptyRelationError",
         "GroundMismatchError", "InfiniteEpsilonError", "InvalidCouplingError",
-        "InvalidEpsilonError", "InvalidGeneratorError",
+        "InvalidEpsilonError", "InvalidGeneratorError", "MetricCoverageError",
         "SolverNonconvergenceError", "UnknownLabelError",
         "UnsupportedInputError", "ValidationError",
     ),

@@ -5,7 +5,9 @@ compose. JSON reports go to stdout with a "config" block echoing the seed,
 tolerance overrides, and tool version, so runs are self-describing and
 reproducible. Exit codes: 0 success (audit verdict pass), 2 audit verdict
 fail, 1 error. Each input file is read with one ``fileio`` call, whose
-errors name the file: ``error: <file>: <reason>``.
+errors name the file: ``error: <file>: <reason>``. When two files
+disagree (a data label the kernel lacks, a metric that misses a label it
+must price), the error names the one read second, the data or the metric.
 
 Arguments are parsed before numpy or any numpy module of distp loads:
 this module imports only the standard library, ``errors``, ``tolerances``
@@ -26,6 +28,8 @@ where a coupling or a Wasserstein distance is solved:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 from collections import namedtuple
 
@@ -38,7 +42,7 @@ from . import (
     mechanisms,
     transport,
 )
-from .errors import DistpError, ValidationError
+from .errors import DistpError, MetricCoverageError, UnknownLabelError, ValidationError
 from .tolerances import DEFAULT_SEED, TAU_MASS, TAU_NUM
 
 # divergences.KIND_BY_NAME, spelled out so that parsing loads no numpy
@@ -77,6 +81,29 @@ def _emit(payload: dict, config: RunConfig, out: str | None = None) -> None:
     _write(fileio.dumps_json({"config": config.to_dict(), **payload}), out)
 
 
+@contextlib.contextmanager
+def _naming(path: str | None, kind: type[DistpError]):
+    """Re-raise a ``kind`` error raised inside with a message that starts
+    ``<path>: ``: the file read second, whose check against the first failed."""
+    try:
+        yield
+    except kind as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _tolerance(text: str) -> float:
+    """A tolerance flag's value, a finite number >= 0: NaN, an infinity or a
+    negative value would switch off the checks it sets."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _resolve_divergence(args):
     if (args.delta is None) == (args.divergence == "max-delta"):
         raise ValidationError("divergence 'max-delta' needs --delta, and no "
@@ -100,7 +127,8 @@ def cmd_emd(args, cfg: RunConfig) -> int:
     rhs = fileio.load_distribution(args.rhs, cfg.tau_mass)
     metric = fileio.metric_from_csv(args.cost)
     order = "inf" if args.inf else 1.0 if args.p is None else args.p
-    result = transport._wasserstein(lhs, rhs, metric, order)
+    with _naming(args.cost, MetricCoverageError):
+        result = transport._wasserstein(lhs, rhs, metric, order)
     _emit({"order": order, "cost": result.cost,
            "coupling": fileio.coupling_to_dict(result.coupling)}, cfg)
     return 0
@@ -113,12 +141,13 @@ def cmd_couple(args, cfg: RunConfig) -> int:
     lhs = fileio.load_distribution(args.lhs, cfg.tau_mass)
     rhs = fileio.load_distribution(args.rhs, cfg.tau_mass)
     metric = fileio.metric_from_csv(args.cost) if args.cost else None
-    if args.northwest:
-        coupling = transport.northwest_corner(lhs, rhs)
-        cost = transport.coupling_cost(coupling, metric) if metric else None
-    else:
-        result = transport.emd(lhs, rhs, metric)
-        coupling, cost = result.coupling, result.cost
+    with _naming(args.cost, MetricCoverageError):
+        if args.northwest:
+            coupling = transport.northwest_corner(lhs, rhs)
+            cost = transport.coupling_cost(coupling, metric) if metric else None
+        else:
+            result = transport.emd(lhs, rhs, metric)
+            coupling, cost = result.coupling, result.cost
     _emit({"cost": cost, "coupling": fileio.coupling_to_dict(coupling)}, cfg)
     return 0
 
@@ -129,9 +158,10 @@ def cmd_couple_mech(args, cfg: RunConfig) -> int:
     metric = fileio.metric_from_csv(args.cost) if args.cost else None
     couplings = (fileio.load_couplings(args.couplings, cfg.tau_mass)
                  if args.couplings else None)
-    spec = mechanisms.build_coupling_mechanism(
-        target, approx, args.mode, metric=metric, couplings=couplings,
-        fallback=args.fallback)
+    with _naming(args.cost, MetricCoverageError):
+        spec = mechanisms.build_coupling_mechanism(
+            target, approx, args.mode, metric=metric, couplings=couplings,
+            fallback=args.fallback)
     _emit(fileio.cp_spec_to_dict(spec), cfg, args.out)
     return 0
 
@@ -149,7 +179,8 @@ def cmd_obfuscate(args, cfg: RunConfig) -> int:
     kernel = mechanisms.cp_kernel(mechanism, args.aux) if spec else mechanism
     labels = fileio.load_labels_csv(args.data, header="x")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    outputs = mechanisms.sample_outputs(kernel, labels, rng)
+    with _naming(args.data, UnknownLabelError):
+        outputs = mechanisms.sample_outputs(kernel, labels, rng)
     _write(fileio.labels_to_csv(outputs, header="y"), args.out)
     return 0
 
@@ -180,7 +211,8 @@ def cmd_audit(args, cfg: RunConfig) -> int:
     else:
         auditor = audit.audit_xdistp
         options["wasserstein"] = args.wasserstein or "1"
-    report = auditor(mechanism, relation, divergence=divergence, **options)
+    with _naming(args.metric, MetricCoverageError):
+        report = auditor(mechanism, relation, divergence=divergence, **options)
 
     if cfg.format == "csv":
         _write(fileio.audit_to_csv(report, cfg.tau_num))
@@ -206,9 +238,9 @@ def cmd_compose(args, cfg: RunConfig) -> int:
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help="random seed echoed in reports (default %(default)s)")
-    sub.add_argument("--tau-mass", type=float, default=TAU_MASS,
+    sub.add_argument("--tau-mass", type=_tolerance, default=TAU_MASS,
                      help="probability mass tolerance for loaded objects")
-    sub.add_argument("--tau-num", type=float, default=TAU_NUM,
+    sub.add_argument("--tau-num", type=_tolerance, default=TAU_NUM,
                      help="numeric comparison tolerance for verdicts")
 
 

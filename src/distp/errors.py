@@ -22,6 +22,10 @@ class GroundMismatchError(DistpError):
     """Two objects that must share a ground set (or ordering) do not."""
 
 
+class MetricCoverageError(GroundMismatchError, UnknownLabelError):
+    """A cost matrix's ground lacks a label of the objects it must price."""
+
+
 class DimensionMismatchError(DistpError):
     """Array shapes disagree with the declared grounds."""
 

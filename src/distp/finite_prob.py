@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyRelationError,
     GroundMismatchError,
+    MetricCoverageError,
     UnknownLabelError,
     ValidationError,
 )
@@ -159,11 +160,11 @@ class FiniteDistribution:
     def __len__(self) -> int:
         return len(self.ground)
 
-    def support(self, tau_zero: float = TAU_ZERO) -> tuple[str, ...]:
-        return tuple(x for x, p in zip(self.ground, self.probs) if p > tau_zero)
+    def support(self) -> tuple[str, ...]:
+        return tuple(x for x, p in zip(self.ground, self.probs) if p > TAU_ZERO)
 
-    def support_indices(self, tau_zero: float = TAU_ZERO) -> np.ndarray:
-        return np.flatnonzero(self.probs > tau_zero)
+    def support_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.probs > TAU_ZERO)
 
     def is_close(self, other: "FiniteDistribution", tol: float = TAU_NUM) -> bool:
         return self.ground == other.ground and bool(
@@ -312,8 +313,8 @@ class Coupling:
     def col_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=0)
 
-    def support(self, tau_zero: float = TAU_ZERO) -> tuple[tuple[str, str], ...]:
-        cells = np.argwhere(self.mass > tau_zero)
+    def support(self) -> tuple[tuple[str, str], ...]:
+        cells = np.argwhere(self.mass > TAU_ZERO)
         return tuple((self.rows[i], self.cols[j]) for i, j in cells)
 
     def __repr__(self) -> str:
@@ -586,7 +587,7 @@ class GroundMetric:
         try:
             return self._index[label]  # type: ignore[attr-defined]
         except KeyError:
-            raise UnknownLabelError(f"label {label!r} not in metric ground") from None
+            raise MetricCoverageError(f"label {label!r} not in metric ground") from None
 
     def distance(self, a: str, b: str) -> float:
         return float(self.cost[self.index(a), self.index(b)])

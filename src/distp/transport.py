@@ -1,10 +1,12 @@
 """Discrete optimal transport over finite grounds.
 
-The solver is a transportation simplex in network form. A cold solve
-starts from the least-cost (matrix-minimum) basis: cells are filled in
-ascending cost order, ties in row-major order, and each filled cell closes
-one row or column, so the start is a spanning tree over the row and column
-nodes; degenerate basic cells carry an explicit zero mass. Potentials
+The solver is a transportation simplex in network form. A plan is its
+mass and its m + n - 1 basic cells, flat indices i*n + j, and the
+least-cost (matrix-minimum) fill makes the one plan every solve starts
+from or continues: cells are filled in ascending cost order, ties in
+row-major order, and each filled cell closes one row or column, so the
+basic cells form a spanning tree over the row and column nodes;
+degenerate basic cells carry an explicit zero mass. Potentials
 (MODI) price the nonbasic cells, and the most negative reduced cost enters
 (Dantzig). A run of more than m + n degenerate pivots switches to Bland's
 rule until mass moves again, so degenerate instances cannot cycle. The
@@ -14,13 +16,14 @@ parent and depth, so the tree's edge cells are the basis. The pivot cycle
 is the two paths up to a common ancestor, and only the subtree that a
 pivot cuts off is hung again and re-priced. The north-west corner rule of
 ``northwest_corner`` (the ``"northwest"`` coupling-mechanism mode) is the
-same fill on the staircase costs i + j. Plans are ``finite_prob.Coupling``
-tables; this module runs only where one or a distance is solved.
+same fill on the staircase costs i + j. Only the results show the basis
+as (i, j) pairs; their plans are ``finite_prob.Coupling`` tables, and this
+module runs only where one or a distance is solved.
 
 A bounded-variable variant fixes a set of forbidden arcs at zero, which
 gives feasibility tests and restricted optima for relation-constrained
 couplings without big-M costs. Solves that differ only in costs or
-forbidden arcs continue from an earlier basis: the bottleneck search
+forbidden arcs continue from an earlier plan: the bottleneck search
 across thresholds, and a lifted-relation membership test, whose phase 1
 starts at the least-cost plan of the real costs and whose restricted then
 unrestricted optima follow it.
@@ -48,7 +51,7 @@ import numpy as np
 
 from .errors import (
     EmptyRelationError,
-    GroundMismatchError,
+    MetricCoverageError,
     SolverNonconvergenceError,
     UnknownLabelError,
     ValidationError,
@@ -83,27 +86,36 @@ class TransportResult:
     search_steps: int = 0
 
 
-def _northwest(supply: np.ndarray, demand: np.ndarray):
+class _Plan(NamedTuple):
+    """A basic plan: its mass, its m+n-1 basic cells i*n + j, and the
+    pivots that reached it."""
+
+    mass: np.ndarray
+    cells: list[int]
+    pivots: int
+    degenerate_pivots: int
+
+
+def _pairs(plan: _Plan) -> frozenset[tuple[int, int]]:
+    """The plan's basic cells as (i, j) pairs, as ``TransportResult`` shows them."""
+    n = plan.mass.shape[1]
+    return frozenset(divmod(c, n) for c in plan.cells)
+
+
+def _northwest(supply: np.ndarray, demand: np.ndarray) -> _Plan:
     """The staircase start: the least-cost fill on the costs i + j.
 
     In that order the cheapest open cell is always the north-west corner of
     the open block, so the fill walks the staircase of the north-west
     corner rule, with its tie and last-line rules.
     """
-    return _least_cost(supply, demand,
-                       np.add.outer(np.arange(supply.size), np.arange(demand.size)))
+    return _fill(supply, demand,
+                 np.add.outer(np.arange(supply.size), np.arange(demand.size)))
 
 
-def _least_cost(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
-    """The least-cost fill as a plan: (mass, basis) with m+n-1 basic cells."""
-    m, n = cost.shape
-    flow, cells = _fill(supply, demand, cost)
-    return np.array(flow).reshape(m, n), [divmod(c, n) for c in cells]
-
-
-def _fill(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
-    """Matrix-minimum fill as flat state: the flow of every cell i*n + j,
-    and the m+n-1 basic cells in the order they were filled.
+def _fill(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray) -> _Plan:
+    """The matrix-minimum fill: the plan every solve starts from or
+    continues, its m+n-1 basic cells in the order they were filled.
 
     Cells are taken in ascending cost order, ties in row-major order. Each
     taken cell ships as much as its row and column still hold and closes
@@ -139,22 +151,14 @@ def _fill(supply: np.ndarray, demand: np.ndarray, cost: np.ndarray):
         else:
             col_open[j] = False
             cols_left -= 1
-    _fold_defect(flow, cells, supply, demand)
-    return flow, cells
-
-
-def _fold_defect(flow: list, cells: list, supply: np.ndarray,
-                 demand: np.ndarray) -> None:
-    """Float drift can strand a sliver of mass; fold it into the largest cell.
-
-    The total is numpy's sum over all m*n cells, nonbasic zeros included,
-    so that it rounds as the sum of the plan's mass array does.
-    """
-    mass = np.zeros(len(flow))
-    mass[cells] = [flow[c] for c in cells]
+    # Float drift can strand a sliver of mass; fold it into the largest
+    # cell. The total is numpy's sum over all m*n cells, so that it rounds
+    # as the sum of the plan's mass does.
+    mass = np.array(flow)
     defect = 0.5 * (float(supply.sum()) + float(demand.sum())) - float(mass.sum())
     if defect != 0.0:
-        flow[int(np.argmax(mass))] += defect
+        mass[int(np.argmax(mass))] += defect
+    return _Plan(mass.reshape(m, n), cells, 0, 0)
 
 
 def _tree(cells, cl, m: int, n: int):
@@ -210,28 +214,19 @@ def _hang(tree, cl, top: int, above: int, cell: int) -> int:
     return size
 
 
-class _Plan(NamedTuple):
-    """A basic optimal plan and the pivots that reached it."""
-
-    mass: np.ndarray
-    basis: set[tuple[int, int]]
-    pivots: int
-    degenerate_pivots: int
-
-
 def _pivot_budget(m: int, n: int) -> int:
     """The most pivots one solve of an m x n instance may take."""
     return 1000 + 50 * (m + n) ** 2
 
 
-def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
+def _simplex(supply, demand, cost, allowed=None, start=None) -> _Plan:
     """Minimize sum(cost * mass) over couplings of (supply, demand).
 
     ``allowed`` (a boolean mask) fixes the complementary arcs at zero:
     they can never enter the basis and any basic one is capped at zero
     mass, so pivots treat it as a leaving candidate whenever it sits on
-    the gaining side of the cycle. ``warm`` restarts from a previous
-    (mass, basis) pair, its mass on the basis; any basis stays
+    the gaining side of the cycle. The solve starts from the plan
+    ``start``, else from ``_fill`` of its own costs; any basic plan stays
     primal-feasible when only the costs or the mask change, so phase-2
     solves and W-inf thresholds continue from an earlier plan.
 
@@ -242,21 +237,16 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
     objective and Bland's rule cannot cycle, so the loop terminates.
 
     The state is flat: flows, costs, the mask and the priced costs are
-    indexed by cell i*n + j, and the basis is the set of tree edge cells
-    (``_tree``), turned back into (i, j) pairs only for the returned plan.
-    A cold solve takes its flows and basic cells from ``_fill`` as they are.
+    indexed by cell i*n + j, and the basis is the tree's edge cells
+    (``_tree``), which the returned plan keeps as its cells.
     """
     m, n = cost.shape
-    if warm is None:
-        flow, cells = _fill(supply, demand, cost)
-    else:
-        mass, basis = warm
-        flow = mass.ravel().tolist()
-        cells = [i * n + j for i, j in basis]
+    plan = _fill(supply, demand, cost) if start is None else start
+    flow = plan.mass.ravel().tolist()
     cl = cost.ravel().tolist()
     tol = REDUCED_COST_TOL * (float(cost.max()) or 1.0)
     al = None if allowed is None else allowed.ravel().tolist()
-    tree = adj, parent, depth, edge, pot = _tree(cells, cl, m, n)
+    tree = adj, parent, depth, edge, pot = _tree(plan.cells, cl, m, n)
     # the cost with +inf on the cells that may not enter: basic or forbidden
     priced = (cost if allowed is None else np.where(allowed, cost, np.inf)).flatten()
     priced[edge[1:]] = np.inf
@@ -279,8 +269,7 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
             cells = edge[1:]  # nonbasic cells carry no flow
             mass = np.zeros(m * n)
             mass[cells] = [flow[c] for c in cells]
-            return _Plan(mass.reshape(m, n), {divmod(c, n) for c in cells},
-                         pivots, degenerate)
+            return _Plan(mass.reshape(m, n), cells, pivots, degenerate)
         ei, ej = divmod(k, n)
 
         # The cycle closes through the tree paths from row ei and column ej
@@ -340,16 +329,16 @@ def _simplex(supply, demand, cost, allowed=None, warm=None) -> _Plan:
     )
 
 
-def _feasible_on(supply, demand, allowed, warm=None):
+def _feasible_on(supply, demand, allowed, start=None):
     """Phase 1: minimal mass outside ``allowed`` under 0/1 costs.
 
     Feasible iff that stray mass is at most TAU_MASS and the plan that
     ``_clamped`` leaves holds a unit of mass to within TAU_MASS, as a
     ``Coupling`` must; both less the plan's rounding, so that no verdict
-    hangs on last bits that differ with the warm start. Returns the
+    hangs on last bits that differ with the start. Returns the
     verdict and the phase-1 plan.
     """
-    plan = _simplex(supply, demand, np.where(allowed, 0.0, 1.0), warm=warm)
+    plan = _simplex(supply, demand, np.where(allowed, 0.0, 1.0), start=start)
     stray = float(plan.mass[~allowed].sum())
     kept = float(_clamped(plan.mass, allowed).sum())
     room = TAU_MASS - _rounding(allowed.size)
@@ -373,8 +362,8 @@ def _cost_block(metric: GroundMetric, rows, cols) -> np.ndarray:
         return metric.cost
     try:
         return metric.submatrix(rows, cols)
-    except UnknownLabelError as exc:
-        raise GroundMismatchError(
+    except MetricCoverageError as exc:
+        raise MetricCoverageError(
             f"metric does not cover the coupled grounds: {exc}"
         ) from None
 
@@ -385,8 +374,8 @@ def northwest_corner(lam: FiniteDistribution, mu: FiniteDistribution) -> Couplin
     Optimal for submodular costs when both grounds are listed in the
     cost-compatible order; the caller owns that ordering.
     """
-    mass, _ = _northwest(lam.probs, mu.probs)
-    return Coupling._solved(lam.ground, mu.ground, mass)
+    plan = _northwest(lam.probs, mu.probs)
+    return Coupling._solved(lam.ground, mu.ground, plan.mass)
 
 
 def is_submodular(metric: GroundMetric, tol: float = TAU_NUM) -> bool:
@@ -426,7 +415,7 @@ def wasserstein_p(
     return TransportResult(
         Coupling._solved(lam.ground, mu.ground, plan.mass),
         float(np.sum(powered * plan.mass)) ** (1.0 / p),
-        frozenset(plan.basis), plan.pivots, plan.degenerate_pivots,
+        _pairs(plan), plan.pivots, plan.degenerate_pivots,
     )
 
 
@@ -457,19 +446,17 @@ def wasserstein_inf(
     cost = _cost_block(metric, lam.ground, mu.ground)
     supply, demand = lam.probs, mu.probs
     values = _sorted_distinct(cost)
-    mass, basis = _least_cost(supply, demand, cost)
-    plan = best = _Plan(mass, set(basis), 0, 0)
+    plan = best = _fill(supply, demand, cost)
     # Hall's sums round too; the slack keeps a bound from passing a
     # threshold whose shortfall lies within rounding of TAU_MASS.
     tol = TAU_MASS + _rounding(cost.size)
     lo = max(_hall_index(values, cost, supply - tol, demand),
              _hall_index(values, cost.T, demand - tol, supply))
-    hi = int(np.searchsorted(values, cost[mass > 0.0].max()))
+    hi = int(np.searchsorted(values, cost[plan.mass > 0.0].max()))
     pivots = degenerate = steps = 0
     while lo < hi:
         allowed = cost <= values[lo]
-        ok, plan = _feasible_on(supply, demand, allowed,
-                                warm=(plan.mass, plan.basis))
+        ok, plan = _feasible_on(supply, demand, allowed, start=plan)
         pivots += plan.pivots
         degenerate += plan.degenerate_pivots
         steps += 1
@@ -482,7 +469,7 @@ def wasserstein_inf(
     value = float(cost[support].max()) if np.any(support) else 0.0
     return TransportResult(
         Coupling._solved(lam.ground, mu.ground, mass), value,
-        frozenset(best.basis), pivots, degenerate, steps,
+        _pairs(best), pivots, degenerate, steps,
     )
 
 
@@ -661,14 +648,12 @@ def lifted_w1_member(
     mask = _relation_mask(phi, lam0, lam1)
     cost = _cost_block(metric, lam0.ground, lam1.ground)
     ok, plan = _feasible_on(lam0.probs, lam1.probs, mask,
-                            warm=_least_cost(lam0.probs, lam1.probs, cost))
+                            start=_fill(lam0.probs, lam1.probs, cost))
     if not ok:
         return False
-    inside = _simplex(
-        lam0.probs, lam1.probs, cost, allowed=mask,
-        warm=(_clamped(plan.mass, mask), plan.basis),
-    )
-    free = _simplex(lam0.probs, lam1.probs, cost, warm=(inside.mass, inside.basis))
+    inside = _simplex(lam0.probs, lam1.probs, cost, allowed=mask,
+                      start=plan._replace(mass=_clamped(plan.mass, mask)))
+    free = _simplex(lam0.probs, lam1.probs, cost, start=inside)
     return float(np.sum(cost * inside.mass)) <= float(np.sum(cost * free.mass)) + TAU_NUM
 
 

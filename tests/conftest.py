@@ -294,18 +294,17 @@ def threshold_search(supply, demand, cost, feasible) -> float:
 def full_range_bisection(lam, mu, metric):
     """The bottleneck search before the least-cost bracket: a phase-1 solve
     at the largest cost, from the north-west corner, then bisection over
-    every distinct cost, each test warm from the last feasible plan."""
+    every distinct cost, each test started from the last feasible plan."""
     cost = metric.submatrix(lam.ground, mu.ground)
     values = np.unique(cost)
     lo, hi = 0, values.size - 1
     ok, plan = _feasible_on(lam.probs, mu.probs, cost <= values[hi],
-                            warm=_northwest(lam.probs, mu.probs))
+                            start=_northwest(lam.probs, mu.probs))
     assert ok
     while lo < hi:
         mid = (lo + hi) // 2
-        ok_mid, trial = _feasible_on(
-            lam.probs, mu.probs, cost <= values[mid], warm=(plan.mass, plan.basis)
-        )
+        ok_mid, trial = _feasible_on(lam.probs, mu.probs, cost <= values[mid],
+                                     start=plan)
         if ok_mid:
             hi = mid
             plan = trial

@@ -607,6 +607,59 @@ def test_obfuscate_takes_a_seed_in_the_generator_key_range(files, seed, code):
                                f"got {seed}\n")
 
 
+OFF_MASS_KERNEL = {"inputs": ["a", "b"], "outputs": ["u", "v"],
+                   "rows": [[0.1, 0.1], [0.5, 0.5]]}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("flag", ["--tau-mass", "--tau-num"])
+def test_a_tolerance_is_finite_and_at_least_zero(files, flag, value):
+    """NaN would pass a kernel row holding mass 0.2 (--tau-mass) and fail
+    every audited pair (--tau-num), so each bad value is a usage error."""
+    if flag == "--tau-mass":
+        args = ("obfuscate", "--mech", files("k.json", OFF_MASS_KERNEL),
+                "--data", files("points.csv", "x\na\n"))
+    else:
+        args = ("audit", "--mech", rr_kernel_file(files), "--relation",
+                files("phi.json", [["a", "b"]]), "--divergence", "max",
+                "--claimed-eps", 10, "--format", "csv")
+    proc = run(*args, f"{flag}={value}", expect=1)
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: argument {flag}: must be a finite number "
+                           f">= 0, got {value!r}\n")
+
+
+@pytest.mark.parametrize("command", ["obfuscate", "emd", "couple",
+                                     "couple-mech", "audit"])
+def test_two_files_that_disagree_name_the_one_read_second(files, command):
+    """A data label the kernel lacks names the data file; a metric whose
+    ground misses a label it must price names the metric file."""
+    mech = rr_kernel_file(files)
+    lhs = files("lam.json", dist_obj(LAM))
+    rhs = files("mu.json", dist_obj(MU))
+    other = files("other.csv", "p,q\n0,1\n1,0\n")
+    uncovered = (f"error: {other}: metric does not cover the coupled grounds: "
+                 "label '1' not in metric ground\n")
+    if command == "obfuscate":
+        data = files("points.csv", "x\na\nnot_a_label\n")
+        args = ("obfuscate", "--mech", mech, "--data", data)
+        message = f"error: {data}: input label 'not_a_label' not in kernel\n"
+    elif command == "couple-mech":
+        inputs = files("lams.json", {"s": dist_obj(LAM)})
+        args = ("couple-mech", "build", "--target", rhs, "--inputs", inputs,
+                "--cost", other)
+        message = uncovered
+    elif command == "audit":
+        args = ("audit", "--mech", mech, "--relation",
+                files("phi.json", [["a", "b"]]), "--metric", other,
+                "--divergence", "max")
+        message = f"error: {other}: label 'a' not in metric ground\n"
+    else:
+        args = (command, "--lhs", lhs, "--rhs", rhs, "--cost", other)
+        message = uncovered
+    assert run(*args, expect=1).stderr == message
+
+
 def test_obfuscate_out_file_matches_stdout(files, tmp_path):
     mech = rr_kernel_file(files)
     data = files("points.csv", "x\na\nb\n")

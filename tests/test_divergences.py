@@ -46,7 +46,7 @@ from distp import (
     stability_check,
     uniform_distribution,
 )
-from distp.fileio import kernel_from_dict, load_json
+from distp.fileio import cp_spec_from_dict, kernel_from_dict, load_json
 from conftest import labels, rand_dist, rand_kernel, subset_oracle
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -481,6 +481,9 @@ RAISES = {
     "line_positions_of_another_size": (
         lambda: GroundMetric.line(("a", "b"), [0.0]),
         DimensionMismatchError, "positions must match ground size"),
+    "spec_object_without_target_or_aux": (
+        lambda: cp_spec_from_dict({"aux": []}),
+        ValidationError, "mechanism spec needs 'target' and 'aux'"),
     "spec_without_entries": (
         lambda: CouplingMechanismSpec(_spec().target, ()),
         ValidationError, "at least one auxiliary value"),

@@ -1,7 +1,10 @@
 """Pinned simplex solves: every plan, basis and counter, bit for bit.
 
 Each pin is the sha256 of a solve's ``mass.tobytes()`` followed by its
-sorted basis, with its pivot and degenerate-pivot counts. The pins were
+basic cells as sorted (i, j) pairs, with its pivot and degenerate-pivot
+counts. ``digest`` alone turns the plan's flat cells i*n + j into pairs,
+the form every pin was recorded in, so no pin moved when plans began to
+keep flat cells. The pins were
 recorded before the pivot loop was last reworked for speed; such a rework
 must keep the pivot sequence, so it must keep every pin. A change that is
 meant to move pivots regenerates them with ``solve_pins``.
@@ -10,9 +13,9 @@ The cases cover a cold ``emd``, the three solves of ``lifted_w1_member``
 (phase 1 from the least-cost plan, the restricted optimum, the free
 optimum), a tie-heavy assignment started from the north-west corner,
 where runs of degenerate pivots hand over to Bland's rule, every solve of
-a ``wasserstein_inf`` search (each phase-1 test warm-starts from the
-last), a rectangular ``emd`` whose rows include zero-mass labels, and a
-restricted solve whose warm basis holds forbidden cells at zero mass, so
+a ``wasserstein_inf`` search (each phase-1 test starts from the
+last plan), a rectangular ``emd`` whose rows include zero-mass labels, and a
+restricted solve whose start plan holds forbidden cells at zero mass, so
 that a blocked cell on the gaining side of a cycle leaves the basis.
 """
 
@@ -30,7 +33,7 @@ from distp import (
     uniform_distribution,
     wasserstein_inf,
 )
-from distp.transport import _least_cost, _northwest, _simplex
+from distp.transport import _fill, _northwest, _pairs, _simplex
 from conftest import euclidean_metric, labels, phi_member_pair, rand_dist
 
 RADIUS = 0.5
@@ -38,7 +41,7 @@ RADIUS = 0.5
 
 def digest(plan) -> tuple[str, int, int]:
     h = hashlib.sha256(plan.mass.tobytes())
-    h.update(repr(sorted(plan.basis)).encode())
+    h.update(repr(sorted(_pairs(plan))).encode())
     return h.hexdigest()[:16], plan.pivots, plan.degenerate_pivots
 
 
@@ -72,7 +75,7 @@ def solve_pins(n: int, monkeypatch) -> dict[str, list[tuple[str, int, int]]]:
     mu = uniform_distribution(tuple(ground[i] for i in rng.permutation(n)))
     cost = GroundMetric.discrete(ground).submatrix(lam.ground, mu.ground)
     pins["bland"] = [digest(_simplex(lam.probs, mu.probs, cost,
-                                     warm=_northwest(lam.probs, mu.probs)))]
+                                     start=_northwest(lam.probs, mu.probs)))]
     plans.clear()
 
     wasserstein_inf(rand_dist(rng, ground), rand_dist(rng, ground), metric)
@@ -86,7 +89,7 @@ def solve_pins(n: int, monkeypatch) -> dict[str, list[tuple[str, int, int]]]:
 
 
 def blocked_leaves(seed: int):
-    """A restricted solve from a least-cost basis whose zero-mass basic
+    """A restricted solve from a least-cost plan whose zero-mass basic
     cells are forbidden. A forbidden basic cell on the gaining side of a
     cycle blocks the pivot (theta = 0); at seeds 2 and 12 such a blocked
     cell leaves, ahead of two zero-flow cells on the losing side."""
@@ -95,13 +98,13 @@ def blocked_leaves(seed: int):
     supply = rng.multinomial(16, np.ones(m) / m) / 16
     demand = rng.multinomial(16, np.ones(n) / n) / 16
     cost = rng.random((m, n))
-    mass, basis = _least_cost(supply, demand, cost)
+    plan = _fill(supply, demand, cost)
     allowed = rng.random((m, n)) < 0.7
-    allowed[mass > 0.0] = True
-    for cell in basis:
-        if mass[cell] == 0.0:
-            allowed[cell] = False
-    return _simplex(supply, demand, cost, allowed=allowed, warm=(mass, basis))
+    allowed[plan.mass > 0.0] = True
+    for c in plan.cells:
+        if plan.mass.flat[c] == 0.0:
+            allowed.flat[c] = False
+    return _simplex(supply, demand, cost, allowed=allowed, start=plan)
 
 
 PINS = {

@@ -43,8 +43,8 @@ from distp.transport import (
     _cost_block,
     _cut,
     _feasible_on,
+    _fill,
     _hall_index,
-    _least_cost,
     _northwest,
     _pivot_budget,
     _relation_mask,
@@ -155,7 +155,8 @@ def dyadic_marginal(draw, size):
 def test_northwest_start_is_a_staircase(data, m, n):
     supply = data.draw(dyadic_marginal(m))
     demand = data.draw(dyadic_marginal(n))
-    mass, basis = _northwest(supply, demand)
+    plan = _northwest(supply, demand)
+    mass, basis = plan.mass, [divmod(c, n) for c in plan.cells]
     assert len(basis) == m + n - 1
     assert basis[0] == (0, 0) and basis[-1] == (m - 1, n - 1)
     for (i, j), step in zip(basis, basis[1:]):
@@ -599,7 +600,7 @@ def test_bland_fallback_on_tie_heavy_instance():
         mu = uniform_distribution(tuple(ground[i] for i in order))
         cost = metric.submatrix(lam.ground, mu.ground)
         got = _simplex(lam.probs, mu.probs, cost,
-                       warm=_northwest(lam.probs, mu.probs))
+                       start=_northwest(lam.probs, mu.probs))
         assert got.degenerate_pivots > 0
         assert got.pivots > got.degenerate_pivots
         assert float(np.sum(cost * got.mass)) == pytest.approx(
@@ -641,13 +642,14 @@ def least_cost_cases():
 @pytest.mark.parametrize("supply, demand, cost", least_cost_cases())
 def test_least_cost_start_is_a_basic_coupling(supply, demand, cost):
     m, n = cost.shape
-    mass, basis = _least_cost(supply, demand, cost)
+    plan = _fill(supply, demand, cost)
+    mass, cells = plan.mass, plan.cells
     # raises unless a spanning tree
-    _tree([i * n + j for i, j in basis], cost.ravel().tolist(), m, n)
-    assert len(set(basis)) == m + n - 1
-    off = np.ones((m, n), dtype=bool)
-    off[tuple(np.array(basis).T)] = False
-    assert np.all(mass[off] == 0.0)
+    _tree(cells, cost.ravel().tolist(), m, n)
+    assert len(set(cells)) == m + n - 1
+    off = np.ones(m * n, dtype=bool)
+    off[cells] = False
+    assert np.all(mass.ravel()[off] == 0.0)
     assert np.all(mass >= 0.0)
     assert np.all(np.abs(mass.sum(axis=1) - supply) <= TAU_MASS)
     assert np.all(np.abs(mass.sum(axis=0) - demand) <= TAU_MASS)
@@ -655,11 +657,11 @@ def test_least_cost_start_is_a_basic_coupling(supply, demand, cost):
 
 def test_least_cost_start_fills_cheapest_cells_first():
     cost = np.array([[3.0, 1.0], [2.0, 4.0]])
-    mass, basis = _least_cost(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cost)
-    assert mass.tolist() == [[0.0, 0.5], [0.5, 0.0]]
+    plan = _fill(np.array([0.5, 0.5]), np.array([0.5, 0.5]), cost)
+    assert plan.mass.tolist() == [[0.0, 0.5], [0.5, 0.0]]
     # the tie at (0, 1) closes row 0 and leaves column 1 open; the last
     # open row and column meet on a zero-mass basic cell
-    assert basis == [(0, 1), (1, 0), (1, 1)]
+    assert plan.cells == [1, 2, 3]  # (0, 1), (1, 0), (1, 1)
 
 
 @pytest.mark.parametrize("n", [16, 40, 60])
@@ -671,7 +673,7 @@ def test_least_cost_start_needs_no_more_pivots_than_northwest(n):
     cost = euclidean_metric(rng, ground).cost
     cold = _simplex(lam.probs, mu.probs, cost)
     staircase = _simplex(lam.probs, mu.probs, cost,
-                         warm=_northwest(lam.probs, mu.probs))
+                         start=_northwest(lam.probs, mu.probs))
     assert cold.pivots <= staircase.pivots
     assert abs(np.sum(cost * cold.mass) - np.sum(cost * staircase.mass)) <= 1e-12
     again = _simplex(lam.probs, mu.probs, cost)
@@ -738,7 +740,7 @@ def test_hall_floor_and_cuts_stay_at_or_below_the_answer(m, n, family, zeros,
 # ValidationError from the Coupling check, or returned a coupling whose
 # marginals missed by more than TAU_MASS, when a threshold that strands
 # that row passed phase 1; the last three made the verdict at such a
-# threshold depend on the warm start's rounding of the plan's total.
+# threshold depend on the start plan's rounding of its total.
 SLIVER_INSTANCES = [
     (4, 1, 0, 1, 1.0, 117), (12, 8, 0, 3, 1.0, 651418), (8, 1, 0, 0, 1.0, 288156),
     (8, 5, 0, 1, 1.0, 409939), (9, 4, 0, 2, 1.0, 433353), (10, 1, 0, 1, 1.0, 152577),
@@ -905,7 +907,7 @@ def test_wasserstein_inf_matches_threshold_search_at_size(rng):
         assert got.cost == threshold_search(lam.probs, mu.probs, metric.cost,
                                             lp_feasible)
         # the least-cost start ships above the answer, so a search was needed
-        start, _ = _least_cost(lam.probs, mu.probs, metric.cost)
+        start = _fill(lam.probs, mu.probs, metric.cost).mass
         assert metric.cost[start > 0.0].max() > got.cost
         assert got.search_steps >= 1
         assert validate_coupling(got.coupling, lam, mu)
@@ -943,9 +945,8 @@ def cold_w1_member(phi, lam0, lam1, metric) -> bool:
         return False
     cost = _cost_block(metric, lam0.ground, lam1.ground)
     inside = _simplex(lam0.probs, lam1.probs, cost, allowed=mask,
-                      warm=(_clamped(plan.mass, mask), plan.basis))
-    free = _simplex(lam0.probs, lam1.probs, cost,
-                    warm=(inside.mass, inside.basis))
+                      start=plan._replace(mass=_clamped(plan.mass, mask)))
+    free = _simplex(lam0.probs, lam1.probs, cost, start=inside)
     return (float(np.sum(cost * inside.mass))
             <= float(np.sum(cost * free.mass)) + TAU_NUM)
 
